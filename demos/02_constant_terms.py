@@ -9,8 +9,8 @@ starts at a nonconstant term).  Constant terms can then be read off two
 independent ways: expanding a window of the series, or partial fractions.
 """
 
-from ctforge import (Alpha, Factor, FactoredForm, LaurentPoly, ProperRat,
-                     ct_partial_fraction, monomial_class)
+from ctforge import (Factor, FactoredForm, LaurentPoly,
+                     ct_factored_pfrac_labeled)
 
 # ---------------------------------------------------------------------------
 # Small vs large: the same binomial, two very different series.
@@ -19,11 +19,12 @@ from ctforge import (Alpha, Factor, FactoredForm, LaurentPoly, ProperRat,
 small = FactoredForm(2, factors=(Factor.binomial(2, 1, 0, 1, -1),))
 large = FactoredForm(2, factors=(Factor.binomial(2, 1, 1, 0, -1),))
 
-print("1/(1 - q x0/x1) =", small.expand_truncated(0, 3), "+ ...")
-print("1/(1 - q x1/x0) =", large.expand_truncated(0, 3), "+ ...")
+print("1/(1 - q x0/x1) =", small.expand_within({0: 3}), "+ ...")
+print("1/(1 - q x1/x0) =", large.expand_within({0: 3}), "+ ...")
 print()
-print("q^3 x0/x2 is", monomial_class({0: 1, 2: -1}))
-print("x2/x0    is", monomial_class({2: 1, 0: -1}))
+for label, fac in (("q^3 x0/x2", Factor.binomial(3, 3, 0, 2)),
+                   ("x2/x0", Factor.binomial(3, 0, 2, 0))):
+    print(f"{label:9} is", "small" if fac.is_small() else "large")
 
 # Consequently CT_{x0} of the first is 1 and of the second is 0.
 print("CT_x0 small :", small.expand_within({0: 0, 1: 0}))
@@ -31,23 +32,25 @@ print("CT_x0 large :", large.expand_within({0: 0, 1: 0}))
 
 # ---------------------------------------------------------------------------
 # Partial fractions.  For R proper in x_k with simple monomial poles
-# x_t q^s, CT_{x_k} R is the sum of cofactors at the SMALL poles only.
+# x_t q^s, CT_{x_k} R is the sum of cofactors at the small poles only.
 # ---------------------------------------------------------------------------
 
 print()
-R = ProperRat(0, LaurentPoly.one(3), 0, [Alpha(1, 0), Alpha(2, 1)])
+R = FactoredForm(3, factors=(Factor.binomial(3, 0, 0, 1, -1),
+                             Factor.binomial(3, -1, 0, 2, -1)))
 print("R = 1/((1 - x0/x1)(1 - x0/(q x2)))")
-for part in ct_partial_fraction(R):
-    print("  pole summand:", part)
+parts = ct_factored_pfrac_labeled(R, 0)
+for (t, s), part in parts:
+    print(f"  pole x{t} q^{s}: summand", part)
 
 # The two summands are reciprocal-complementary, so they sum to 1 --
 # confirm by expanding both in the same window:
 window = {1: 4, 2: 4}
 total = LaurentPoly.zero(3)
-for part in ct_partial_fraction(R):
+for _, part in parts:
     total = total + part.expand_within(window)
 print("sum of summands in a window:", total.restrict(hi=window))
 
 # And the series oracle agrees:
-series_ct = R.as_factored().expand_within({0: 0, 1: 4, 2: 4}).free_of(0)
+series_ct = R.expand_within({0: 0, 1: 4, 2: 4}).free_of(0)
 print("series route:               ", series_ct)

@@ -23,7 +23,7 @@ from ctforge.qfield import QRat
 
 # the finite theorem at n = -1 is the plain geometric series in disguise:
 # every coefficient of u^k must be exactly q^{-k}
-series = qpochhammer(1, {0: 1}, -1).expand_truncated(0, 6)
+series = qpochhammer(1, {0: 1}, -1).expand_within({0: 6})
 print("(u)_{-1} =", series, "+ ...")
 assert all(series.coeff_of((k,)) == QRat.qpow(-k) for k in range(7))
 

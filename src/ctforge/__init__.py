@@ -8,24 +8,15 @@ replays the constant-term proof of the q-Dyson identity as a checkable
 certificate tree.
 """
 
-from .qfield import QPoly, QRat, QRAT_ONE, QRAT_ZERO
-from .laurent import (Factor, FactoredForm, LaurentPoly, monomial_class,
-                      qbinomial, qfactorial, qpoch_qrat, qpochhammer,
-                      SMALL, LARGE)
-from .ctengine import (Alpha, ProperRat, ct_all_bruteforce, ct_all_series,
-                       ct_factored_pfrac, ct_partial_fraction,
-                       ct_var_bruteforce, ct_x0_truncated)
-from .tournament import (TournamentInstance, Witness, build_tournament,
-                         exhaustive_check, find_witness, scan_witness)
-from .qdyson import (Certificate, CertNode, DysonParams, ProofPath,
-                     certificate_from_dict, certificate_to_dict,
-                     certificate_to_json, certify_vanishing, collapse_path,
-                     degree_bound_check, dyson_product, expand_recursion,
-                     find_vanishing_witness, interpolate_eval, kernel_at_path,
+from .qfield import QPoly, QRat
+from .laurent import (Factor, FactoredForm, LaurentPoly, qbinomial,
+                      qfactorial, qpoch_qrat, qpochhammer)
+from .ctengine import (ct_all_bruteforce, ct_all_series,
+                       ct_factored_pfrac_labeled)
+from .qdyson import (certificate_to_dict, certify_vanishing, kernel_at_path,
                      lhs_value_at, multinomial, qdyson_kernel,
-                     qdyson_lhs_product, qdyson_rhs, rhs_value_at,
-                     transfer_var, validate_certificate, verify_dyson,
-                     verify_qdyson)
+                     qdyson_lhs_product, qdyson_rhs, validate_certificate,
+                     verify_dyson, verify_qdyson)
 from . import errors
 
 __version__ = "0.1.0"

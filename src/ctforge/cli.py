@@ -5,23 +5,19 @@
     ctforge ct          -- constant terms of parsed expressions
     ctforge tournament  -- exhaustive witness-lemma check
     ctforge identities  -- the classical q-series identity suite
-    ctforge bench       -- timing grid, CSV output
 
 Exit codes: 0 success, 1 identity/certification/computation failure,
-2 usage or parse errors.  CT_FORGE_THREADS bounds the bench worker pool
-(default: machine parallelism).
+2 usage or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from pathlib import Path
 
-from .ctengine import ct_all_bruteforce, ct_all_series, ct_factored_pfrac
+from .ctengine import ct_all_series, ct_factored_pfrac_labeled
 from .errors import CTForgeError
 from .identities import run_suite
 from .laurent import LaurentPoly
@@ -42,16 +38,6 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-
-
-def worker_count() -> int:
-    env = os.environ.get("CT_FORGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -97,11 +83,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities", help="classical q-series identity suite")
     p.add_argument("--trunc", type=int, default=8)
-
-    p = sub.add_parser("bench", help="timing grid, CSV rows")
-    p.add_argument("--max-n", type=int, default=2)
-    p.add_argument("--max-a", type=int, default=2)
-    p.add_argument("--out", type=Path, default=None)
 
     return ap
 
@@ -208,10 +189,7 @@ def _print_summands(parts: list) -> None:
 def run_ct(ap: argparse.ArgumentParser, args) -> int:
     ast = parse(args.expr)
     if args.all_vars:
-        ff = lower(ast)
-        value = (ct_all_bruteforce(ff) if not ff.denominator_factors()
-                 else ct_all_series(ff))
-        print(value)
+        print(ct_all_series(lower(ast)))
         return EXIT_OK
 
     var = _parse_var(ap, args.var)
@@ -231,7 +209,7 @@ def run_ct(ap: argparse.ArgumentParser, args) -> int:
     if method in ("series", "both"):
         series_lp = ff.expand_within(window).free_of(var)
     if method in ("pfrac", "both"):
-        pfrac_parts = ct_factored_pfrac(ff, var)
+        pfrac_parts = [s for _, s in ct_factored_pfrac_labeled(ff, var)]
 
     if method == "series":
         print(series_lp)
@@ -274,48 +252,6 @@ def run_identities(args) -> int:
     return EXIT_OK
 
 
-# -- bench ------------------------------------------------------------------------------
-
-def _bench_instance(tup: tuple[int, ...]) -> list[str]:
-    a0, a = tup[0], tup[1:]
-    rows = []
-    for method in ("brute", "replay"):
-        t0 = time.perf_counter()
-        report = verify_qdyson(a0, a, method)
-        millis = (time.perf_counter() - t0) * 1000.0
-        terms = len(report.rhs.num.c) + len(report.rhs.den.c)
-        rows.append(f"{len(a)},{'-'.join(str(x) for x in tup)},"
-                    f"{method},{millis:.3f},{terms}")
-        if not report.ok:
-            raise CTForgeError(f"bench instance failed: {tup}")
-    return rows
-
-
-def run_bench(args) -> int:
-    from itertools import product
-    instances = []
-    for nv in range(1, args.max_n + 2):
-        for tup in product(range(args.max_a + 1), repeat=nv):
-            instances.append(tup)
-    rows = ["n,a,method,millis,terms"]
-    workers = worker_count()
-    if workers > 1 and len(instances) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_bench_instance, instances):
-                rows.extend(chunk)
-    else:
-        for tup in instances:
-            rows.extend(_bench_instance(tup))
-    text = "\n".join(rows) + "\n"
-    if args.out is not None:
-        args.out.write_text(text)
-        print(f"wrote {args.out} ({len(rows) - 1} rows)")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 # -- entry point ---------------------------------------------------------------------------
 
 def main(argv: list[str] | None = None) -> int:
@@ -332,8 +268,6 @@ def main(argv: list[str] | None = None) -> int:
             return run_tournament(args)
         if args.command == "identities":
             return run_identities(args)
-        if args.command == "bench":
-            return run_bench(args)
     except (ParseError, LoweringError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

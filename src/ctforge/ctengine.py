@@ -1,13 +1,13 @@
-"""Constant-term operators.
+"""Constant-term operators, one entry point per route.
 
-Two independent routes to a constant term:
-
-  * brute force -- expand to a LaurentPoly (exactly, or truncated in a way
-    that is exact for the window asked about) and read coefficients off;
-  * partial fractions -- for a function that is proper in the extraction
-    variable x_k with simple poles at monomials x_t q^s, the constant term
-    in x_k is the sum of the cofactors at the *small* poles (those with
-    k < t), evaluated symbolically at x_k = pole.
+  * series -- `ct_all_series` expands in the iterated Laurent series field
+    inside the all-zero window (exact there) and reads off the constant
+    coefficient; `ct_all_bruteforce` is the same route restricted to
+    polynomial products;
+  * partial fractions -- `ct_factored_pfrac_labeled`: for a function that
+    is proper in the extraction variable x_k with simple poles at monomials
+    x_t q^s, the constant term in x_k is the sum of the cofactors at the
+    *small* poles (those with k < t), evaluated symbolically at x_k = pole.
 
 The two routes check each other throughout the test suite; the proof
 engine leans on the second because it preserves factored structure.
@@ -15,95 +15,21 @@ engine leans on the second because it preserves factored structure.
 
 from __future__ import annotations
 
-from .errors import (DistinctPolesError, DomainError, NotPolynomialError,
-                     PropernessError, ShapeError)
-from .laurent import Factor, FactoredForm, LaurentPoly
+from .errors import (DistinctPolesError, NotPolynomialError, PropernessError,
+                     ShapeError)
+from .laurent import FactoredForm
 from .qfield import QRat
-
-
-class Alpha:
-    """A pole location x_var * q^qexp."""
-
-    __slots__ = ("var", "qexp")
-
-    def __init__(self, var: int, qexp: int):
-        self.var = var
-        self.qexp = qexp
-
-    def __eq__(self, other):
-        return (isinstance(other, Alpha)
-                and self.var == other.var and self.qexp == other.qexp)
-
-    def __hash__(self):
-        return hash((self.var, self.qexp))
-
-    def __repr__(self):
-        if self.qexp == 0:
-            return f"x{self.var}"
-        return f"x{self.var}*q^{self.qexp}"
-
-
-class ProperRat:
-    """p(x_k) / (x_k^dpow * prod_i (1 - x_k/alpha_i)), proper in x_k.
-
-    `numerator` is a LaurentPoly whose x_k-exponents are nonnegative (its
-    coefficients may involve the other variables); the alpha_i are pairwise
-    distinct monomials x_t q^s with t != k.  Properness -- degree in x_k
-    strictly negative -- is re-verified at construction rather than trusted.
-    """
-
-    __slots__ = ("var", "numerator", "dpow", "poles")
-
-    def __init__(self, var: int, numerator: LaurentPoly, dpow: int,
-                 poles: list[Alpha]):
-        if dpow < 0:
-            raise DomainError("dpow must be nonnegative")
-        if len(set((a.var, a.qexp) for a in poles)) != len(poles):
-            raise DistinctPolesError("repeated pole")
-        for a in poles:
-            if a.var == var:
-                raise ShapeError("pole monomial may not involve the extraction variable")
-        lo, hi = numerator.var_range(var)
-        if lo < 0:
-            raise ShapeError("numerator must be polynomial in the extraction variable")
-        degree = hi - dpow - len(poles)
-        if not numerator.is_zero() and degree >= 0:
-            raise PropernessError(
-                f"degree in x{var} is {degree}, not negative")
-        self.var = var
-        self.numerator = numerator
-        self.dpow = dpow
-        self.poles = list(poles)
-
-    def as_factored(self) -> FactoredForm:
-        nv = self.numerator.nvars
-        mono = [0] * nv
-        mono[self.var] = -self.dpow
-        factors = tuple(
-            Factor.binomial(nv, -a.qexp, self.var, a.var, -1)
-            for a in self.poles)
-        return FactoredForm(nv, mono=tuple(mono), factors=factors,
-                            poly=self.numerator)
-
-
-def ct_var_bruteforce(f: LaurentPoly, var: int) -> LaurentPoly:
-    """Constant term in x_var of an expanded Laurent polynomial."""
-    return f.free_of(var)
 
 
 def ct_all_bruteforce(f: FactoredForm) -> QRat:
     """Constant term in every variable of a polynomial FactoredForm.
 
-    Expands the product directly (pruned to the all-zero target exponent,
-    which changes nothing about the value) and reads off the coefficient
-    of the constant monomial.  Denominator factors are refused: this is
-    the oracle side and must stay a genuine polynomial expansion.
+    Denominator factors are refused: this is the oracle side and must stay
+    a genuine polynomial expansion.
     """
     if f.denominator_factors():
         raise NotPolynomialError("ct_all_bruteforce needs a polynomial product")
-    target = {v: 0 for v in range(f.nvars)}
-    lp = f.expand_within(target, target)
-    return lp.constant_coeff()
+    return ct_all_series(f)
 
 
 def ct_all_series(f: FactoredForm) -> QRat:
@@ -112,98 +38,53 @@ def ct_all_series(f: FactoredForm) -> QRat:
     Valid for any FactoredForm whose denominator factors can be bounded by
     the all-zero window (always true here: each series ascends in its
     control variable).  Exact: the windowed expansion is complete for the
-    all-zero exponent vector.
+    all-zero exponent vector, and pruning to it changes nothing about the
+    value.
     """
     target = {v: 0 for v in range(f.nvars)}
-    lp = f.expand_within(target, target)
-    return lp.constant_coeff()
+    return f.expand_within(target, target).constant_coeff()
 
 
-def ct_x0_truncated(f: FactoredForm, bound: int) -> LaurentPoly:
-    """Constant term in x0 of the Laurent-series expansion of f.
-
-    Every denominator factor must involve x0 as its control variable.  The
-    caller supplies the truncation bound; the result is exact whenever the
-    bound dominates the x0-degree budget of the numerator (for the q-Dyson
-    kernel, bound = a = sum of the parameters).
-    """
-    if bound < 0:
-        raise DomainError("bound must be nonnegative")
-    lp = f.expand_truncated(0, bound)
-    return lp.free_of(0)
-
-
-def substitute_var(f: FactoredForm, var: int, alpha: Alpha) -> FactoredForm:
-    """f with x_var := alpha, performed symbolically on the factored form."""
-    return f.substitute(var, alpha.var, alpha.qexp)
-
-
-def _poles_of(f: FactoredForm, var: int) -> list[tuple[Factor, Alpha]]:
-    """Denominator factors of f as poles in x_var.
-
-    Each must be a simple two-variable factor (1 - q^s x_var/x_t), i.e.
-    x_var in the numerator slot; this is the only shape the proof pipeline
-    produces and the shape the partial-fraction lemma covers.
-    """
-    out = []
-    seen = set()
-    for fac in f.denominator_factors():
-        num, den = fac.pair_vars()
-        if num != var:
-            raise ShapeError(
-                f"denominator factor {fac!r} does not have x{var} upstairs")
-        if fac.exp != -1:
-            raise DistinctPolesError(f"repeated pole: {fac!r}")
-        alpha = Alpha(den, -fac.qexp)
-        if (alpha.var, alpha.qexp) in seen:
-            raise DistinctPolesError(f"repeated pole: {fac!r}")
-        seen.add((alpha.var, alpha.qexp))
-        out.append((fac, alpha))
-    return out
-
-
-def ct_factored_pfrac_labeled(f: FactoredForm,
-                              var: int) -> list[tuple[Alpha, FactoredForm]]:
+def ct_factored_pfrac_labeled(
+        f: FactoredForm, var: int) -> list[tuple[tuple[int, int], FactoredForm]]:
     """Partial-fraction constant term, each summand labeled by its pole.
 
-    One (pole, FactoredForm) pair per *small* pole (pole x_t q^s with
-    var < t): the form with that pole factor removed and x_var := x_t q^s
-    substituted everywhere else.  Large poles contribute nothing, and the
-    polynomial part of the decomposition is never materialized (a proper
-    function has none beyond negative powers of x_var, which carry no
-    x_var-free term).
+    Every denominator factor must be a simple two-variable factor
+    (1 - q^s x_var/x_t), i.e. x_var in the numerator slot: the only shape
+    the proof pipeline produces and the shape the partial-fraction lemma
+    covers.  Its pole is x_t q^{-s}, labeled (t, -s).
+
+    One (pole, FactoredForm) pair per *small* pole (var < t): the form
+    with that pole factor removed and x_var := x_t q^{-s} substituted
+    everywhere else.  Large poles contribute nothing, and the polynomial
+    part of the decomposition is never materialized (a proper function has
+    none beyond negative powers of x_var, which carry no x_var-free term).
     """
     if f.is_zero():
         return []
     deg = f.degree_in(var)
     if deg >= 0:
         raise PropernessError(f"degree in x{var} is {deg}, not negative")
-    poles = _poles_of(f, var)
+    # every pole is checked before any substitution: a repeated pole would
+    # otherwise surface as an UncancelledPoleError from substitute
+    poles = []
+    seen = set()
+    for fac in f.denominator_factors():
+        num, den = fac.pair_vars()
+        if num != var:
+            raise ShapeError(
+                f"denominator factor {fac!r} does not have x{var} upstairs")
+        pole = (den, -fac.qexp)
+        if fac.exp != -1 or pole in seen:
+            raise DistinctPolesError(f"repeated pole: {fac!r}")
+        seen.add(pole)
+        poles.append((fac, pole))
     out = []
-    for fac, alpha in poles:
-        if var > alpha.var:
+    for fac, pole in poles:
+        if var > pole[0]:
             continue  # large pole: no contribution
         rest = FactoredForm(
             f.nvars, f.scalar, f.mono,
             tuple(g for g in f.factors if g is not fac), f.poly)
-        out.append((alpha, substitute_var(rest, var, alpha)))
+        out.append((pole, rest.substitute(var, *pole)))
     return out
-
-
-def ct_factored_pfrac(f: FactoredForm, var: int) -> list[FactoredForm]:
-    """Constant term in x_var of a proper factored form, by partial fractions."""
-    return [summand for _, summand in ct_factored_pfrac_labeled(f, var)]
-
-
-def ct_partial_fraction(r: ProperRat, var: int | None = None) -> list[FactoredForm]:
-    """Partial-fraction constant term of a validated ProperRat.
-
-    One summand per small pole: (R * (1 - x_k/alpha_j)) evaluated at
-    x_k = alpha_j.  Errors on repeated poles or non-proper input are
-    raised by the ProperRat constructor / the factored route.
-    """
-    if var is None:
-        var = r.var
-    elif var != r.var:
-        raise DomainError("extraction variable does not match the ProperRat")
-    return ct_factored_pfrac(r.as_factored(), var)

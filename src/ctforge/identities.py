@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ctengine import Alpha, ProperRat, ct_partial_fraction
+from .ctengine import ct_factored_pfrac_labeled
+from .errors import DomainError
 from .laurent import (Factor, FactoredForm, LaurentPoly, qbinomial,
                       qpochhammer)
 from .qfield import QRat
@@ -51,7 +52,7 @@ def finite_qbinomial_check(n: int, max_deg: int = 8) -> bool:
         lhs = lhs_ff.expand_exact()
         kmax = n
     else:
-        lhs = lhs_ff.expand_truncated(0, max_deg)
+        lhs = lhs_ff.expand_within({0: max_deg})
         kmax = max_deg
     rhs = LaurentPoly.zero(1)
     for k in range(kmax + 1):
@@ -100,22 +101,23 @@ def small_large_ct_check(k: int) -> bool:
     by partial fractions against the windowed series."""
     ok = True
     # i = 0 < j = 1: small, CT = 1
-    r = ProperRat(0, LaurentPoly.one(2), 0, [Alpha(1, -k)])
-    parts = ct_partial_fraction(r)
+    r = FactoredForm(2, factors=(Factor.binomial(2, k, 0, 1, -1),))
     total = LaurentPoly.zero(2)
-    for p in parts:
+    for _, p in ct_factored_pfrac_labeled(r, 0):
         total = total + p.expand_within({0: 0, 1: 0})
     ok &= total == LaurentPoly.one(2)
-    series = r.as_factored().expand_within({0: 0, 1: 4}, {0: 0}).free_of(0)
+    series = r.expand_within({0: 0, 1: 4}, {0: 0}).free_of(0)
     ok &= series == LaurentPoly.one(2)
     # i = 1 > j = 0: large, CT = 0
-    r = ProperRat(1, LaurentPoly.one(2), 0, [Alpha(0, -k)])
-    ok &= ct_partial_fraction(r) == []
+    r = FactoredForm(2, factors=(Factor.binomial(2, k, 1, 0, -1),))
+    ok &= ct_factored_pfrac_labeled(r, 1) == []
     return bool(ok)
 
 
 def run_suite(max_deg: int = 8) -> list[IdentityResult]:
     """The full suite at one truncation degree; one result per identity."""
+    if max_deg < 0:
+        raise DomainError("truncation degree must be nonnegative")
     results = []
 
     ok = all(product_identity_check(l, m)
@@ -130,7 +132,7 @@ def run_suite(max_deg: int = 8) -> list[IdentityResult]:
         f"n in [-4, 4], truncated to u-degree {max_deg} for n < 0"))
 
     # the n = -1 row coefficient-by-coefficient: coeff of u^k is q^{-k}
-    lhs = qpochhammer(1, {0: 1}, -1).expand_truncated(0, max_deg)
+    lhs = qpochhammer(1, {0: 1}, -1).expand_within({0: max_deg})
     ok = all(lhs.coeff_of((k,)) == QRat.qpow(-k) for k in range(max_deg + 1))
     results.append(IdentityResult(
         "finite-q-binomial-n=-1-coeffs", ok, "coeff of u^k equals q^-k"))

@@ -30,9 +30,6 @@ from .errors import (DomainError, NotPolynomialError, ShapeError,
                      TruncationError)
 from .qfield import QRAT_ONE, QRAT_ZERO, QRat
 
-SMALL = "small"
-LARGE = "large"
-
 # Exponents are plain machine ints; anything this big is a bug upstream.
 _EXP_LIMIT = 10**9
 
@@ -44,7 +41,7 @@ def _check_exp(e: int) -> int:
 
 
 def add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(_check_exp(x + y) for x, y in zip(a, b))
 
 
 def scale_exps(a: tuple[int, ...], c: int) -> tuple[int, ...]:
@@ -194,9 +191,6 @@ class LaurentPoly:
         es = [k[var] for k in self.terms]
         return min(es), max(es)
 
-    def max_degree_in(self, var: int) -> int:
-        return self.var_range(var)[1]
-
     def restrict(self, hi: dict[int, int] | None = None,
                  lo: dict[int, int] | None = None) -> "LaurentPoly":
         """Drop terms with exponents above hi / below lo."""
@@ -292,9 +286,6 @@ class Factor:
     def powered(self, n: int) -> "Factor":
         return Factor(self.qexp, self.mono, self.exp * n)
 
-    def key(self):
-        return (self.qexp, self.mono)
-
     def sort_key(self):
         return (self.mono, self.qexp, self.exp)
 
@@ -363,23 +354,6 @@ class Factor:
         return 0 if self.is_small() else -self.exp
 
 
-def monomial_class(mono: tuple[int, ...] | dict[int, int]) -> str:
-    """Classify q^k x_i/x_j as SMALL (i < j) or LARGE (i > j).
-
-    The q-power is irrelevant; the monomial must involve exactly two
-    variables with exponents +1 and -1.
-    """
-    if isinstance(mono, dict):
-        items = {v: e for v, e in mono.items() if e != 0}
-    else:
-        items = {v: e for v, e in enumerate(mono) if e != 0}
-    if len(items) != 2 or sorted(items.values()) != [-1, 1]:
-        raise ShapeError("monomial is not of the shape x_i/x_j with i != j")
-    num = next(v for v, e in items.items() if e == 1)
-    den = next(v for v, e in items.items() if e == -1)
-    return SMALL if num < den else LARGE
-
-
 class FactoredForm:
     """scalar * X^mono * poly * prod_i (1 - q^{s_i} M_i)^{e_i}, held exactly.
 
@@ -439,12 +413,6 @@ class FactoredForm:
 
     # -- algebra ------------------------------------------------------------
 
-    def times_scalar(self, c: QRat) -> "FactoredForm":
-        if c.is_zero() or self.is_zero():
-            return FactoredForm.zero(self.nvars)
-        return FactoredForm(self.nvars, self.scalar * c, self.mono,
-                            self.factors, self.poly)
-
     def times_monomial(self, exps: dict[int, int] | tuple,
                        coeff: QRat = QRAT_ONE) -> "FactoredForm":
         if isinstance(exps, dict):
@@ -498,7 +466,8 @@ class FactoredForm:
             return self
         merged: dict = {}
         for f in self.factors:
-            merged[f.key()] = merged.get(f.key(), 0) + f.exp
+            key = (f.qexp, f.mono)
+            merged[key] = merged.get(key, 0) + f.exp
         factors = tuple(sorted(
             (Factor(q, m, e) for (q, m), e in merged.items() if e != 0),
             key=Factor.sort_key))
@@ -519,7 +488,9 @@ class FactoredForm:
 
         A factor whose monomial collapses to a pure q-power becomes a scalar;
         if that scalar is zero the whole form is zero for numerator factors
-        and an UncancelledPoleError for denominator factors.
+        and an UncancelledPoleError for denominator factors.  The collapsed
+        scalars are multiplied in only after every factor has been seen, so
+        a form that turns out to be zero costs no Q(q) arithmetic for them.
         """
         from .errors import UncancelledPoleError
         if src == dst:
@@ -559,6 +530,7 @@ class FactoredForm:
             if poly.is_zero():
                 return FactoredForm.zero(self.nvars)
         factors = []
+        collapsed = []
         for f in self.factors:
             e = f.mono[src]
             if not e:
@@ -577,7 +549,9 @@ class FactoredForm:
                     raise UncancelledPoleError(
                         f"substitution x{src} -> x{dst} q^{qshift} zeroes {f!r}")
                 return FactoredForm.zero(self.nvars)
-            scalar = scalar * QRat.one_minus_qpow(qexp) ** f.exp
+            collapsed.append((qexp, f.exp))
+        for qexp, exp in collapsed:
+            scalar = scalar * QRat.one_minus_qpow(qexp) ** exp
         return FactoredForm(self.nvars, scalar, tuple(m), tuple(factors), poly)
 
     # -- degrees --------------------------------------------------------------
@@ -591,7 +565,7 @@ class FactoredForm:
         """
         d = self.mono[var]
         if self.poly is not None and not self.poly.is_zero():
-            d += self.poly.max_degree_in(var)
+            d += self.poly.var_range(var)[1]
         for f in self.factors:
             d += f.exp * max(0, f.mono[var])
         return d
@@ -604,17 +578,6 @@ class FactoredForm:
             raise NotPolynomialError(
                 "form has denominator factors; use a truncated expansion")
         return self.expand_within({})
-
-    def expand_truncated(self, var: int, max_degree: int) -> LaurentPoly:
-        """Expansion keeping terms with exponent of x_var <= max_degree.
-
-        Every denominator factor must have x_var as its control variable
-        (its geometric series ascends in x_var), which is what makes the
-        single bound sufficient.
-        """
-        if max_degree < 0:
-            raise DomainError("truncation degree must be nonnegative")
-        return self.expand_within({var: max_degree})
 
     def expand_within(self, hi: dict[int, int],
                       lo: dict[int, int] | None = None) -> LaurentPoly:

@@ -15,7 +15,8 @@ carrying a combinatorial witness (see `tournament`).  Matching at the
 remaining point t = q^0 reduces the rank by one, and agreement at a+1
 points pins both degree-<=a polynomials to each other.
 
-The negative exponents are reached through the kernel
+The negative exponents are reached through the same product at a_0 = -b,
+where (x_0/x_j)_{-b} = 1/prod_{i=1..b} (1 - x_0/(x_j q^i)): the kernel
 
     K(b) = prod_j (x_j q/x_0)_{a_j} / prod_j prod_{i=1..b} (1 - x_0/(x_j q^i))
            * prod_{1<=i<j<=n} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j}
@@ -93,10 +94,14 @@ class ProofPath:
 # ---------------------------------------------------------------------------
 
 def qdyson_lhs_product(a0: int, a: tuple[int, ...]) -> FactoredForm:
-    """prod_{0<=i<j<=n} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j}, numerator-only."""
-    params = (a0,) + tuple(a)
-    if any(x < 0 for x in params):
+    """prod_{0<=i<j<=n} (x_i/x_j)_{a_i} (q x_j/x_i)_{a_j}.
+
+    a_1..a_n must be nonnegative; a0 may be any integer.  For a0 >= 0 the
+    form is numerator-only; for a0 = -b < 0 it is the kernel K(b).
+    """
+    if any(x < 0 for x in a):
         raise DomainError("parameters must be nonnegative")
+    params = (a0,) + tuple(a)
     nv = len(params)
     ff = FactoredForm.one(nv)
     for i in range(nv):
@@ -156,24 +161,13 @@ def lhs_value_at(a: tuple[int, ...], b: int) -> QRat:
 def qdyson_kernel(b: int, a: tuple[int, ...]) -> FactoredForm:
     """K(b) for b >= 1: CT over all variables equals lhs_value_at(a, -b).
 
-    Numerator: prod_j (x_j q/x_0)_{a_j} and the pair products; denominator:
-    prod_j prod_{i=1..b} (1 - x_0/(x_j q^i)).  Proper in x0 of degree -n*b.
+    The product at a0 = -b.  Numerator: prod_j (x_j q/x_0)_{a_j} and the
+    pair products; denominator: prod_j prod_{i=1..b} (1 - x_0/(x_j q^i)).
+    Proper in x0 of degree -n*b.
     """
     if b < 1:
         raise DomainError("kernel needs b >= 1")
-    n = len(a)
-    nv = n + 1
-    ff = FactoredForm.one(nv)
-    for j in range(1, nv):
-        ff = ff * qpochhammer(nv, {j: 1, 0: -1}, a[j - 1], qshift=1)
-    for i in range(1, nv):
-        for j in range(i + 1, nv):
-            ff = ff * qpochhammer(nv, {i: 1, j: -1}, a[i - 1])
-            ff = ff * qpochhammer(nv, {j: 1, i: -1}, a[j - 1], qshift=1)
-    for j in range(1, nv):
-        for i in range(1, b + 1):
-            ff = ff.times_factor(Factor.binomial(nv, -i, 0, j, -1))
-    return ff
+    return qdyson_lhs_product(-b, a)
 
 
 def collapse_path(path: ProofPath, f: FactoredForm) -> FactoredForm:
@@ -304,8 +298,8 @@ def _labelled_summands(ff: FactoredForm, var: int,
     is recovered from the pole's q-power.
     """
     ks = path.k[-1] if path.depth else 0
-    return {(alpha.var, alpha.qexp + ks): summand
-            for alpha, summand in ct_factored_pfrac_labeled(ff, var)}
+    return {(t, s + ks): summand
+            for (t, s), summand in ct_factored_pfrac_labeled(ff, var)}
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +446,21 @@ def certificate_from_dict(d: dict) -> Certificate:
 def validate_certificate(cert: Certificate) -> int:
     """Full structural and logical re-verification; returns the node count.
 
-    Checks, per node: path shape; recursed children enumerate exactly
-    (r_s, n] x [1, b]; leaf witnesses re-satisfy their inequalities and
-    their claimed Pochhammer value is exactly zero; base_full_depth only
-    at full depth.  Raises CertificationError on any failure.
+    Checks: the root path is empty; per node, path shape; recursed nodes
+    lie below full depth with a_{r_1}+...+a_{r_s} < b (the properness
+    precondition (n-s)(a_{r_1}+...+a_{r_s} - b) < 0 of the recursion) and
+    their children enumerate exactly (r_s, n] x [1, b]; leaf witnesses
+    re-satisfy their inequalities and their claimed Pochhammer value is
+    exactly zero; base_full_depth only at full depth.  Raises
+    CertificationError on any failure.
     """
     a = cert.params.a
     n = cert.params.n
     b = cert.params.b
     if not 1 <= b <= sum(a):
         raise CertificationError("certificate b out of range")
+    if cert.root.path.depth:
+        raise CertificationError(f"root path is not empty: {cert.root.path}")
     count = 0
     for node in cert.root.walk():
         count += 1
@@ -470,6 +469,8 @@ def validate_certificate(cert: Certificate) -> int:
         if any(r > n for r in path.r) or any(k > b for k in path.k):
             raise CertificationError(f"path out of range: {path}")
         if node.status == RECURSED:
+            if s >= n or sum(a[r - 1] for r in path.r) >= b:
+                raise CertificationError(f"recursion is not proper at {path}")
             rs = path.r[-1] if s else 0
             want = [(rn, kn) for rn in range(rs + 1, n + 1)
                     for kn in range(1, b + 1)]
@@ -619,9 +620,7 @@ def _replay(a0: int, a: tuple[int, ...], detail: list[str]) -> bool:
         # constant term is a single coefficient of a finite q-binomial
         # expansion: sign and q-power cancel to leave the Gaussian binomial.
         a1 = a[0]
-        expo = a1 * (a1 + 1) // 2 + a1 * (a1 - 1) // 2 - a1 * a1
-        sign = (-1) ** (2 * a1)
-        value = qbinomial(a0 + a1, a1).times_qpow(expo).scaled(sign)
+        value = qbinomial(a0 + a1, a1)
         detail.append(f"rank 1: Gaussian binomial [{a0 + a1}, {a1}]")
         return value == rhs
     asum = sum(a)

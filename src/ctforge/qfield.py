@@ -149,14 +149,6 @@ class QPoly:
     def leading_coeff(self) -> Scalar:
         return self.c[max(self.c)] if self.c else 0
 
-    def constant_value(self) -> Scalar:
-        """The scalar value, when this polynomial is constant."""
-        if not self.c:
-            return 0
-        if self.c.keys() == {0}:
-            return self.c[0]
-        raise DomainError("polynomial is not a constant")
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "QPoly") -> "QPoly":
@@ -347,7 +339,6 @@ class QPoly:
 
 _QP_ZERO = QPoly._raw({})
 _QP_ONE = QPoly._raw({0: 1})
-_QP_Q = QPoly._raw({1: 1})
 
 
 class QRat:
@@ -400,11 +391,6 @@ class QRat:
             return cls._raw(QPoly._raw({0: 1, e: -1}), _QP_ONE)
         # 1 - q^e = -(1 - q^{-e})/q^{-e}
         return cls._raw(QPoly._raw({0: -1, -e: 1}), QPoly.qpow(-e))
-
-    @classmethod
-    def normalize(cls, num: QPoly, den: QPoly) -> "QRat":
-        """The unique canonical representative of num/den (den != 0)."""
-        return cls(num, den)
 
     # -- predicates -----------------------------------------------------------
 
@@ -566,4 +552,3 @@ def _canonicalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
 
 QRAT_ZERO = QRat._raw(_QP_ZERO, _QP_ONE)
 QRAT_ONE = QRat._raw(_QP_ONE, _QP_ONE)
-QRAT_Q = QRat._raw(_QP_Q, _QP_ONE)

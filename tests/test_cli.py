@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 def run_cli(*args, **kw):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
-    env.setdefault("CT_FORGE_THREADS", "1")
     return subprocess.run((sys.executable, "-m", "ctforge") + args,
                           capture_output=True, text=True, env=env, **kw)
 
@@ -100,6 +99,11 @@ class TestCtCommand:
                     "--var", "x0", "--method", "both")
         assert r.returncode == 0
 
+    def test_exponent_overflow_exit_1(self):
+        r = run_cli("ct", "--expr", "x0^999999999*x0^999999999", "--var", "x0")
+        assert r.returncode == 1
+        assert "exponent overflow" in r.stderr
+
     def test_polynomial_input_defaults_to_series(self):
         r = run_cli("ct", "--expr", "(1 - x0/x1)", "--var", "x0")
         assert r.returncode == 0 and r.stdout.strip() == "1"
@@ -122,19 +126,3 @@ class TestIdentitiesCommand:
         assert r.returncode == 0
         assert "FAIL" not in r.stdout
         assert r.stdout.count("PASS") == 6
-
-
-class TestBenchCommand:
-    def test_csv_schema(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        r = run_cli("bench", "--max-n", "1", "--max-a", "1", "--out", str(out))
-        assert r.returncode == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "n,a,method,millis,terms"
-        assert len(lines) > 1
-        assert any(line.startswith("1,1-1,brute,") for line in lines)
-
-    def test_empty_grid_header_only(self):
-        r = run_cli("bench", "--max-n", "-1", "--max-a", "2")
-        assert r.returncode == 0
-        assert r.stdout.strip() == "n,a,method,millis,terms"

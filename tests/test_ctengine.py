@@ -5,10 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctforge.ctengine import (Alpha, ProperRat, ct_all_bruteforce,
-                              ct_all_series, ct_factored_pfrac,
-                              ct_partial_fraction, ct_var_bruteforce,
-                              ct_x0_truncated)
+from ctforge.ctengine import (ct_all_bruteforce, ct_all_series,
+                              ct_factored_pfrac_labeled)
 from ctforge.errors import (DistinctPolesError, NotPolynomialError,
                             PropernessError, ShapeError)
 from ctforge.laurent import Factor, FactoredForm, LaurentPoly, qpochhammer
@@ -21,16 +19,16 @@ class TestBruteForce:
         prod = (FactoredForm(2, factors=(Factor.binomial(2, 0, 0, 1),
                                          Factor.binomial(2, 1, 1, 0)))
                 .expand_exact())
-        ct = ct_var_bruteforce(prod, 0)
+        ct = prod.free_of(0)
         assert ct == LaurentPoly.monomial(2, {}, QRat(QPoly({0: 1, 1: 1})))
 
     def test_ct_var_constant(self):
         c = LaurentPoly.monomial(3, {}, QRat.qpow(2))
-        assert ct_var_bruteforce(c, 1) == c
+        assert c.free_of(1) == c
 
     def test_ct_var_kills_pure_monomial(self):
         m = LaurentPoly.monomial(3, {1: 1, 2: -1})
-        assert ct_var_bruteforce(m, 1).is_zero()
+        assert m.free_of(1).is_zero()
 
     def test_ct_all_rank1(self):
         ff = FactoredForm(2, factors=(Factor.binomial(2, 0, 0, 1),
@@ -56,7 +54,7 @@ class TestTruncatedSeriesCT:
         # (x0/x1)_{-1} (q x1/x0)_1 has zero CT in x0 at bound 1
         f = (qpochhammer(2, {0: 1, 1: -1}, -1)
              * qpochhammer(2, {1: 1, 0: -1}, 1, qshift=1))
-        lp = ct_x0_truncated(f, 1)
+        lp = f.expand_within({0: 1}).free_of(0)
         assert lp.is_zero()
 
     def test_no_denominators_matches_brute(self):
@@ -67,23 +65,40 @@ class TestTruncatedSeriesCT:
                 i, j = rng.sample(range(3), 2)
                 ff = ff.times_factor(Factor.binomial(3, rng.randint(-2, 2), i, j))
             lp = ff.expand_exact()
-            assert ct_x0_truncated(ff, 12) == ct_var_bruteforce(lp, 0)
+            assert ff.expand_within({0: 12}).free_of(0) == lp.free_of(0)
 
     def test_rank1_kernel_ct_zero(self):
         from ctforge.qdyson import qdyson_kernel
         f = qdyson_kernel(1, (1,))
-        lp = ct_x0_truncated(f, 1)
+        lp = f.expand_within({0: 1}).free_of(0)
         assert lp.free_of(1).is_zero()
         assert ct_all_series(f).is_zero()
+
+
+def proper_rat(var: int, num: LaurentPoly, dpow: int,
+               poles: list[tuple[int, int]]) -> tuple[int, FactoredForm]:
+    """num(x_var) / (x_var^dpow * prod_i (1 - x_var/pole_i)) as an extraction
+    variable and a FactoredForm; a pole (t, s) is the monomial x_t q^s."""
+    nv = num.nvars
+    mono = [0] * nv
+    mono[var] = -dpow
+    factors = tuple(Factor.binomial(nv, -s, var, t, -1) for t, s in poles)
+    return var, FactoredForm(nv, mono=tuple(mono), factors=factors, poly=num)
+
+
+def pfrac(r: tuple[int, FactoredForm]) -> list[FactoredForm]:
+    var, ff = r
+    return [summand for _, summand in ct_factored_pfrac_labeled(ff, var)]
 
 
 class TestPartialFractions:
     def test_two_pole_example(self):
         # R = 1/((1 - x0/x1)(1 - x0/(q x2))): both poles small; the two
         # summands are 1/(1 - x1/(q x2)) and 1/(1 - q x2/x1); they sum to 1
-        r = ProperRat(0, LaurentPoly.one(3), 0,
-                      [Alpha(1, 0), Alpha(2, 1)])
-        parts = ct_partial_fraction(r)
+        r = proper_rat(0, LaurentPoly.one(3), 0, [(1, 0), (2, 1)])
+        labeled = ct_factored_pfrac_labeled(r[1], 0)
+        assert [pole for pole, _ in labeled] == [(1, 0), (2, 1)]
+        parts = pfrac(r)
         assert len(parts) == 2
         window = {v: 5 for v in range(3)}
         total = LaurentPoly.zero(3)
@@ -91,69 +106,75 @@ class TestPartialFractions:
             total = total + p.expand_within(window)
         assert total.restrict(hi={1: 2, 2: 2}) == LaurentPoly.one(3)
         # matches the series oracle exactly
-        series = r.as_factored().expand_within({0: 0, 1: 5, 2: 5}).free_of(0)
+        series = r[1].expand_within({0: 0, 1: 5, 2: 5}).free_of(0)
         assert series == LaurentPoly.one(3)
 
     def test_single_small_pole(self):
-        r = ProperRat(0, LaurentPoly.one(2), 0, [Alpha(1, 0)])
-        parts = ct_partial_fraction(r)
+        r = proper_rat(0, LaurentPoly.one(2), 0, [(1, 0)])
+        parts = pfrac(r)
         assert len(parts) == 1
         assert parts[0].expand_exact() == LaurentPoly.one(2)
 
     def test_large_pole_empty(self):
         # R = 1/(1 - x1/(q x0)) extracted in x1: pole is large, CT = 0
-        r = ProperRat(1, LaurentPoly.one(2), 0, [Alpha(0, 1)])
-        assert ct_partial_fraction(r) == []
+        r = proper_rat(1, LaurentPoly.one(2), 0, [(0, 1)])
+        assert pfrac(r) == []
 
     def test_repeated_pole_rejected(self):
         with pytest.raises(DistinctPolesError):
-            ProperRat(0, LaurentPoly.one(2), 0, [Alpha(1, 2), Alpha(1, 2)])
+            pfrac(proper_rat(0, LaurentPoly.one(2), 0, [(1, 2), (1, 2)]))
         ff = FactoredForm(2, factors=(Factor.binomial(2, 1, 0, 1, -2),))
         with pytest.raises(DistinctPolesError):
-            ct_factored_pfrac(ff, 0)
+            ct_factored_pfrac_labeled(ff, 0)
         # the same pole split over two factor objects is still repeated
         twice = FactoredForm(2, factors=(Factor.binomial(2, 1, 0, 1, -1),
                                          Factor.binomial(2, 1, 0, 1, -1)))
         with pytest.raises(DistinctPolesError):
-            ct_factored_pfrac(twice, 0)
+            ct_factored_pfrac_labeled(twice, 0)
 
     def test_properness_verified(self):
         # numerator degree 1 with a single pole and no x^d: degree 0, improper
         num = LaurentPoly.monomial(2, {0: 1})
         with pytest.raises(PropernessError):
-            ProperRat(0, num, 0, [Alpha(1, 0)])
+            pfrac(proper_rat(0, num, 0, [(1, 0)]))
         ff = FactoredForm(2, mono=(1, 0),
                           factors=(Factor.binomial(2, 0, 0, 1, -1),))
         with pytest.raises(PropernessError):
-            ct_factored_pfrac(ff, 0)
+            ct_factored_pfrac_labeled(ff, 0)
 
     def test_pole_involving_extraction_var_rejected(self):
         with pytest.raises(ShapeError):
-            ProperRat(0, LaurentPoly.one(2), 0, [Alpha(0, 1)])
+            proper_rat(0, LaurentPoly.one(2), 0, [(0, 1)])
+        # x0 downstairs: not a pole in x0 of the lemma's shape
+        ff = FactoredForm(2, factors=(Factor.binomial(2, 0, 1, 0, -1),),
+                          mono=(-1, 0))
+        with pytest.raises(ShapeError):
+            ct_factored_pfrac_labeled(ff, 0)
 
     def test_polynomial_numerator(self):
         # R = (1 + x0 x2^-1)/((1 - x0/x1)(1 - q^-1 x0/x1)) in x0
         num = LaurentPoly.one(3) + LaurentPoly.monomial(3, {0: 1, 2: -1})
-        r = ProperRat(0, num, 0, [Alpha(1, 0), Alpha(1, -1)])
-        parts = ct_partial_fraction(r)
+        r = proper_rat(0, num, 0, [(1, 0), (1, -1)])
+        parts = pfrac(r)
         assert len(parts) == 2
         _assert_pfrac_matches_series(r, window=4)
 
 
-def _assert_pfrac_matches_series(r: ProperRat, window: int):
-    nv = r.numerator.nvars
-    var = r.var
+def _assert_pfrac_matches_series(r: tuple[int, FactoredForm], window: int):
+    var, ff = r
+    nv = ff.nvars
     hi = {v: window for v in range(nv)}
     hi[var] = 0
-    series = r.as_factored().expand_within(hi).free_of(var)
+    series = ff.expand_within(hi).free_of(var)
     hi_rest = {v: window for v in range(nv) if v != var}
     total = LaurentPoly.zero(nv)
-    for p in ct_partial_fraction(r):
+    for p in pfrac(r):
         total = total + p.expand_within(hi_rest)
     assert total.restrict(hi=hi_rest) == series.restrict(hi=hi_rest)
 
 
-def random_proper_rat(rng: random.Random, nvars: int = 4) -> ProperRat:
+def random_proper_rat(rng: random.Random,
+                      nvars: int = 4) -> tuple[int, FactoredForm]:
     """A random proper rational function in the Lemma's shape: at most
     nvars-1 pole variables, <= 4 distinct poles, q-powers in [-3, 3]."""
     var = rng.randrange(nvars)
@@ -162,7 +183,7 @@ def random_proper_rat(rng: random.Random, nvars: int = 4) -> ProperRat:
     pole_set = set()
     while len(pole_set) < npoles:
         pole_set.add((rng.choice(others), rng.randint(-3, 3)))
-    poles = [Alpha(t, s) for t, s in sorted(pole_set)]
+    poles = sorted(pole_set)
     dpow = rng.randint(0, 2)
     max_num_deg = dpow + npoles - 1
     num_deg = rng.randint(0, max_num_deg)
@@ -177,7 +198,7 @@ def random_proper_rat(rng: random.Random, nvars: int = 4) -> ProperRat:
         num = num + LaurentPoly.monomial(nvars, exps, coeff)
     if num.is_zero():
         num = LaurentPoly.one(nvars)
-    return ProperRat(var, num, dpow, poles)
+    return proper_rat(var, num, dpow, poles)
 
 
 class TestOracleEquivalence:
@@ -190,11 +211,11 @@ class TestOracleEquivalence:
     def test_small_large_grid(self):
         # CT_{x_i} 1/(1 - q^k x_i/x_j): 1 when i < j, 0 when i > j
         for k in range(-3, 4):
-            small = ProperRat(0, LaurentPoly.one(2), 0, [Alpha(1, -k)])
-            parts = ct_partial_fraction(small)
+            small = proper_rat(0, LaurentPoly.one(2), 0, [(1, -k)])
+            parts = pfrac(small)
             assert len(parts) == 1 and parts[0].expand_exact() == LaurentPoly.one(2)
-            large = ProperRat(1, LaurentPoly.one(2), 0, [Alpha(0, -k)])
-            assert ct_partial_fraction(large) == []
+            large = proper_rat(1, LaurentPoly.one(2), 0, [(0, -k)])
+            assert pfrac(large) == []
 
 
 # -- structural properties ----------------------------------------------------
@@ -208,8 +229,6 @@ laurents = st.dictionaries(exp_vecs, coeffs, max_size=5).map(
 @settings(max_examples=60, deadline=None)
 @given(laurents, laurents)
 def test_ct_commutes_and_linear(f, g):
-    assert ct_var_bruteforce(ct_var_bruteforce(f, 0), 2) == \
-        ct_var_bruteforce(ct_var_bruteforce(f, 2), 0)
+    assert f.free_of(0).free_of(2) == f.free_of(2).free_of(0)
     for v in range(3):
-        assert ct_var_bruteforce(f + g, v) == \
-            ct_var_bruteforce(f, v) + ct_var_bruteforce(g, v)
+        assert (f + g).free_of(v) == f.free_of(v) + g.free_of(v)

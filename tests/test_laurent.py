@@ -10,9 +10,8 @@ from ctforge.identities import (finite_qbinomial_check,
                                 pochhammer_additivity_check,
                                 product_identity_check,
                                 qbinomial_theorem_check)
-from ctforge.laurent import (Factor, FactoredForm, LaurentPoly, SMALL, LARGE,
-                             monomial_class, qbinomial, qfactorial,
-                             qpoch_qrat, qpochhammer)
+from ctforge.laurent import (Factor, FactoredForm, LaurentPoly, qbinomial,
+                             qfactorial, qpoch_qrat, qpochhammer)
 from ctforge.qfield import QPoly, QRat, QRAT_ONE
 
 
@@ -99,25 +98,27 @@ class TestQBinomial:
 
 class TestMonomialClass:
     def test_small(self):
-        assert monomial_class({0: 1, 2: -1}) == SMALL
+        f = Factor.binomial(3, 3, 0, 2)
+        assert f.is_small() and f.pair_vars() == (0, 2)
 
     def test_large(self):
-        assert monomial_class({2: 1, 0: -1}) == LARGE
+        f = Factor.binomial(3, 0, 2, 0)
+        assert not f.is_small() and f.pair_vars() == (2, 0)
 
     def test_same_variable_rejected(self):
         with pytest.raises(ShapeError):
-            monomial_class({1: 0})
+            Factor(0, (0, 0))
         with pytest.raises(ShapeError):
-            monomial_class({0: 1, 1: -1, 2: 1})
+            Factor(0, (1, -1, 1)).pair_vars()
         with pytest.raises(ShapeError):
-            monomial_class({0: 2, 1: -2})
+            Factor(0, (2, -2)).pair_vars()
 
 
 class TestExpansion:
     def test_small_series(self):
         # 1/(1 - q x0/x1) to x0-degree 2
         f = FactoredForm(2, factors=(Factor.binomial(2, 1, 0, 1, -1),))
-        lp = f.expand_truncated(0, 2)
+        lp = f.expand_within({0: 2})
         assert lp.terms == {(0, 0): QRAT_ONE,
                             (1, -1): QRat.qpow(1),
                             (2, -2): QRat.qpow(2)}
@@ -126,18 +127,18 @@ class TestExpansion:
         # 1/(1 - q x1/x0): the naive geometric series is invalid; the valid
         # one starts at x0^1 with negated reciprocal coefficients
         f = FactoredForm(2, factors=(Factor.binomial(2, 1, 1, 0, -1),))
-        lp = f.expand_truncated(0, 2)
+        lp = f.expand_within({0: 2})
         assert lp.terms == {(1, -1): QRat.qpow(-1).scaled(-1),
                             (2, -2): QRat.qpow(-2).scaled(-1)}
 
     def test_numerator_truncation(self):
         f = FactoredForm(2, factors=(Factor.binomial(2, 0, 0, 1),))
-        assert f.expand_truncated(0, 0) == LaurentPoly.one(2)
+        assert f.expand_within({0: 0}) == LaurentPoly.one(2)
 
     def test_unbounded_control_var_rejected(self):
         f = FactoredForm(2, factors=(Factor.binomial(2, 0, 0, 1, -1),))
         with pytest.raises(TruncationError):
-            f.expand_truncated(1, 3)
+            f.expand_within({1: 3})
 
     def test_expand_exact_rejects_denominators(self):
         f = FactoredForm(2, factors=(Factor.binomial(2, 0, 0, 1, -1),))
@@ -147,7 +148,7 @@ class TestExpansion:
     def test_repeated_pole_series(self):
         # 1/(1 - x0)^2 = sum (l+1) x0^l
         f = FactoredForm(1, factors=(Factor(0, (1,), -2),))
-        lp = f.expand_truncated(0, 3)
+        lp = f.expand_within({0: 3})
         assert lp.terms == {(l,): QRat.from_int(l + 1) for l in range(4)}
 
     def test_window_coherence_mixed_controls(self):

@@ -46,7 +46,7 @@ class TestProductSides:
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            qdyson_lhs_product(-1, (1,))
+            qdyson_lhs_product(1, (-1,))
         with pytest.raises(DomainError):
             qdyson_rhs(0, (-2,))
 
@@ -112,6 +112,12 @@ class TestKernel:
         dens = [(f.qexp, f.pair_vars()) for f in ff.denominator_factors()]
         assert len(set(dens)) == len(dens) == 6
 
+    def test_kernel_is_product_at_negative_a0(self):
+        for n in range(1, 4):
+            for a in product(range(3), repeat=n):
+                for b in range(1, sum(a) + 1):
+                    assert qdyson_kernel(b, a) == qdyson_lhs_product(-b, a)
+
     def test_ct_matches_series_value(self):
         for a, b in [((1,), 1), ((1, 1), 2), ((2,), 2)]:
             assert ct_all_series(qdyson_kernel(b, a)) == lhs_value_at(a, -b)
@@ -120,10 +126,9 @@ class TestKernel:
         # truncate the x0 series at the parameter-sum bound, take the x0
         # constant term, then a brute constant term over the rest: same
         # value as the single windowed pass
-        from ctforge.ctengine import ct_x0_truncated
         for a, b in [((1,), 1), ((1, 1), 1), ((1, 1), 2), ((2, 1), 3)]:
             kernel = qdyson_kernel(b, a)
-            lp = ct_x0_truncated(kernel, sum(a))
+            lp = kernel.expand_within({0: sum(a)}).free_of(0)
             two_step = lp.constant_coeff()
             assert two_step == ct_all_series(kernel) == lhs_value_at(a, -b)
 
@@ -304,6 +309,23 @@ class TestCertificates:
             validate_certificate(certificate_from_dict(d))
         d = certificate_to_dict(cert)
         del d["root"]["children"][1]["children"][0]
+        with pytest.raises(CertificationError):
+            validate_certificate(certificate_from_dict(d))
+
+    def test_validation_rejects_nonempty_root_path(self):
+        # a lone witnessed leaf says nothing about the root kernel
+        d = {"params": {"a": [1, 1], "b": 2},
+             "root": {"path": {"r": [1], "k": [1]}, "status": "zero_case1",
+                      "witness": {"case": 1, "i": 1}, "children": []}}
+        with pytest.raises(CertificationError):
+            validate_certificate(certificate_from_dict(d))
+
+    def test_validation_rejects_improper_recursion(self):
+        # (r=[2]; k=[1]) at a=(1,1), b=1 has a_2 = 1 >= b: the kernel there
+        # is not proper in x2, so an empty child list proves nothing
+        d = certificate_to_dict(certify_vanishing((1, 1), 1))
+        (node,) = [c for c in d["root"]["children"] if c["path"]["r"] == [2]]
+        node.update(status="recursed", witness=None, children=[])
         with pytest.raises(CertificationError):
             validate_certificate(certificate_from_dict(d))
 
