@@ -187,6 +187,8 @@ def _print_summands(parts: list) -> None:
 
 
 def run_ct(ap: argparse.ArgumentParser, args) -> int:
+    if args.trunc < 0:
+        ap.error("--trunc must be nonnegative")
     ast = parse(args.expr)
     if args.all_vars:
         print(ct_all_series(lower(ast)))

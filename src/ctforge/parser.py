@@ -128,11 +128,21 @@ def _locate(src: str, pos: int) -> tuple[int, int]:
     return line, pos - last_nl
 
 
+# The deepest nesting `parse` accepts, both as nested `expr` rules (the
+# input's own plus one per open parenthesis or qpoch call, four parser
+# frames each) and as AST levels (one frame each in free_vars, _lower and
+# print_expr): every recursive pass stays under CPython's limit of 1000.
+MAX_DEPTH = 200
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, AST depth of node)."""
+
     def __init__(self, src: str):
         self.src = src
         self.tokens = tokenize(src)
         self.i = 0
+        self.nested = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -153,31 +163,41 @@ class _Parser:
             return self.advance()
         self.error(f"expected {sym!r}", (sym,))
 
+    def check_depth(self, depth: int) -> int:
+        if depth > MAX_DEPTH:
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels")
+        return depth
+
     # expr := term (('+'|'-') term)*
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> tuple[Node, int]:
+        self.nested = self.check_depth(self.nested + 1)
+        node, depth = self.term()
         while self.peek().kind == "sym" and self.peek().text in "+-":
             op = self.advance().text
-            right = self.term()
+            right, rdepth = self.term()
             node = BinOp(op, node, right, span=node.span)
-        return node
+            depth = self.check_depth(1 + max(depth, rdepth))
+        self.nested -= 1
+        return node, depth
 
     # term := pow (('*'|'/') pow)*
-    def term(self) -> Node:
-        node = self.pow()
+    def term(self) -> tuple[Node, int]:
+        node, depth = self.pow()
         while self.peek().kind == "sym" and self.peek().text in "*/":
             op = self.advance().text
-            right = self.pow()
+            right, rdepth = self.pow()
             node = BinOp(op, node, right, span=node.span)
-        return node
+            depth = self.check_depth(1 + max(depth, rdepth))
+        return node, depth
 
     # pow := atom ('^' int)?
-    def pow(self) -> Node:
-        node = self.atom()
+    def pow(self) -> tuple[Node, int]:
+        node, depth = self.atom()
         if self.peek().kind == "sym" and self.peek().text == "^":
             self.advance()
             node = Pow(node, self.int_lit(), span=node.span)
-        return node
+            depth = self.check_depth(depth + 1)
+        return node, depth
 
     def int_lit(self) -> int:
         sign = 1
@@ -190,39 +210,41 @@ class _Parser:
         self.advance()
         return sign * int(t.text)
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple[Node, int]:
         t = self.peek()
         span = (t.line, t.col)
         if t.kind == "int":
             self.advance()
-            return IntLit(int(t.text), span=span)
+            return IntLit(int(t.text), span=span), 1
         if t.kind == "name":
             if t.text == "q":
                 self.advance()
-                return QLit(span=span)
+                return QLit(span=span), 1
             if re.fullmatch(r"x\d+", t.text):
                 self.advance()
-                return Var(int(t.text[1:]), span=span)
+                return Var(int(t.text[1:]), span=span), 1
             if t.text == "qpoch":
                 self.advance()
                 self.expect_sym("(")
-                base = self.expr()
+                base, depth = self.expr()
                 self.expect_sym(",")
                 count = self.int_lit()
                 self.expect_sym(")")
-                return QPoch(base, count, span=span)
+                node = QPoch(base, count, span=span)
+                return node, self.check_depth(depth + 1)
             self.error(f"unknown name {t.text!r}", ("q", "xN", "qpoch"))
         if t.kind == "sym" and t.text == "(":
             self.advance()
-            node = self.expr()
+            node, depth = self.expr()
             self.expect_sym(")")
-            return node
+            return node, depth
         self.error("expected an atom", ("integer", "q", "xN", "qpoch", "("))
 
 
 def parse(src: str) -> Node:
+    """The AST of src; ParseError on bad syntax or too deep nesting."""
     p = _Parser(src)
-    node = p.expr()
+    node, _ = p.expr()
     if p.peek().kind != "eof":
         p.error("trailing input")
     return node
@@ -275,6 +297,18 @@ def free_vars(node: Node) -> set[int]:
     return set()
 
 
+def _qpower_exponent(c: QRat) -> int | None:
+    """e when c is the plain q-power q^e (single-term numerator and
+    denominator, coefficient 1), else None."""
+    if len(c.num.c) != 1 or len(c.den.c) != 1:
+        return None
+    (en, cn), = c.num.c.items()
+    (ed, cd), = c.den.c.items()
+    if cn != 1 or cd != 1 or (en and ed):
+        return None
+    return en - ed
+
+
 def _recognize_factor(nvars: int, lp: LaurentPoly) -> FactoredForm | None:
     """1 - q^s * monomial, spotted inside an expanded sum."""
     if len(lp.terms) != 2:
@@ -285,15 +319,10 @@ def _recognize_factor(nvars: int, lp: LaurentPoly) -> FactoredForm | None:
     (mono, coeff), = [(k, v) for k, v in lp.terms.items() if k != zero]
     if not any(mono):
         return None
-    neg = -coeff
-    # must be a plain q-power: single-term num and den, coefficient 1
-    if len(neg.num.c) != 1 or len(neg.den.c) != 1:
+    e = _qpower_exponent(-coeff)
+    if e is None:
         return None
-    (en, cn), = neg.num.c.items()
-    (ed, cd), = neg.den.c.items()
-    if cn != 1 or cd != 1 or (en and ed):
-        return None
-    return FactoredForm(nvars, factors=(Factor(en - ed, mono),))
+    return FactoredForm(nvars, factors=(Factor(e, mono),))
 
 
 def lower(node: Node, nvars: int | None = None) -> FactoredForm:
@@ -328,7 +357,11 @@ def _lower(node: Node, nvars: int) -> FactoredForm:
             raise LoweringError(
                 f"at {node.span[0]}:{node.span[1]}: qpoch base must be a "
                 "monomial times a power of q")
-        qshift = _as_qpower(base.scalar, node)
+        qshift = _qpower_exponent(base.scalar)
+        if qshift is None:
+            raise LoweringError(
+                f"at {node.span[0]}:{node.span[1]}: qpoch base scalar must be "
+                "a power of q")
         if any(base.mono):
             return qpochhammer(nvars, base.mono, node.count, qshift=qshift)
         return FactoredForm.from_scalar(nvars, qpoch_qrat(qshift, node.count))
@@ -358,16 +391,3 @@ def _pow(ff: FactoredForm, e: int, node: Node) -> FactoredForm:
         raise LoweringError(
             f"at {node.span[0]}:{node.span[1]}: division by zero")
     return ff ** e
-
-
-def _as_qpower(scalar: QRat, node: Node) -> int:
-    if scalar.is_one():
-        return 0
-    if len(scalar.num.c) == 1 and len(scalar.den.c) == 1:
-        (en, cn), = scalar.num.c.items()
-        (ed, cd), = scalar.den.c.items()
-        if cn == 1 and cd == 1 and not (en and ed):
-            return en - ed
-    raise LoweringError(
-        f"at {node.span[0]}:{node.span[1]}: qpoch base scalar must be a "
-        "power of q")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import factorial
 
 from .ctengine import (ct_all_bruteforce, ct_all_series,
@@ -134,11 +133,6 @@ def rhs_value_at(a: tuple[int, ...], b: int) -> QRat:
     return num
 
 
-@lru_cache(maxsize=None)
-def _lhs_brute(a0: int, a: tuple[int, ...]) -> QRat:
-    return ct_all_bruteforce(qdyson_lhs_product(a0, a))
-
-
 def lhs_value_at(a: tuple[int, ...], b: int) -> QRat:
     """The constant-term side as a function of b.
 
@@ -150,7 +144,7 @@ def lhs_value_at(a: tuple[int, ...], b: int) -> QRat:
     """
     a = tuple(a)
     if b >= 0:
-        return _lhs_brute(b, a)
+        return ct_all_bruteforce(qdyson_lhs_product(b, a))
     return ct_all_series(qdyson_kernel(-b, a))
 
 
@@ -248,58 +242,49 @@ def witness_vanishing_value(a: tuple[int, ...], path: ProofPath,
 
 
 def expand_recursion(b: int, a: tuple[int, ...], path: ProofPath,
-                     check_composition: bool = True) -> list[ProofPath]:
-    """Children of a witness-free node, with the node's invariants checked.
+                     ff: FactoredForm) -> list[tuple[ProofPath, FactoredForm]]:
+    """Children of a witness-free node whose kernel K(b | r; k) is ff, in
+    lexicographic order, each paired with its own kernel.
 
-    Verifies the properness degree of K(b | r; k) in the collapse variable
-    equals (n - s)(a_{r_1}+...+a_{r_s} - b) and is negative, and (when
-    check_composition) that each partial-fraction summand in that variable
-    is literally the child kernel -- the transfer-after-collapse composition
-    law, factor by factor.
+    Verifies the properness degree of ff in the collapse variable equals
+    (n - s)(a_{r_1}+...+a_{r_s} - b) and is negative, and that each
+    partial-fraction summand in that variable is literally the child kernel
+    -- the transfer-after-collapse composition law, factor by factor.
     """
     n = len(a)
     s = path.depth
     if s >= n and not (s == 0 and n == 0):
         raise DomainError("recursion needs depth below the variable count")
-    ff = kernel_at_path(b, a, path)
     if ff.is_zero():
         raise ProofInvariantError("recursion reached a form that is already zero")
-    var = path.r[-1] if s else 0
+    var = path.r[-1] if s else 0     # the collapse variable, r_s
     ssum = sum(a[r - 1] for r in path.r)
     expected_deg = (n - s) * (ssum - b)
     deg = ff.degree_in(var)
     if deg != expected_deg or deg >= 0:
         raise ProofInvariantError(
             f"degree in x{var} at {path} is {deg}, expected {expected_deg} < 0")
-    rs = path.r[-1] if s else 0
-    children = [path.extended(rn, kn)
-                for rn in range(rs + 1, n + 1)
-                for kn in range(1, b + 1)]
-    if check_composition and children:
-        # transfer-after-collapse route (from the parent's form) must equal
-        # the fresh collapse route (the child kernel), pole by pole
-        summands = _labelled_summands(ff, var, path)
-        for child in children:
-            got = summands.get((child.r[-1], child.k[-1]))
+    if var == n:
+        return []
+    # transfer-after-collapse route (from the parent's form) must equal
+    # the fresh collapse route (the child kernel), pole by pole; the pole
+    # for child (r_next, k_next) is x_{r_next} q^{k_next - k_s}
+    ks = path.k[-1] if s else 0
+    summands = {(t, e + ks): summand
+                for (t, e), summand in ct_factored_pfrac_labeled(ff, var)}
+    children = []
+    for rn in range(var + 1, n + 1):
+        for kn in range(1, b + 1):
+            child = path.extended(rn, kn)
+            got = summands.get((rn, kn))
             want = kernel_at_path(b, a, child)
             if got is None or not (got == want):
                 raise ProofInvariantError(
                     f"composition law fails at {path} -> {child}")
-        if len(summands) != len(children):
-            raise ProofInvariantError(f"extra partial-fraction summands at {path}")
+            children.append((child, want))
+    if len(summands) != len(children):
+        raise ProofInvariantError(f"extra partial-fraction summands at {path}")
     return children
-
-
-def _labelled_summands(ff: FactoredForm, var: int,
-                       path: ProofPath) -> dict[tuple[int, int], FactoredForm]:
-    """Partial-fraction summands of ff in x_var, keyed by (r_next, k_next).
-
-    The pole for child k_next is x_{r_next} q^{k_next - k_s}, so the label
-    is recovered from the pole's q-power.
-    """
-    ks = path.k[-1] if path.depth else 0
-    return {(t, s + ks): summand
-            for (t, s), summand in ct_factored_pfrac_labeled(ff, var)}
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +304,6 @@ class CertNode:
     witness: Witness | None = None
     children: list["CertNode"] = field(default_factory=list)
 
-    def leaves(self):
-        if not self.children:
-            yield self
-        for c in self.children:
-            yield from c.leaves()
-
     def walk(self):
         yield self
         for c in self.children:
@@ -337,10 +316,6 @@ class Certificate:
     root: CertNode
     oracle_checked: list[ProofPath] = field(default_factory=list)
 
-    @property
-    def b(self) -> int:
-        return self.params.b
-
     def leaf_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for node in self.root.walk():
@@ -348,14 +323,14 @@ class Certificate:
         return counts
 
 
-def certify_vanishing(a: tuple[int, ...], b: int,
-                      oracle_samples: int = 2,
-                      check_composition: bool = True) -> Certificate:
+def certify_vanishing(a: tuple[int, ...], b: int) -> Certificate:
     """Certificate that the constant-term side vanishes at t = q^{-b}.
 
-    Requires 1 <= b <= a_1+...+a_n.  Every leaf carries a vanishing
-    witness; recursion steps are degree- and composition-checked; a sample
-    of internal kernels is independently confirmed to have zero constant
+    Requires 1 <= b <= a_1+...+a_n.  One pass down the proof tree: every
+    leaf carries a vanishing witness; recursion steps are degree- and
+    composition-checked, and each child's kernel is the one its
+    composition check built.  The first and the last internal (non-root
+    recursed) kernels are independently confirmed to have zero constant
     term by the series oracle.
     """
     a = tuple(a)
@@ -363,9 +338,10 @@ def certify_vanishing(a: tuple[int, ...], b: int,
     if not 1 <= b <= asum:
         raise DomainError(f"b must lie in [1, {asum}]")
     n = len(a)
-    internal: list[ProofPath] = []
+    first = last = None
 
-    def build(path: ProofPath) -> CertNode:
+    def build(path: ProofPath, ff: FactoredForm) -> CertNode:
+        nonlocal first, last
         s = path.depth
         if s > 0:
             w = find_vanishing_witness(a, path)
@@ -380,17 +356,16 @@ def certify_vanishing(a: tuple[int, ...], b: int,
             if s == n:
                 raise CertificationError(
                     f"full-depth node without witness at {path}")
-            internal.append(path)
-        children = expand_recursion(b, a, path, check_composition)
-        return CertNode(path, RECURSED, None, [build(c) for c in children])
+            last = (path, ff)
+            first = first or last
+        children = expand_recursion(b, a, path, ff)
+        return CertNode(path, RECURSED, None, [build(*c) for c in children])
 
-    root = build(ProofPath())
+    root = build(ProofPath(), qdyson_kernel(b, a))
     cert = Certificate(DysonParams(a, b), root)
-
-    picks = internal[:1] + internal[-1:] if internal else []
-    picks = picks[:max(0, oracle_samples)]
-    for path in dict.fromkeys(picks):
-        value = ct_all_series(kernel_at_path(b, a, path))
+    # the first and the last internal kernel, once when they coincide
+    for path, ff in dict(p for p in (first, last) if p).items():
+        value = ct_all_series(ff)
         if not value.is_zero():
             raise CertificationError(f"series oracle nonzero at {path}: {value}")
         cert.oracle_checked.append(path)
@@ -428,19 +403,33 @@ def certificate_to_json(cert: Certificate, indent: int | None = 2) -> str:
     return json.dumps(certificate_to_dict(cert), indent=indent)
 
 
+def _ints(*xs) -> tuple[int, ...]:
+    if any(type(x) is not int for x in xs):
+        raise TypeError(f"expected integers, found {xs!r}")
+    return xs
+
+
 def _node_from_dict(d: dict) -> CertNode:
     w = d.get("witness")
-    witness = Witness(w["case"], w["i"], w.get("j")) if w else None
-    return CertNode(ProofPath(tuple(d["path"]["r"]), tuple(d["path"]["k"])),
+    j = (w["j"],) if w and "j" in w else ()
+    witness = Witness(*_ints(w["case"], w["i"], *j)) if w else None
+    return CertNode(ProofPath(_ints(*d["path"]["r"]), _ints(*d["path"]["k"])),
                     d["status"], witness,
                     [_node_from_dict(c) for c in d["children"]])
 
 
 def certificate_from_dict(d: dict) -> Certificate:
-    params = DysonParams(tuple(d["params"]["a"]), d["params"]["b"])
-    oc = [ProofPath(tuple(p["r"]), tuple(p["k"]))
-          for p in d.get("oracle_checked", [])]
-    return Certificate(params, _node_from_dict(d["root"]), oc)
+    """Read a certificate from its JSON form; any malformed input raises
+    CertificationError.  validate_certificate then checks the proof."""
+    try:
+        params = DysonParams(_ints(*d["params"]["a"]),
+                             *_ints(d["params"]["b"]))
+        oc = [ProofPath(_ints(*p["r"]), _ints(*p["k"]))
+              for p in d.get("oracle_checked", [])]
+        return Certificate(params, _node_from_dict(d["root"]), oc)
+    except (LookupError, TypeError, ValueError, AttributeError,
+            RecursionError) as e:
+        raise CertificationError(f"malformed certificate: {e!r}") from e
 
 
 def validate_certificate(cert: Certificate) -> int:
@@ -504,34 +493,20 @@ def validate_certificate(cert: Certificate) -> int:
 # degree bound via interpolation
 # ---------------------------------------------------------------------------
 
-def _solve_linear(matrix: list[list[QRat]], rhs: list[QRat]) -> list[QRat]:
-    """Exact Gaussian elimination over Q(q)."""
-    m = [row[:] + [y] for row, y in zip(matrix, rhs)]
-    size = len(m)
-    for col in range(size):
-        pivot = next((r for r in range(col, size)
-                      if not m[r][col].is_zero()), None)
-        if pivot is None:
-            raise DomainError("singular interpolation system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [x * inv for x in m[col]]
-        for r in range(size):
-            if r != col and not m[r][col].is_zero():
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]
-
-
 def interpolate_eval(points: list[tuple[QRat, QRat]], at: QRat) -> QRat:
     """Value at `at` of the unique degree < len(points) polynomial through
-    the points, solved by elimination in the indeterminate t."""
-    size = len(points)
-    matrix = [[t ** j for j in range(size)] for t, _ in points]
-    coeffs = _solve_linear(matrix, [y for _, y in points])
+    the points, in Lagrange form; points with a zero ordinate add nothing.
+    The abscissae must be distinct."""
     acc = QRAT_ZERO
-    for c in reversed(coeffs):
-        acc = acc * at + c
+    for i, (ti, yi) in enumerate(points):
+        if yi.is_zero():
+            continue
+        num = den = QRAT_ONE
+        for j, (tj, _) in enumerate(points):
+            if j != i:
+                num = num * (at - tj)
+                den = den * (ti - tj)
+        acc = acc + yi * num / den
     return acc
 
 

@@ -104,6 +104,23 @@ class TestCtCommand:
         assert r.returncode == 1
         assert "exponent overflow" in r.stderr
 
+    def test_negative_trunc_exit_2(self):
+        # a negative window would drop the constant term (the value is 1)
+        r = run_cli("ct", "--expr", "1/((1 - x0/x1)*(1 - x0/(q*x2)))",
+                    "--var", "x0", "--trunc", "-1", "--method", "series")
+        assert r.returncode == 2 and r.stdout == ""
+        assert "--trunc must be nonnegative" in r.stderr
+
+    def test_deep_parentheses_exit_2(self):
+        r = run_cli("ct", "--expr", "(" * 400 + "x0" + ")" * 400, "--all-vars")
+        assert r.returncode == 2
+        assert "nests deeper" in r.stderr and "Traceback" not in r.stderr
+
+    def test_long_sum_exit_2(self):
+        r = run_cli("ct", "--expr", "+".join(["x0"] * 3000), "--var", "x0")
+        assert r.returncode == 2
+        assert "nests deeper" in r.stderr and "Traceback" not in r.stderr
+
     def test_polynomial_input_defaults_to_series(self):
         r = run_cli("ct", "--expr", "(1 - x0/x1)", "--var", "x0")
         assert r.returncode == 0 and r.stdout.strip() == "1"

@@ -1,14 +1,20 @@
 """Expression grammar: parsing, printing, lowering."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctforge.ctengine import ct_all_bruteforce
 from ctforge.laurent import LaurentPoly
-from ctforge.parser import (BinOp, IntLit, LoweringError, ParseError, Pow,
-                            QLit, QPoch, Var, free_vars, lower, parse,
-                            print_expr)
+from ctforge.parser import (MAX_DEPTH, BinOp, IntLit, LoweringError,
+                            ParseError, Pow, QLit, QPoch, Var, free_vars,
+                            lower, parse, print_expr)
+from ctforge.qdyson import qdyson_kernel
 from ctforge.qfield import QPoly, QRat
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestParsing:
@@ -47,6 +53,34 @@ class TestParsing:
 
     def test_free_vars(self):
         assert free_vars(parse("x0 * x3 + q")) == {0, 3}
+
+
+class TestNestingLimit:
+    def test_deepest_accepted_input_is_walked(self):
+        # parse, print, free_vars and lower all recurse over the AST
+        for src in ("(" * (MAX_DEPTH - 1) + "x0" + ")" * (MAX_DEPTH - 1),
+                    "+".join(["x0"] * MAX_DEPTH)):
+            ast = parse(src)
+            assert parse(print_expr(ast)) == ast
+            assert free_vars(ast) == {0}
+            assert not lower(ast).is_zero()
+
+    def test_deeper_input_rejected(self):
+        for src in ("(" * MAX_DEPTH + "x0" + ")" * MAX_DEPTH,
+                    "+".join(["x0"] * (MAX_DEPTH + 1)),
+                    "*".join(["x0"] * (MAX_DEPTH + 1)),
+                    "qpoch(" * MAX_DEPTH + "x0" + ",1)" * MAX_DEPTH):
+            with pytest.raises(ParseError, match="nests deeper"):
+                parse(src)
+
+    def test_benchmark_kernel_parses(self):
+        # the largest expression the benchmark's ct workload feeds the parser
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_cases", ROOT / "perfbench" / "cases.py")
+        cases = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cases)
+        ff = lower(parse(cases.kernel_expr((2, 2, 2), 9)))
+        assert ff == qdyson_kernel(9, (2, 2, 2))
 
 
 class TestPrinting:

@@ -1,5 +1,6 @@
 """The q-Dyson verifier: kernels, substitutions, certificates, replay."""
 
+import hashlib
 import json
 import random
 from itertools import product
@@ -11,7 +12,8 @@ from ctforge.errors import CertificationError, DomainError
 from ctforge.laurent import FactoredForm
 from ctforge.qdyson import (DysonParams, ProofPath,
                             certificate_from_dict, certificate_to_dict,
-                            certify_vanishing, collapse_path,
+                            certificate_to_json, certify_vanishing,
+                            collapse_path,
                             degree_bound_check, dyson_product,
                             expand_recursion, find_vanishing_witness,
                             interpolate_eval, kernel_at_path, lhs_value_at,
@@ -239,17 +241,28 @@ class TestVanishingWitness:
 
 class TestRecursion:
     def test_children_enumeration(self):
-        kids = expand_recursion(2, (1, 1), ProofPath((1,), (2,)))
-        assert [(p.r[-1], p.k[-1]) for p in kids] == [(2, 1), (2, 2)]
+        path = ProofPath((1,), (2,))
+        kids = expand_recursion(2, (1, 1), path, kernel_at_path(2, (1, 1), path))
+        assert [(p.r[-1], p.k[-1]) for p, _ in kids] == [(2, 1), (2, 2)]
 
     def test_root_children(self):
-        kids = expand_recursion(2, (1, 1), ProofPath())
-        assert [(p.r[-1], p.k[-1]) for p in kids] == \
+        kids = expand_recursion(2, (1, 1), ProofPath(), qdyson_kernel(2, (1, 1)))
+        assert [(p.r[-1], p.k[-1]) for p, _ in kids] == \
             [(1, 1), (1, 2), (2, 1), (2, 2)]
 
     def test_empty_when_rs_is_n(self):
-        kids = expand_recursion(2, (1, 1), ProofPath((2,), (2,)))
+        path = ProofPath((2,), (2,))
+        kids = expand_recursion(2, (1, 1), path, kernel_at_path(2, (1, 1), path))
         assert kids == []
+
+    def test_children_carry_their_kernels(self):
+        # the form handed down is the child kernel the composition check used
+        a, b = (2, 1, 1), 3
+        for path in (ProofPath(), ProofPath((1,), (3,))):
+            kids = expand_recursion(b, a, path, kernel_at_path(b, a, path))
+            assert kids
+            for child, ff in kids:
+                assert ff == kernel_at_path(b, a, child)
 
 
 class TestCertificates:
@@ -328,6 +341,68 @@ class TestCertificates:
         node.update(status="recursed", witness=None, children=[])
         with pytest.raises(CertificationError):
             validate_certificate(certificate_from_dict(d))
+
+    def test_from_dict_missing_root(self):
+        with pytest.raises(CertificationError):
+            certificate_from_dict({"params": {"a": [1], "b": 1}})
+
+    def test_from_dict_children_not_a_list(self):
+        d = certificate_to_dict(certify_vanishing((1, 1), 2))
+        d["root"]["children"] = 5
+        with pytest.raises(CertificationError):
+            certificate_from_dict(d)
+
+    def test_from_dict_bad_path(self):
+        d = certificate_to_dict(certify_vanishing((1, 1), 2))
+        d["root"]["children"][0]["path"]["r"] = [2, 1]
+        with pytest.raises(CertificationError):
+            certificate_from_dict(d)
+
+    def test_from_dict_top_level_list(self):
+        with pytest.raises(CertificationError):
+            certificate_from_dict([certificate_to_dict(certify_vanishing((1,), 1))])
+
+    def test_from_dict_non_integer_fields(self):
+        # non-integers would otherwise reach the validator's arithmetic
+        for edit in (lambda d: d["params"].update(b="2"),
+                     lambda d: d["root"]["children"][0]["path"].update(k=[1.5]),
+                     lambda d: d["root"]["children"][0]["witness"].update(i=None)):
+            d = certificate_to_dict(certify_vanishing((1, 1), 2))
+            edit(d)
+            with pytest.raises(CertificationError):
+                certificate_from_dict(d)
+
+    def test_from_dict_deep_nesting(self):
+        node = {"path": {"r": [], "k": []}, "status": "recursed",
+                "witness": None, "children": []}
+        for _ in range(2000):
+            node = dict(node, children=[node])
+        with pytest.raises(CertificationError):
+            certificate_from_dict({"params": {"a": [1], "b": 1}, "root": node})
+
+    def test_certificate_json_pinned(self):
+        # sha256 of the certificate JSON, every order of (2,1,1) and (1,1,1)
+        pinned = {
+            (1, 1, 2): ["f8cc8b5070464a0d72fbd4964e7a6ad4e190a69fc91246d1dc695c616939f9a6",
+                        "3c0908c81dbad21171a1178582fb042746b5386afe709e9ed332532e2c246413",
+                        "579725b8199082093a37984be57b98938921a1aa365b13a8e3891029321f5e8b",
+                        "b317c1aacdb972c81b49dd36e259b6f26ef6d127ce10d8d2b0864cf6d5a673ef"],
+            (1, 2, 1): ["77456df189a5598e98e31f2049a06fad3d9dde274292c18d871e172ae63bdf92",
+                        "0aed7908812b30e84482f8999b3ccd354a8f4b2c134467f3c97b9f0a33cf796e",
+                        "1890219292e5d419f4269533089f86f2b6d8deb62f1872b5e4b1d0ccefc44141",
+                        "43a4204c25aac3427a71545d016fc79183b49fef1b3347434e205080a023c56c"],
+            (2, 1, 1): ["8ad5807681d3d7708a11febdf34edaba149e2f41c8a8affdd653b67b8140e275",
+                        "ee7d1f09921504881400b787b195c50d92f96a89bf72d906b93583b81ef1ab95",
+                        "6ff304666c73b0c50ff086fd97a1aec32f7154856c8459d2538f72d2da16efeb",
+                        "2893f9dbe126ffafd5445e3c887bd496033a7ba03d9b4c1ef9b06e9c118849cf"],
+            (1, 1, 1): ["5ca879fd33dd459fd5c860767c5545c9fa7a31cd9628809fa6dbac10b52c5fd2",
+                        "b3a7025efbf75ad1cfa8744cd1c61e6ce131da7f90c310430fd56d8c59431608",
+                        "bd29dfd228a086a319687c77a8ad85dc3608c36361dd70819ac58f40d028c2a4"],
+        }
+        for a, digests in pinned.items():
+            for b, want in enumerate(digests, start=1):
+                blob = certificate_to_json(certify_vanishing(a, b)).encode()
+                assert hashlib.sha256(blob).hexdigest() == want, (a, b)
 
 
 class TestVanishingDualPath:
