@@ -21,7 +21,8 @@ from .ctengine import ct_all_series, ct_factored_pfrac_labeled
 from .errors import CTForgeError
 from .identities import run_suite
 from .laurent import LaurentPoly
-from .parser import ParseError, LoweringError, lower, parse
+from .parser import (MAX_VARS, LoweringError, ParseError, free_vars, lower,
+                     parse, var_index)
 from .qdyson import (certificate_to_json, certify_vanishing, lhs_value_at,
                      validate_certificate, verify_dyson, verify_qdyson)
 from .tournament import exhaustive_check
@@ -166,9 +167,10 @@ def run_certify(ap: argparse.ArgumentParser, args) -> int:
 # -- ct ----------------------------------------------------------------------------
 
 def _parse_var(ap, text: str) -> int:
-    if not text.startswith("x") or not text[1:].isdigit():
-        ap.error(f"--var must look like x0, x1, ...; got {text!r}")
-    return int(text[1:])
+    index = var_index(text)
+    if index is None:
+        ap.error(f"--var must be one of x0 .. x{MAX_VARS - 1}; got {text!r}")
+    return index
 
 
 def _print_summands(parts: list) -> None:
@@ -195,7 +197,6 @@ def run_ct(ap: argparse.ArgumentParser, args) -> int:
         return EXIT_OK
 
     var = _parse_var(ap, args.var)
-    from .parser import free_vars
     nvars = max(free_vars(ast) | {var}) + 1
     ff = lower(ast, nvars)
     window = {v: args.trunc for v in range(nvars)}
@@ -231,7 +232,11 @@ def run_ct(ap: argparse.ArgumentParser, args) -> int:
 
 # -- tournament ---------------------------------------------------------------------
 
-def run_tournament(args) -> int:
+def run_tournament(ap: argparse.ArgumentParser, args) -> int:
+    if args.s_max < 1:
+        ap.error("--s-max must be at least 1")
+    if args.a_max < 1:
+        ap.error("--a-max must be at least 1")
     report = exhaustive_check(args.s_max, args.a_max)
     print(f"instances checked: {report.instances}")
     print(f"case-1 witnesses:  {report.witnesses_case1}")
@@ -242,7 +247,9 @@ def run_tournament(args) -> int:
 
 # -- identities -----------------------------------------------------------------------
 
-def run_identities(args) -> int:
+def run_identities(ap: argparse.ArgumentParser, args) -> int:
+    if args.trunc < 0:
+        ap.error("--trunc must be nonnegative")
     failed = []
     for result in run_suite(args.trunc):
         print(f"{'PASS' if result.ok else 'FAIL'}  {result.name}  ({result.detail})")
@@ -267,9 +274,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ct":
             return run_ct(ap, args)
         if args.command == "tournament":
-            return run_tournament(args)
+            return run_tournament(ap, args)
         if args.command == "identities":
-            return run_identities(args)
+            return run_identities(ap, args)
     except (ParseError, LoweringError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

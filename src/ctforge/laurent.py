@@ -20,15 +20,23 @@ Two representations:
   * FactoredForm -- scalar * monomial * poly * prod (1 - q^s M)^e, the
     lossless symbolic form the proof engine manipulates (poly is an
     optional LaurentPoly prefix, 1 for all pipeline-built forms).
+
+Expansion works over Z[q, 1/q]: every binomial factor expands with
+coefficients +-C(n, k) q^e, so inside `expand_within` a coefficient is an
+integer map {q-exponent: int} and a part of the product is
+{x-exponent tuple: {q-exponent: int}}.  Q(q) enters only at the boundary:
+the scalar (and the common denominator of a poly prefix) multiplies each
+output coefficient once.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
+from operator import add
 
 from .errors import (DomainError, NotPolynomialError, ShapeError,
                      TruncationError)
-from .qfield import QRAT_ONE, QRAT_ZERO, QRat
+from .qfield import QRAT_ONE, QRAT_ZERO, QPoly, QRat
 
 # Exponents are plain machine ints; anything this big is a bug upstream.
 _EXP_LIMIT = 10**9
@@ -313,19 +321,17 @@ class Factor:
 
     # -- expansion ----------------------------------------------------------
 
-    def expand_exact(self, nvars: int) -> LaurentPoly:
-        """Finite expansion; requires exp > 0."""
+    def expand_exact(self) -> dict:
+        """Finite expansion {x-exponents: {q-exponent: int}}; requires exp > 0."""
         if self.exp < 0:
             raise NotPolynomialError("denominator factor has no finite expansion")
         e = self.exp
-        terms = {}
-        for t in range(e + 1):
-            coeff = QRat.qpow(self.qexp * t).scaled((-1) ** t * comb(e, t))
-            terms[scale_exps(self.mono, t)] = coeff
-        return LaurentPoly._raw(nvars, terms)
+        return {scale_exps(self.mono, t): {self.qexp * t: (-1) ** t * comb(e, t)}
+                for t in range(e + 1)}
 
-    def series_terms(self, nvars: int, tmax: int) -> LaurentPoly:
-        """Truncated geometric expansion of a denominator factor.
+    def series_terms(self, tmax: int) -> dict:
+        """Truncated geometric expansion of a denominator factor, as
+        {x-exponents: {q-exponent: int}}.
 
         Keeps series terms with index t <= tmax, where the series runs over
         Y^t for Y the small direction of the monomial:
@@ -335,19 +341,13 @@ class Factor:
         if self.exp >= 0:
             raise DomainError("series_terms is for denominator factors")
         p = -self.exp
-        small = self.is_small()
-        t0 = 0 if small else p
-        terms = {}
-        for t in range(t0, tmax + 1):
-            if small:
-                coeff = QRat.qpow(self.qexp * t).scaled(comb(t + p - 1, p - 1))
-                key = scale_exps(self.mono, t)
-            else:
-                coeff = QRat.qpow(-self.qexp * t).scaled(
-                    (-1) ** p * comb(t - 1, p - 1))
-                key = scale_exps(self.mono, -t)
-            terms[key] = coeff
-        return LaurentPoly._raw(nvars, terms)
+        s = self.qexp
+        if self.is_small():
+            return {scale_exps(self.mono, t): {s * t: comb(t + p - 1, p - 1)}
+                    for t in range(tmax + 1)}
+        sign = (-1) ** p
+        return {scale_exps(self.mono, -t): {-s * t: sign * comb(t - 1, p - 1)}
+                for t in range(p, tmax + 1)}
 
     def series_start(self) -> int:
         """First series index with a term (0 for small, multiplicity for large)."""
@@ -607,15 +607,18 @@ class FactoredForm:
         if self.is_zero():
             return LaurentPoly.zero(nv)
 
-        parts: list[LaurentPoly] = []
-        head = LaurentPoly.monomial(nv, self.mono, self.scalar)
-        if self.poly is not None:
-            head = head * self.poly
-        parts.append(head)
+        scalar = self.scalar
+        if self.poly is None:
+            head = {self.mono: {0: 1}}
+        else:
+            poly, den = _integer_terms(self.poly)
+            head = {add_exps(self.mono, k): m for k, m in poly.items()}
+            scalar = scalar / den
+        parts = [head]
         dens: list[Factor] = []
         for f in self.factors:
             if f.exp > 0:
-                parts.append(f.expand_exact(nv))
+                parts.append(f.expand_exact())
             else:
                 dens.append(f)
 
@@ -624,11 +627,15 @@ class FactoredForm:
             if bounds is None:
                 return LaurentPoly.zero(nv)
             for f, tmax in zip(dens, bounds):
-                parts.append(f.series_terms(nv, tmax))
+                parts.append(f.series_terms(tmax))
 
-        return _multiply_within(nv, parts, hi, lo)
+        terms = {k: QRat.from_laurent(m)
+                 for k, m in _multiply_within(nv, parts, hi, lo).items()}
+        if not scalar.is_one():
+            terms = {k: c * scalar for k, c in terms.items()}
+        return LaurentPoly._raw(nv, terms)
 
-    def _series_bounds(self, fixed_parts: list[LaurentPoly],
+    def _series_bounds(self, fixed_parts: list[dict],
                        dens: list[Factor],
                        hi: dict[int, int]) -> list[int] | None:
         """Series index cap per denominator factor, or None if the window
@@ -636,10 +643,8 @@ class FactoredForm:
         nv = self.nvars
         fixed_min = [0] * nv
         for p in fixed_parts:
-            for v in range(nv):
-                if p.is_zero():
-                    continue
-                fixed_min[v] += p.var_range(v)[0]
+            for v, m in enumerate(map(min, zip(*p))):
+                fixed_min[v] += m
 
         # small-direction monomial and first index per factor
         ymono = [f.mono if f.is_small() else scale_exps(f.mono, -1)
@@ -699,12 +704,27 @@ class FactoredForm:
         return f"FactoredForm({self})"
 
 
-def _multiply_within(nvars: int, parts: list[LaurentPoly],
+def _integer_terms(poly: LaurentPoly) -> tuple[dict, QRat]:
+    """(terms, D) with poly = terms / D, terms integer maps
+    {x-exponents: {q-exponent: int}} and D the lcm of the coefficients'
+    denominators times the integer lcm of the rational coefficients left."""
+    den = QPoly.const(1)
+    for c in poly.terms.values():
+        if not c.den.is_one():
+            den = den * c.den.exact_div(QPoly.gcd(den, c.den))
+    nums = {k: c.num * den.exact_div(c.den) for k, c in poly.terms.items()}
+    scale = lcm(*(v.denominator for n in nums.values() for v in n.c.values()
+                  if not isinstance(v, int)))
+    terms = {k: {e: int(v * scale) for e, v in n.c.items()}
+             for k, n in nums.items()}
+    return terms, QRat(den.scaled(scale))
+
+
+def _multiply_within(nvars: int, parts: list[dict],
                      hi: dict[int, int],
-                     lo: dict[int, int] | None) -> LaurentPoly:
-    """Multiply parts, pruning terms that cannot re-enter the window."""
-    if not parts:
-        return LaurentPoly.one(nvars)
+                     lo: dict[int, int] | None) -> dict:
+    """Multiply integer parts {x-exponents: {q-exponent: int}}, pruning
+    x-exponents that cannot re-enter the window (q is never pruned)."""
     hivars = tuple(hi.items())
     lovars = tuple(lo.items()) if lo else ()
 
@@ -713,21 +733,21 @@ def _multiply_within(nvars: int, parts: list[LaurentPoly],
     suffmin = [[0] * nvars for _ in range(n + 1)]
     suffmax = [[0] * nvars for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
+        if not parts[i]:
+            return {}
+        cols = list(zip(*parts[i]))
         for v in range(nvars):
-            m0, m1 = parts[i].var_range(v)
-            suffmin[i][v] = suffmin[i + 1][v] + m0
-            suffmax[i][v] = suffmax[i + 1][v] + m1
+            suffmin[i][v] = suffmin[i + 1][v] + min(cols[v])
+            suffmax[i][v] = suffmax[i + 1][v] + max(cols[v])
 
-    acc = {(0,) * nvars: QRAT_ONE}
+    acc = {(0,) * nvars: {0: 1}}
     for i, part in enumerate(parts):
-        if not part.terms:
-            return LaurentPoly.zero(nvars)
         rem_min = suffmin[i + 1]
         rem_max = suffmax[i + 1]
         out: dict = {}
-        for k1, v1 in acc.items():
-            for k2, v2 in part.terms.items():
-                k = tuple(x + y for x, y in zip(k1, k2))
+        for k1, m1 in acc.items():
+            for k2, m2 in part.items():
+                k = tuple(map(add, k1, k2))
                 bad = False
                 for v, b in hivars:
                     if k[v] + rem_min[v] > b:
@@ -740,21 +760,24 @@ def _multiply_within(nvars: int, parts: list[LaurentPoly],
                             break
                 if bad:
                     continue
-                c = out.get(k)
-                p = v1 * v2
-                if c is None:
-                    if not p.is_zero():
-                        out[k] = p
-                else:
-                    c = c + p
-                    if c.is_zero():
-                        del out[k]
-                    else:
-                        out[k] = c
-        acc = out
+                o = out.get(k)
+                for e2, c2 in m2.items():
+                    if o is None:
+                        out[k] = o = {e1 + e2: c1 * c2 for e1, c1 in m1.items()}
+                        continue
+                    for e1, c1 in m1.items():
+                        e = e1 + e2
+                        o[e] = o.get(e, 0) + c1 * c2
+        acc = {}
+        for k, o in out.items():
+            if 0 in o.values():
+                o = {e: c for e, c in o.items() if c}
+                if not o:
+                    continue
+            acc[k] = o
         if not acc:
-            return LaurentPoly.zero(nvars)
-    return LaurentPoly._raw(nvars, acc)
+            return {}
+    return acc
 
 
 # ---------------------------------------------------------------------------

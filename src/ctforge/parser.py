@@ -134,6 +134,19 @@ def _locate(src: str, pos: int) -> tuple[int, int]:
 # print_expr): every recursive pass stays under CPython's limit of 1000.
 MAX_DEPTH = 200
 
+# Variables are x0 .. x{MAX_VARS-1}: every expansion builds exponent tuples
+# as long as the largest index, so an unbounded index is unbounded memory.
+MAX_VARS = 64
+
+
+def var_index(name: str) -> int | None:
+    """N when name is xN with N < MAX_VARS, else None.  Leading zeros are
+    stripped before int(), which refuses strings of over 4300 digits."""
+    m = re.fullmatch(r"x0*(\d{1,2})", name)
+    if m is None or int(m.group(1)) >= MAX_VARS:
+        return None
+    return int(m.group(1))
+
 
 class _Parser:
     """Recursive descent; each rule returns (node, AST depth of node)."""
@@ -221,8 +234,13 @@ class _Parser:
                 self.advance()
                 return QLit(span=span), 1
             if re.fullmatch(r"x\d+", t.text):
+                index = var_index(t.text)
+                if index is None:
+                    raise ParseError(
+                        f"variable {t.text} out of range (x0 .. x{MAX_VARS - 1})",
+                        t.line, t.col)
                 self.advance()
-                return Var(int(t.text[1:]), span=span), 1
+                return Var(index, span=span), 1
             if t.text == "qpoch":
                 self.advance()
                 self.expect_sym("(")

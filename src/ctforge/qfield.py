@@ -383,6 +383,19 @@ class QRat:
         return cls._raw(_QP_ONE, QPoly.qpow(-e))
 
     @classmethod
+    def from_laurent(cls, terms: dict[int, int]) -> "QRat":
+        """sum c q^e for {e: c} with nonzero int c and any integer e.
+
+        Canonical with no gcd: after shifting by the lowest exponent m the
+        numerator has a nonzero constant term, so it is coprime to q^-m.
+        """
+        m = min(terms)
+        if m >= 0:
+            return cls._raw(QPoly._raw(dict(terms)), _QP_ONE)
+        return cls._raw(QPoly._raw({e - m: c for e, c in terms.items()}),
+                        QPoly.qpow(-m))
+
+    @classmethod
     def one_minus_qpow(cls, e: int) -> "QRat":
         """1 - q^e, for any integer e (canonical for negative e too)."""
         if e == 0:
@@ -537,6 +550,11 @@ def _canonicalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
         raise DomainError("zero denominator")
     if num.is_zero():
         return _QP_ZERO, _QP_ONE
+    if len(den.c) == 1 and not den.is_one():
+        # den = lc * q^k: the gcd is q^j, j = min(k, lowest exponent of num)
+        (k, lc), = den.c.items()
+        j = min(k, min(num.c))
+        return num.shifted(-j, Fraction(1) / Fraction(lc)), QPoly.qpow(k - j)
     if not den.is_one():
         g = QPoly.gcd(num, den)
         if not g.is_one():

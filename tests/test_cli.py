@@ -121,6 +121,24 @@ class TestCtCommand:
         assert r.returncode == 2
         assert "nests deeper" in r.stderr and "Traceback" not in r.stderr
 
+    def test_variable_index_cap_in_expr(self):
+        r = run_cli("ct", "--expr", "1/(1 - q*x0/x63)", "--var", "x0")
+        assert r.returncode == 0 and r.stdout.strip() == "1"
+        for name in ("x64", "x40000"):
+            r = run_cli("ct", "--expr", f"1/(1 - q*x0/{name})", "--var", "x0")
+            assert r.returncode == 2 and r.stdout == ""
+            assert f"variable {name} out of range" in r.stderr
+            assert "Traceback" not in r.stderr
+
+    def test_variable_index_cap_in_var(self):
+        r = run_cli("ct", "--expr", "1/(1 - q*x0/x1)", "--var", "x63",
+                    "--trunc", "1")
+        assert r.returncode == 0 and r.stdout.strip() == "1 + q*x0*x1^-1"
+        for name in ("x64", "x40000"):
+            r = run_cli("ct", "--expr", "1/(1 - q*x0/x1)", "--var", name)
+            assert r.returncode == 2 and r.stdout == ""
+            assert "--var must be one of x0 .. x63" in r.stderr
+
     def test_polynomial_input_defaults_to_series(self):
         r = run_cli("ct", "--expr", "(1 - x0/x1)", "--var", "x0")
         assert r.returncode == 0 and r.stdout.strip() == "1"
@@ -136,6 +154,18 @@ class TestTournamentCommand:
         assert r.returncode == 0
         assert "counterexamples:   0" in r.stdout
 
+    def test_s_max_below_1_exit_2(self):
+        # s-max < 1 would check no instance and pass vacuously
+        for s_max in ("0", "-1"):
+            r = run_cli("tournament", "--s-max", s_max)
+            assert r.returncode == 2 and r.stdout == ""
+            assert "--s-max must be at least 1" in r.stderr
+
+    def test_a_max_below_1_exit_2(self):
+        r = run_cli("tournament", "--s-max", "3", "--a-max", "0")
+        assert r.returncode == 2 and r.stdout == ""
+        assert "--a-max must be at least 1" in r.stderr
+
 
 class TestIdentitiesCommand:
     def test_suite_passes(self):
@@ -143,3 +173,8 @@ class TestIdentitiesCommand:
         assert r.returncode == 0
         assert "FAIL" not in r.stdout
         assert r.stdout.count("PASS") == 6
+
+    def test_negative_trunc_exit_2(self):
+        r = run_cli("identities", "--trunc", "-1")
+        assert r.returncode == 2 and r.stdout == ""
+        assert "--trunc must be nonnegative" in r.stderr

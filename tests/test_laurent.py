@@ -200,6 +200,83 @@ class TestExpansion:
                 assert split == direct
 
 
+class TestIntegerRing:
+    """expand_within multiplies integer maps over Z[q, 1/q]; these check the
+    boundary to Q(q) against references built from QRat LaurentPolys."""
+
+    def test_poly_prefix_with_rational_coefficients(self):
+        # 1/(1 - q) and 1/6 are not in Z[q, 1/q]: the prefix is expanded as
+        # integer terms over a common denominator folded into the scalar
+        from ctforge.parser import lower, parse
+
+        def side(src):
+            # a sum lowers to its poly prefix, summed term by term in Q(q)
+            f = lower(parse(src), 2)
+            return f.poly if f.poly is not None else f.expand_exact()
+
+        for left, right in (("x0/qpoch(q,1) + x1", "1/x0 + 1/x1"),
+                            ("x0/2 + q^-1*x1/3", "(1 - q*x0/x1)^2"),
+                            ("x0/qpoch(q,2) + x1/qpoch(q^-1,1)",
+                             "1/x0 + q*x1")):
+            ff = lower(parse(f"({left})*({right})"))
+            assert ff.poly is not None
+            assert ff.expand_exact() == side(left) * side(right)
+
+    def test_scalar_with_non_monomial_denominator(self):
+        from ctforge.ctengine import ct_factored_pfrac_labeled
+        from ctforge.qdyson import qdyson_kernel
+        summands = dict(ct_factored_pfrac_labeled(qdyson_kernel(4, (2, 2)), 0))
+        s = summands[(1, 3)]
+        assert len(s.scalar.den.c) > 1  # 1/(q^3 - q^2)
+        bare = FactoredForm(s.nvars, QRAT_ONE, s.mono, s.factors, s.poly)
+        window = {0: 0, 1: 2, 2: 2}
+        lp = s.expand_within(window)
+        assert not lp.is_zero()
+        assert lp.terms == {k: v * s.scalar
+                            for k, v in bare.expand_within(window).terms.items()}
+
+    @staticmethod
+    def _reference(ff, hi, lo, cap):
+        """ff expanded by hand: each denominator factor is a geometric
+        series truncated at index cap, multiplied as QRat LaurentPolys."""
+        nv = ff.nvars
+        out = LaurentPoly.monomial(nv, ff.mono, ff.scalar)
+        for f in ff.factors:
+            c = QRat.qpow(f.qexp)
+            if f.exp > 0:
+                base = LaurentPoly.one(nv) - LaurentPoly.monomial(nv, f.mono, c)
+                out = out * base ** f.exp
+                continue
+            small = next(e for e in f.mono if e) > 0
+            geo = LaurentPoly.zero(nv)
+            for t in range(cap + 1) if small else range(-1, -cap - 1, -1):
+                geo = geo + LaurentPoly.monomial(
+                    nv, tuple(t * e for e in f.mono), c ** t)
+            # 1/(1 - cM) = -(cM)^-1 / (1 - (cM)^-1) when cM is large
+            out = out * (geo if small else -geo) ** -f.exp
+        return out.restrict(hi=hi, lo=lo)
+
+    def test_random_forms_against_qrat_reference(self):
+        rng = random.Random(2025)
+        nv = 3
+        scalars = (QRAT_ONE, QRat.from_int(-3), QRat.qpow(-2),
+                   QRat.one_minus_qpow(2).inverse())
+        for _ in range(20):
+            factors = []
+            for exp in (1, -1, -1, rng.choice((1, -1, -2))):
+                i, j = rng.sample(range(nv), 2)
+                factors.append(Factor.binomial(nv, rng.randint(-2, 2), i, j, exp))
+            mono = tuple(rng.randint(-1, 1) for _ in range(nv))
+            ff = FactoredForm(nv, rng.choice(scalars), mono, tuple(factors))
+            hi = {v: rng.randint(0, 2) for v in range(nv)}
+            lo = rng.choice((None, {v: -2 for v in range(nv)}))
+            got = ff.expand_within(hi, lo)
+            # the largest series index the window needs here is 8; a
+            # second, longer truncation shows the reference is complete
+            assert got == self._reference(ff, hi, lo, 8)
+            assert got == self._reference(ff, hi, lo, 10)
+
+
 class TestDegree:
     def test_factor_degree_convention(self):
         # 1 - x1/x0 = (x0 - x1)/x0: degree 0 in x0, 1 in x1

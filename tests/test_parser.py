@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from ctforge.ctengine import ct_all_bruteforce
 from ctforge.laurent import LaurentPoly
-from ctforge.parser import (MAX_DEPTH, BinOp, IntLit, LoweringError,
-                            ParseError, Pow, QLit, QPoch, Var, free_vars,
-                            lower, parse, print_expr)
+from ctforge.parser import (MAX_DEPTH, MAX_VARS, BinOp, IntLit,
+                            LoweringError, ParseError, Pow, QLit, QPoch, Var,
+                            free_vars, lower, parse, print_expr)
 from ctforge.qdyson import qdyson_kernel
 from ctforge.qfield import QPoly, QRat
 
@@ -81,6 +81,21 @@ class TestNestingLimit:
         spec.loader.exec_module(cases)
         ff = lower(parse(cases.kernel_expr((2, 2, 2), 9)))
         assert ff == qdyson_kernel(9, (2, 2, 2))
+
+
+class TestVariableLimit:
+    def test_highest_index_accepted(self):
+        assert MAX_VARS == 64
+        assert parse("x63") == Var(63)
+        assert parse("x0063") == Var(63)
+        assert lower(parse("x0/x63")).nvars == 64
+
+    def test_higher_index_rejected(self):
+        # 5000 digits: past the length int() accepts from a string
+        for name in ("x64", "x0640", "x40000", "x" + "9" * 5000):
+            with pytest.raises(ParseError) as err:
+                parse(f"1 + {name}")
+            assert (err.value.line, err.value.col) == (1, 5)
 
 
 class TestPrinting:

@@ -1,5 +1,6 @@
 """Exact rational-function field: examples and algebraic properties."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,32 @@ class TestQRatNormalize:
     def test_zero_denominator(self):
         with pytest.raises(DomainError):
             QRat(qp({0: 1}), qp({}))
+
+    def test_monomial_denominator_matches_gcd_route(self):
+        # den = c*q^k takes a path with no QPoly.gcd; the canonical form is
+        # unique, so it must equal the general gcd / exact_div / monic route
+        rng = random.Random(5)
+        scalars = (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3))
+        for _ in range(300):
+            num = qp({rng.randint(0, 6): rng.choice(scalars)
+                      for _ in range(rng.randint(1, 4))})
+            den = qp({rng.randint(0, 5): rng.choice(scalars)})
+            g = QPoly.gcd(num, den)
+            n, d = num.exact_div(g), den.exact_div(g)
+            inv = Fraction(1) / Fraction(d.leading_coeff)
+            r = QRat(num, den)
+            assert (r.num, r.den) == (n.scaled(inv), d.scaled(inv))
+            assert r.den.c == {r.den.degree: 1}
+
+    def test_from_laurent_is_canonical(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            terms = {rng.randint(-5, 5): rng.choice((1, -1, 2, -7))
+                     for _ in range(rng.randint(1, 4))}
+            expected = QRAT_ZERO
+            for e, c in terms.items():
+                expected = expected + QRat.qpow(e).scaled(c)
+            assert QRat.from_laurent(terms) == expected
 
 
 class TestQRatArith:
