@@ -36,7 +36,7 @@ from operator import add
 
 from .errors import (DomainError, NotPolynomialError, ShapeError,
                      TruncationError)
-from .qfield import QRAT_ONE, QRAT_ZERO, QPoly, QRat
+from .qfield import QRAT_ONE, QRAT_ZERO, QPoly, QRat, _power
 
 # Exponents are plain machine ints; anything this big is a bug upstream.
 _EXP_LIMIT = 10**9
@@ -54,6 +54,16 @@ def add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def scale_exps(a: tuple[int, ...], c: int) -> tuple[int, ...]:
     return tuple(_check_exp(x * c) for x in a)
+
+
+def _exp_tuple(nvars: int, exps: dict[int, int] | tuple) -> tuple[int, ...]:
+    """The full exponent tuple of {var: exp}; a tuple passes through."""
+    if not isinstance(exps, dict):
+        return exps
+    key = [0] * nvars
+    for v, e in exps.items():
+        key[v] = e
+    return tuple(key)
 
 
 class LaurentPoly:
@@ -86,14 +96,9 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, nvars: int, exps: dict[int, int] | tuple,
                  coeff: QRat = QRAT_ONE) -> "LaurentPoly":
-        if isinstance(exps, dict):
-            key = [0] * nvars
-            for v, e in exps.items():
-                key[v] = e
-            exps = tuple(key)
         if coeff.is_zero():
             return cls.zero(nvars)
-        return cls._raw(nvars, {exps: coeff})
+        return cls._raw(nvars, {_exp_tuple(nvars, exps): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -160,25 +165,10 @@ class LaurentPoly:
         return LaurentPoly._raw(self.nvars,
                                 {k: v * c for k, v in self.terms.items()})
 
-    def times_monomial(self, exps: tuple[int, ...],
-                       coeff: QRat = QRAT_ONE) -> "LaurentPoly":
-        if coeff.is_zero():
-            return LaurentPoly.zero(self.nvars)
-        return LaurentPoly._raw(
-            self.nvars,
-            {add_exps(k, exps): v * coeff for k, v in self.terms.items()})
-
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise DomainError("negative power of a LaurentPoly")
-        r = LaurentPoly.one(self.nvars)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return _power(self, n) if n else LaurentPoly.one(self.nvars)
 
     def coeff_of(self, exps: tuple[int, ...]) -> QRat:
         return self.terms.get(exps, QRAT_ZERO)
@@ -397,10 +387,7 @@ class FactoredForm:
     @classmethod
     def monomial(cls, nvars: int, exps: dict[int, int],
                  coeff: QRat = QRAT_ONE) -> "FactoredForm":
-        mono = [0] * nvars
-        for v, e in exps.items():
-            mono[v] = e
-        return cls(nvars, scalar=coeff, mono=tuple(mono))
+        return cls(nvars, scalar=coeff, mono=_exp_tuple(nvars, exps))
 
     def is_zero(self) -> bool:
         return self.scalar.is_zero()
@@ -408,22 +395,15 @@ class FactoredForm:
     def denominator_factors(self) -> list[Factor]:
         return [f for f in self.factors if f.exp < 0]
 
-    def numerator_factors(self) -> list[Factor]:
-        return [f for f in self.factors if f.exp > 0]
-
     # -- algebra ------------------------------------------------------------
 
     def times_monomial(self, exps: dict[int, int] | tuple,
                        coeff: QRat = QRAT_ONE) -> "FactoredForm":
-        if isinstance(exps, dict):
-            key = [0] * self.nvars
-            for v, e in exps.items():
-                key[v] = e
-            exps = tuple(key)
         if self.is_zero() or coeff.is_zero():
             return FactoredForm.zero(self.nvars)
         return FactoredForm(self.nvars, self.scalar * coeff,
-                            add_exps(self.mono, exps), self.factors, self.poly)
+                            add_exps(self.mono, _exp_tuple(self.nvars, exps)),
+                            self.factors, self.poly)
 
     def times_factor(self, f: Factor) -> "FactoredForm":
         if self.is_zero():
@@ -792,11 +772,7 @@ def qpochhammer(nvars: int, mono: dict[int, int] | tuple[int, ...],
       count = -p < 0:  1 / ((1 - z q^{-1})(1 - z q^{-2}) ... (1 - z q^{-p}))
       count = 0:       the empty product, 1.
     """
-    if isinstance(mono, dict):
-        key = [0] * nvars
-        for v, e in mono.items():
-            key[v] = e
-        mono = tuple(key)
+    mono = _exp_tuple(nvars, mono)
     if not any(mono):
         raise ShapeError("use qpoch_qrat for a pure q-power base")
     factors = []

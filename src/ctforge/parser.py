@@ -217,18 +217,24 @@ class _Parser:
         if self.peek().kind == "sym" and self.peek().text == "-":
             self.advance()
             sign = -1
-        t = self.peek()
-        if t.kind != "int":
+        if self.peek().kind != "int":
             self.error("expected an integer", ("integer",))
-        self.advance()
-        return sign * int(t.text)
+        return sign * self.int_token()
+
+    def int_token(self) -> int:
+        """Consume an int token; int() refuses one of over 4300 digits."""
+        t = self.advance()
+        try:
+            return int(t.text)
+        except ValueError:
+            raise ParseError(f"integer of {len(t.text)} digits is too long",
+                             t.line, t.col) from None
 
     def atom(self) -> tuple[Node, int]:
         t = self.peek()
         span = (t.line, t.col)
         if t.kind == "int":
-            self.advance()
-            return IntLit(int(t.text), span=span), 1
+            return IntLit(self.int_token(), span=span), 1
         if t.kind == "name":
             if t.text == "q":
                 self.advance()

@@ -102,12 +102,12 @@ def qdyson_lhs_product(a0: int, a: tuple[int, ...]) -> FactoredForm:
         raise DomainError("parameters must be nonnegative")
     params = (a0,) + tuple(a)
     nv = len(params)
-    ff = FactoredForm.one(nv)
+    factors = []
     for i in range(nv):
         for j in range(i + 1, nv):
-            ff = ff * qpochhammer(nv, {i: 1, j: -1}, params[i])
-            ff = ff * qpochhammer(nv, {j: 1, i: -1}, params[j], qshift=1)
-    return ff
+            factors += qpochhammer(nv, {i: 1, j: -1}, params[i]).factors
+            factors += qpochhammer(nv, {j: 1, i: -1}, params[j], qshift=1).factors
+    return FactoredForm(nv, factors=tuple(factors))
 
 
 def qdyson_rhs(a0: int, a: tuple[int, ...]) -> QRat:

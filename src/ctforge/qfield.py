@@ -12,7 +12,9 @@ Conventions:
   * QPoly exponents are nonnegative.  Negative powers of q (which do occur,
     e.g. q^{-k} prefactors) live in QRat as a denominator q^k;
   * QRat is always canonical: num/den coprime, den monic.  Equality of
-    canonical representations is equality in the field.
+    canonical representations is equality in the field.  `_canonicalize`
+    (through `QRat.__init__`) is the only place a quotient is reduced:
+    products multiply numerators and denominators and reduce once there.
 """
 
 from __future__ import annotations
@@ -212,18 +214,6 @@ class QPoly:
     def scaled(self, scale) -> "QPoly":
         return self.shifted(0, scale)
 
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise DomainError("negative power of a QPoly; use QRat")
-        r = _QP_ONE
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QPoly) and self.c == other.c
 
@@ -312,6 +302,12 @@ class QPoly:
         return acc
 
     def __str__(self) -> str:
+        try:
+            return self._text()
+        except ValueError:  # str() of an int over sys.get_int_max_str_digits()
+            raise DomainError("a coefficient has too many digits to print") from None
+
+    def _text(self) -> str:
         if not self.c:
             return "0"
         bits = []
@@ -451,23 +447,10 @@ class QRat:
             return QRAT_ZERO
         if self.den.is_one() and other.den.is_one():
             return QRat._raw(self.num * other.num, _QP_ONE)
-        # cross-cancel so intermediate products stay small
-        g1 = QPoly.gcd(self.num, other.den)
-        g2 = QPoly.gcd(other.num, self.den)
-        n1 = self.num if g1.is_one() else self.num.exact_div(g1)
-        d2 = other.den if g1.is_one() else other.den.exact_div(g1)
-        n2 = other.num if g2.is_one() else other.num.exact_div(g2)
-        d1 = self.den if g2.is_one() else self.den.exact_div(g2)
-        num = n1 * n2
-        den = d1 * d2
-        lc = den.leading_coeff
-        if lc != 1:
-            inv = Fraction(1) / Fraction(lc)
-            num = num.scaled(inv)
-            den = den.scaled(inv)
-        return QRat._raw(num, den)
+        return QRat(self.num * other.num, self.den * other.den)
 
     def inverse(self) -> "QRat":
+        # a coprime pair stays coprime when swapped: no gcd
         if self.num.is_zero():
             raise DomainError("inverse of zero")
         num, den = self.den, self.num
@@ -492,14 +475,7 @@ class QRat:
     def __pow__(self, n: int) -> "QRat":
         if n < 0:
             return self.inverse() ** (-n)
-        r = QRAT_ONE
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return _power(self, n) if n else QRAT_ONE
 
     def times_qpow(self, e: int) -> "QRat":
         """self * q^e with a fast path for polynomial values."""
@@ -545,7 +521,20 @@ class QRat:
         return f"QRat({self})"
 
 
+def _power(x, n: int):
+    """x**n for n >= 1, by squaring from the top bit of n down: starts from
+    x itself and multiplies only by x, so it never squares past the top bit.
+    Shared by QRat and LaurentPoly."""
+    r = x
+    for bit in bin(n)[3:]:
+        r = r * r
+        if bit == "1":
+            r = r * x
+    return r
+
+
 def _canonicalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
+    """The one reduction of Q(q): cancel gcd(num, den), make den monic."""
     if den.is_zero():
         raise DomainError("zero denominator")
     if num.is_zero():

@@ -111,6 +111,19 @@ class TestCtCommand:
         assert r.returncode == 2 and r.stdout == ""
         assert "--trunc must be nonnegative" in r.stderr
 
+    def test_long_integer_exit_2(self):
+        long = "9" * 5000
+        for expr in (long, f"x0^{long}", f"qpoch(x0/x1,{'1' * 5000})"):
+            r = run_cli("ct", "--expr", expr, "--all-vars")
+            assert r.returncode == 2, expr[:20]
+            assert "5000 digits" in r.stderr and "Traceback" not in r.stderr
+
+    def test_unprintable_value_exit_1(self):
+        # 9^5000 has 4772 digits: str() refuses it
+        r = run_cli("ct", "--expr", "9^5000", "--all-vars")
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == "error: a coefficient has too many digits to print\n"
+
     def test_deep_parentheses_exit_2(self):
         r = run_cli("ct", "--expr", "(" * 400 + "x0" + ")" * 400, "--all-vars")
         assert r.returncode == 2

@@ -46,6 +46,14 @@ class TestLaurentPolyRing:
         a = lp_mono(1, {0: 1})
         assert (a - a).terms == {}
 
+    def test_pow_is_repeated_product(self):
+        a = (lp_mono(2, {0: 1, 1: -1}, QRat(QPoly({0: 1}), QPoly({0: 1, 1: -1})))
+             + lp_mono(2, {1: 2}, QRat.qpow(-1)) + LaurentPoly.one(2))
+        acc = LaurentPoly.one(2)
+        for n in range(7):
+            assert a ** n == acc
+            acc = acc * a
+
 
 class TestPochhammer:
     def test_positive_unfolds(self):

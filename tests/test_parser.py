@@ -98,6 +98,24 @@ class TestVariableLimit:
             assert (err.value.line, err.value.col) == (1, 5)
 
 
+class TestLongIntegers:
+    # int() refuses strings of over 4300 digits (CPython's default limit)
+    def test_over_limit_is_parse_error_at_the_token(self):
+        long = "9" * 5000
+        for src, col in ((long, 1), (f"1 + {long}", 5), (f"x0^{long}", 4),
+                         (f"x0^-{long}", 5), (f"qpoch(x0/x1,{long})", 13)):
+            with pytest.raises(ParseError) as err:
+                parse(src)
+            assert (err.value.line, err.value.col) == (1, col)
+            assert "5000 digits" in str(err.value)
+
+    def test_at_limit_parses(self):
+        lit = "9" * 4300
+        assert parse(lit) == IntLit(int(lit))
+        assert parse(f"x0^{lit}") == Pow(Var(0), int(lit))
+        assert parse(f"qpoch(x0/x1,{lit})").count == int(lit)
+
+
 class TestPrinting:
     CASES = [
         "(1 - x0/x1)*(1 - q*x1/x0)",

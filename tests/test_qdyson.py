@@ -9,7 +9,7 @@ import pytest
 
 from ctforge.ctengine import ct_all_series
 from ctforge.errors import CertificationError, DomainError
-from ctforge.laurent import FactoredForm
+from ctforge.laurent import FactoredForm, qpochhammer
 from ctforge.qdyson import (DysonParams, ProofPath,
                             certificate_from_dict, certificate_to_dict,
                             certificate_to_json, certify_vanishing,
@@ -39,6 +39,22 @@ class TestProductSides:
     def test_lhs_factor_count(self):
         # (x0/x1)_2 contributes two factors, (q x1/x0)_1 one
         assert len(qdyson_lhs_product(2, (1,)).factors) == 3
+
+    def test_lhs_factor_order(self):
+        # the pair Pochhammers in (i, j) order, as a product of forms would
+        # concatenate them
+        for n in range(4):
+            for a in product(range(3), repeat=n):
+                for a0 in range(-3, 4):
+                    params = (a0,) + a
+                    nv = n + 1
+                    ff = FactoredForm.one(nv)
+                    for i in range(nv):
+                        for j in range(i + 1, nv):
+                            ff = ff * qpochhammer(nv, {i: 1, j: -1}, params[i])
+                            ff = ff * qpochhammer(nv, {j: 1, i: -1}, params[j],
+                                                  qshift=1)
+                    assert qdyson_lhs_product(a0, a).factors == ff.factors
 
     def test_rhs_examples(self):
         assert qdyson_rhs(1, (1,)) == ONE_PLUS_Q
@@ -100,7 +116,7 @@ class TestKernel:
     def test_rank1_shape(self):
         # (1 - q x1/x0) / (1 - x0/(q x1))
         ff = qdyson_kernel(1, (1,))
-        nums = ff.numerator_factors()
+        nums = [f for f in ff.factors if f.exp > 0]
         dens = ff.denominator_factors()
         assert [f.mono for f in nums] == [(-1, 1)] and nums[0].qexp == 1
         assert [f.mono for f in dens] == [(1, -1)] and dens[0].qexp == -1

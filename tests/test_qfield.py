@@ -110,6 +110,14 @@ class TestQRatArith:
     def test_pow_negative(self):
         assert QRat(ONE_MINUS_Q) ** -1 == QRat(qp({0: 1}), ONE_MINUS_Q)
 
+    def test_pow_is_repeated_product(self):
+        x = QRat(qp({0: 2, 1: -1, 3: 1}), qp({0: 1, 2: 3}))  # (2-q+q^3)/(1+3q^2)
+        acc = QRAT_ONE
+        for n in range(7):
+            assert x ** n == acc
+            assert x ** -n == QRAT_ONE / acc
+            acc = acc * x
+
     def test_div_by_zero(self):
         with pytest.raises(DomainError):
             QRAT_ONE / QRAT_ZERO
@@ -199,8 +207,17 @@ def test_specialize_commutes(x, y):
 
 
 @settings(max_examples=40, deadline=None)
-@given(polys, nonzero_polys)
-def test_canonical_invariants(num, den):
+@given(polys, nonzero_polys, rationals())
+def test_canonical_invariants(num, den, y):
     r = QRat(num, den)
     assert r.den.leading_coeff == 1
     assert QPoly.gcd(r.num, r.den).is_one() or r.num.is_zero()
+    # products, quotients and powers reduce only through QRat.__init__
+    results = [r * y] + [r ** k for k in range(1, 5)]
+    if not y.is_zero():
+        results.append(r / y)
+    if not r.is_zero():
+        results += [r.inverse()] + [r ** -k for k in range(1, 5)]
+    for x in results:
+        assert x.den.leading_coeff == 1
+        assert QPoly.gcd(x.num, x.den).is_one() or x.num.is_zero()
