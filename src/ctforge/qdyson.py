@@ -112,13 +112,9 @@ def qdyson_lhs_product(a0: int, a: tuple[int, ...]) -> FactoredForm:
 
 def qdyson_rhs(a0: int, a: tuple[int, ...]) -> QRat:
     """(q)_{a_0+...+a_n} / ((q)_{a_0} (q)_{a_1} ... (q)_{a_n})."""
-    params = (a0,) + tuple(a)
-    if any(x < 0 for x in params):
+    if a0 < 0 or any(x < 0 for x in a):
         raise DomainError("parameters must be nonnegative")
-    out = qfactorial(sum(params))
-    for x in params:
-        out = out / qfactorial(x)
-    return out
+    return rhs_value_at(a, a0)
 
 
 def rhs_value_at(a: tuple[int, ...], b: int) -> QRat:
@@ -197,18 +193,13 @@ def kernel_at_path(b: int, a: tuple[int, ...], path: ProofPath) -> FactoredForm:
     ff = qdyson_kernel(b, a)
     if path.depth == 0:
         return ff
-    remove = {(-ki, ri) for ri, ki in zip(path.r, path.k)}
-    kept = []
-    for fac in ff.factors:
-        if fac.exp < 0:
-            num, den = fac.pair_vars()
-            if (fac.qexp, den) in remove:
-                remove.discard((fac.qexp, den))
-                continue
-        kept.append(fac)
-    if remove:
-        raise ProofInvariantError(f"missing denominator factors: {remove}")
-    ff = FactoredForm(ff.nvars, ff.scalar, ff.mono, tuple(kept), ff.poly)
+    # the pole of child (r, k) is 1 - x_0/(x_r q^k)
+    poles = {Factor.binomial(n + 1, -k, 0, r, -1)
+             for r, k in zip(path.r, path.k)}
+    kept = tuple(f for f in ff.factors if f not in poles)
+    if len(kept) != len(ff.factors) - len(poles):
+        raise ProofInvariantError(f"missing denominator factors at {path}")
+    ff = FactoredForm(ff.nvars, ff.scalar, ff.mono, kept, ff.poly)
     return collapse_path(path, ff)
 
 
@@ -291,10 +282,10 @@ def expand_recursion(b: int, a: tuple[int, ...], path: ProofPath,
 # certificates
 # ---------------------------------------------------------------------------
 
+CERT_FORMAT = "ctforge-certificate/1"
 ZERO_CASE1 = "zero_case1"
 ZERO_CASE2 = "zero_case2"
 RECURSED = "recursed"
-BASE_FULL_DEPTH = "base_full_depth"
 
 
 @dataclass
@@ -326,12 +317,13 @@ class Certificate:
 def certify_vanishing(a: tuple[int, ...], b: int) -> Certificate:
     """Certificate that the constant-term side vanishes at t = q^{-b}.
 
-    Requires 1 <= b <= a_1+...+a_n.  One pass down the proof tree: every
-    leaf carries a vanishing witness; recursion steps are degree- and
-    composition-checked, and each child's kernel is the one its
-    composition check built.  The first and the last internal (non-root
-    recursed) kernels are independently confirmed to have zero constant
-    term by the series oracle.
+    Requires 1 <= b <= a_1+...+a_n.  One pass down the proof tree builds
+    it: a node with a vanishing witness is a leaf; every other node is a
+    recursion step, degree- and composition-checked, and each child's
+    kernel is the one its composition check built.  The first and the
+    last internal (non-root recursed) kernels are independently confirmed
+    to have zero constant term by the series oracle.  The finished tree
+    is then checked by validate_certificate, the one certificate checker.
     """
     a = tuple(a)
     asum = sum(a)
@@ -346,12 +338,6 @@ def certify_vanishing(a: tuple[int, ...], b: int) -> Certificate:
         if s > 0:
             w = find_vanishing_witness(a, path)
             if w is not None:
-                A = tuple(a[r - 1] for r in path.r)
-                if not w.holds_for(A, path.k):
-                    raise CertificationError(f"unsound witness at {path}")
-                if not witness_vanishing_value(a, path, w).is_zero():
-                    raise CertificationError(
-                        f"witness Pochhammer is not zero at {path}")
                 return CertNode(path, ZERO_CASE1 if w.case == 1 else ZERO_CASE2, w)
             if s == n:
                 raise CertificationError(
@@ -369,6 +355,7 @@ def certify_vanishing(a: tuple[int, ...], b: int) -> Certificate:
         if not value.is_zero():
             raise CertificationError(f"series oracle nonzero at {path}: {value}")
         cert.oracle_checked.append(path)
+    validate_certificate(cert)
     return cert
 
 
@@ -390,7 +377,7 @@ def _node_to_dict(node: CertNode) -> dict:
 
 def certificate_to_dict(cert: Certificate) -> dict:
     return {
-        "format": "ctforge-certificate/1",
+        "format": CERT_FORMAT,
         "params": {"n": cert.params.n, "a": list(cert.params.a),
                    "b": cert.params.b},
         "oracle_checked": [{"r": list(p.r), "k": list(p.k)}
@@ -422,8 +409,12 @@ def certificate_from_dict(d: dict) -> Certificate:
     """Read a certificate from its JSON form; any malformed input raises
     CertificationError.  validate_certificate then checks the proof."""
     try:
-        params = DysonParams(_ints(*d["params"]["a"]),
-                             *_ints(d["params"]["b"]))
+        if d.get("format") != CERT_FORMAT:
+            raise CertificationError(f"not a {CERT_FORMAT} certificate")
+        a = _ints(*d["params"]["a"])
+        if _ints(d["params"]["n"]) != (len(a),):
+            raise CertificationError("params.n is not the length of params.a")
+        params = DysonParams(a, *_ints(d["params"]["b"]))
         oc = [ProofPath(_ints(*p["r"]), _ints(*p["k"]))
               for p in d.get("oracle_checked", [])]
         return Certificate(params, _node_from_dict(d["root"]), oc)
@@ -433,15 +424,17 @@ def certificate_from_dict(d: dict) -> Certificate:
 
 
 def validate_certificate(cert: Certificate) -> int:
-    """Full structural and logical re-verification; returns the node count.
+    """The one certificate checker: full structural and logical
+    verification of a certificate tree; returns the node count.
 
     Checks: the root path is empty; per node, path shape; recursed nodes
-    lie below full depth with a_{r_1}+...+a_{r_s} < b (the properness
-    precondition (n-s)(a_{r_1}+...+a_{r_s} - b) < 0 of the recursion) and
-    their children enumerate exactly (r_s, n] x [1, b]; leaf witnesses
-    re-satisfy their inequalities and their claimed Pochhammer value is
-    exactly zero; base_full_depth only at full depth.  Raises
-    CertificationError on any failure.
+    carry no witness, lie below full depth with a_{r_1}+...+a_{r_s} < b
+    (the properness precondition (n-s)(a_{r_1}+...+a_{r_s} - b) < 0 of the
+    recursion) and their children enumerate exactly (r_s, n] x [1, b];
+    every other node is a zero_case1 or zero_case2 leaf whose witness has
+    that case, re-satisfies its inequalities and has a claimed Pochhammer
+    value that is exactly zero; each oracle_checked entry names a distinct
+    recursed node of depth >= 1.  Raises CertificationError on any failure.
     """
     a = cert.params.a
     n = cert.params.n
@@ -451,6 +444,7 @@ def validate_certificate(cert: Certificate) -> int:
     if cert.root.path.depth:
         raise CertificationError(f"root path is not empty: {cert.root.path}")
     count = 0
+    internal = set()
     for node in cert.root.walk():
         count += 1
         path = node.path
@@ -458,26 +452,26 @@ def validate_certificate(cert: Certificate) -> int:
         if any(r > n for r in path.r) or any(k > b for k in path.k):
             raise CertificationError(f"path out of range: {path}")
         if node.status == RECURSED:
+            if node.witness is not None:
+                raise CertificationError(f"recursed node with a witness at {path}")
             if s >= n or sum(a[r - 1] for r in path.r) >= b:
                 raise CertificationError(f"recursion is not proper at {path}")
             rs = path.r[-1] if s else 0
-            want = [(rn, kn) for rn in range(rs + 1, n + 1)
-                    for kn in range(1, b + 1)]
-            got = [(c.path.r[-1], c.path.k[-1]) for c in node.children]
-            if got != want or any(c.path.r[:-1] != path.r or
-                                  c.path.k[:-1] != path.k
-                                  for c in node.children):
+            got = [c.path for c in node.children]
+            # b comes from the input: count before building the paths
+            if len(got) != (n - rs) * b or got != [
+                    path.extended(rn, kn) for rn in range(rs + 1, n + 1)
+                    for kn in range(1, b + 1)]:
                 raise CertificationError(f"bad child enumeration at {path}")
-        elif node.status in (ZERO_CASE1, ZERO_CASE2, BASE_FULL_DEPTH):
+            if s:
+                internal.add(path)
+        elif node.status in (ZERO_CASE1, ZERO_CASE2):
             if node.children:
                 raise CertificationError(f"leaf with children at {path}")
-            if node.status == BASE_FULL_DEPTH and s != n:
-                raise CertificationError(f"base_full_depth below depth n at {path}")
             w = node.witness
             if w is None:
                 raise CertificationError(f"leaf without witness at {path}")
-            expected_case = 1 if node.status == ZERO_CASE1 else 2
-            if node.status != BASE_FULL_DEPTH and w.case != expected_case:
+            if w.case != (1 if node.status == ZERO_CASE1 else 2):
                 raise CertificationError(f"witness case mismatch at {path}")
             A = tuple(a[r - 1] for r in path.r)
             if not w.holds_for(A, path.k):
@@ -486,6 +480,10 @@ def validate_certificate(cert: Certificate) -> int:
                 raise CertificationError(f"witness value not zero at {path}")
         else:
             raise CertificationError(f"unknown status {node.status!r}")
+    oc = cert.oracle_checked
+    if len(set(oc)) != len(oc) or not internal.issuperset(oc):
+        raise CertificationError(
+            "oracle_checked must name distinct internal recursed nodes")
     return count
 
 
@@ -630,12 +628,9 @@ def _replay(a0: int, a: tuple[int, ...], detail: list[str]) -> bool:
 def dyson_product(a: tuple[int, ...]) -> FactoredForm:
     """The classical Dyson product prod_{i != j} (1 - x_i/x_j)^{a_j}."""
     nv = len(a)
-    ff = FactoredForm.one(nv)
-    for i in range(nv):
-        for j in range(nv):
-            if i != j and a[j]:
-                ff = ff.times_factor(Factor.binomial(nv, 0, i, j, a[j]))
-    return ff
+    factors = tuple(Factor.binomial(nv, 0, i, j, a[j])
+                    for i in range(nv) for j in range(nv) if i != j and a[j])
+    return FactoredForm(nv, factors=factors)
 
 
 def multinomial(parts: tuple[int, ...]) -> int:

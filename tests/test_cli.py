@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from ctforge import qdyson
+from ctforge.cli import main
 from ctforge.qdyson import certificate_from_dict, validate_certificate
+from ctforge.tournament import Witness
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +48,13 @@ class TestVerifyCommand:
     def test_replay_method(self):
         r = run_cli("verify", "--a0", "1", "--a", "1,1", "--method", "replay")
         assert r.returncode == 0 and "certified" in r.stdout
+
+    def test_replay_unsound_witness_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(qdyson, "find_vanishing_witness",
+                            lambda a, path: Witness(1, 1))
+        assert main(["verify", "--a0", "1", "--a", "1,1",
+                     "--method", "replay"]) == 1
+        assert "witness inequalities fail" in capsys.readouterr().err
 
 
 class TestCertifyCommand:

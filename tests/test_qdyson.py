@@ -1,5 +1,6 @@
 """The q-Dyson verifier: kernels, substitutions, certificates, replay."""
 
+import copy
 import hashlib
 import json
 import random
@@ -7,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from ctforge import qdyson
 from ctforge.ctengine import ct_all_series
 from ctforge.errors import CertificationError, DomainError
 from ctforge.laurent import FactoredForm, qpochhammer
@@ -419,6 +421,148 @@ class TestCertificates:
             for b, want in enumerate(digests, start=1):
                 blob = certificate_to_json(certify_vanishing(a, b)).encode()
                 assert hashlib.sha256(blob).hexdigest() == want, (a, b)
+
+
+def _checked(d: dict) -> int:
+    return validate_certificate(certificate_from_dict(d))
+
+
+class TestCertificateChecker:
+    """The reader and the validator reject what the tree does not prove."""
+
+    def _valid(self) -> dict:
+        return certificate_to_dict(certify_vanishing((2, 1, 1), 3))
+
+    def test_format_tag_required(self):
+        for fmt in ("ctforge-certificate/2", "", None, 1):
+            d = self._valid()
+            d["format"] = fmt
+            with pytest.raises(CertificationError):
+                certificate_from_dict(d)
+        d = self._valid()
+        del d["format"]
+        with pytest.raises(CertificationError):
+            certificate_from_dict(d)
+
+    def test_n_is_the_length_of_a(self):
+        for n in (2, 4, 0, "3", 3.0, True, None):
+            d = self._valid()
+            d["params"]["n"] = n
+            with pytest.raises(CertificationError):
+                certificate_from_dict(d)
+        d = self._valid()
+        del d["params"]["n"]
+        with pytest.raises(CertificationError):
+            certificate_from_dict(d)
+
+    def test_oracle_checked_names_distinct_internal_nodes(self):
+        d = self._valid()
+        first = d["oracle_checked"][0]
+        leaf = next(c["path"] for c in d["root"]["children"]
+                    if c["status"] != "recursed")
+        for entries in ([{"r": [9], "k": [99]}], [{"r": [], "k": []}],
+                        [first, first], [leaf]):
+            d = self._valid()
+            d["oracle_checked"] = entries
+            with pytest.raises(CertificationError):
+                _checked(d)
+
+    def test_recursed_node_carries_no_witness(self):
+        d = self._valid()
+        node = next(c for c in d["root"]["children"]
+                    if c["status"] == "recursed")
+        node["witness"] = {"case": 1, "i": 1}
+        with pytest.raises(CertificationError):
+            _checked(d)
+        d = self._valid()
+        d["root"]["witness"] = {"case": 1, "i": 1}
+        with pytest.raises(CertificationError):
+            _checked(d)
+
+    def test_child_count_checked_before_enumeration(self, monkeypatch):
+        # b comes from the input: a root claiming 10^5 children but holding
+        # none is refused before any expected child path is built
+        def refuse(*args):
+            raise AssertionError("expected child paths were built")
+        d = self._valid()
+        d["params"].update(n=1, a=[10 ** 5], b=10 ** 5)
+        d["oracle_checked"] = []
+        d["root"]["children"] = []
+        monkeypatch.setattr(ProofPath, "extended", refuse)
+        with pytest.raises(CertificationError, match="child enumeration"):
+            _checked(d)
+
+
+def _integer_sites(d: dict) -> list[tuple]:
+    """Key paths to every integer of the proof: each params.a entry,
+    params.b, and each node's path entries and witness fields."""
+    sites = [("params", "a", i) for i in range(len(d["params"]["a"]))]
+    sites.append(("params", "b"))
+
+    def walk(node, at):
+        for key in ("r", "k"):
+            sites.extend(at + ("path", key, i)
+                         for i in range(len(node["path"][key])))
+        sites.extend(at + ("witness", f) for f in node["witness"] or ())
+        for c, child in enumerate(node["children"]):
+            walk(child, at + ("children", c))
+
+    walk(d["root"], ("root",))
+    return sites
+
+
+def _lookup(d: dict, keys: tuple):
+    for key in keys:
+        d = d[key]
+    return d
+
+
+class TestCertificateMutations:
+    CASES = (((2, 1, 1), 3), ((1, 1, 1), 2), ((2, 2), 3), ((1, 2, 1), 4))
+
+    def test_every_one_integer_edit_is_rejected(self):
+        edits = 0
+        accepted = []
+        for a, b in self.CASES:
+            d = certificate_to_dict(certify_vanishing(a, b))
+            for site in _integer_sites(d):
+                for delta in (1, -1):
+                    e = copy.deepcopy(d)
+                    _lookup(e, site[:-1])[site[-1]] += delta
+                    edits += 1
+                    try:
+                        _checked(e)
+                    except CertificationError:
+                        continue
+                    accepted.append((a, site, delta, e))
+        assert edits == 952
+        # the one edit that passes moves a witness onto another sound one
+        assert [(a, site[-2:], delta) for a, site, delta, _ in accepted] \
+            == [((1, 2, 1), ("witness", "i"), 1)]
+        (a, site, _, e), = accepted
+        node = _lookup(e, site[:-2])
+        w = node["witness"]
+        A = tuple(a[r - 1] for r in node["path"]["r"])
+        assert Witness(w["case"], w["i"], w.get("j")).holds_for(
+            A, tuple(node["path"]["k"]))
+
+
+class TestOneChecker:
+    """certify_vanishing hands every certificate to validate_certificate."""
+
+    def test_dropped_child_is_rejected(self, monkeypatch):
+        expand = qdyson.expand_recursion
+        monkeypatch.setattr(qdyson, "expand_recursion",
+                            lambda *args: expand(*args)[:-1])
+        with pytest.raises(CertificationError, match="child enumeration"):
+            certify_vanishing((1, 1), 2)
+
+    def test_unsound_witness_is_rejected(self, monkeypatch):
+        # case 1 at index 1 claims 1 <= k_1 <= a_{r_1}; false at k_1 = 2
+        monkeypatch.setattr(qdyson, "find_vanishing_witness",
+                            lambda a, path: Witness(1, 1))
+        with pytest.raises(CertificationError, match="witness inequalities"):
+            certify_vanishing((1, 1), 2)
 
 
 class TestVanishingDualPath:
