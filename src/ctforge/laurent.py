@@ -789,6 +789,8 @@ def qpoch_qrat(qexp: int, count: int) -> QRat:
     """(z)_count for the scalar base z = q^qexp, as an exact QRat."""
     out = QRAT_ONE
     if count >= 0:
+        if qexp <= 0 < qexp + count:
+            return QRAT_ZERO        # the factor 1 - q^0
         for m in range(count):
             out = out * QRat.one_minus_qpow(qexp + m)
     else:

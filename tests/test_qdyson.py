@@ -3,8 +3,12 @@
 import copy
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -479,18 +483,78 @@ class TestCertificateChecker:
         with pytest.raises(CertificationError):
             _checked(d)
 
-    def test_child_count_checked_before_enumeration(self, monkeypatch):
-        # b comes from the input: a root claiming 10^5 children but holding
-        # none is refused before any expected child path is built
-        def refuse(*args):
-            raise AssertionError("expected child paths were built")
-        d = self._valid()
-        d["params"].update(n=1, a=[10 ** 5], b=10 ** 5)
-        d["oracle_checked"] = []
-        d["root"]["children"] = []
-        monkeypatch.setattr(ProofPath, "extended", refuse)
-        with pytest.raises(CertificationError, match="child enumeration"):
+    def test_root_path_must_be_empty(self):
+        # a lone witnessed leaf says nothing about the root kernel
+        d = {"format": "ctforge-certificate/1",
+             "params": {"n": 2, "a": [1, 1], "b": 2},
+             "root": {"path": {"r": [1], "k": [1]}, "status": "zero_case1",
+                      "witness": {"case": 1, "i": 1}, "children": []}}
+        with pytest.raises(CertificationError, match="root path is not empty"):
             _checked(d)
+
+    def test_missing_root_is_malformed(self):
+        d = {"format": "ctforge-certificate/1",
+             "params": {"n": 1, "a": [1], "b": 1}}
+        with pytest.raises(CertificationError,
+                           match=r"malformed certificate: KeyError\('root'\)"):
+            certificate_from_dict(d)
+
+    def test_deep_nesting_is_malformed(self):
+        node = {"path": {"r": [], "k": []}, "status": "recursed",
+                "witness": None, "children": []}
+        for _ in range(2000):
+            node = dict(node, children=[node])
+        d = {"format": "ctforge-certificate/1",
+             "params": {"n": 1, "a": [1], "b": 1}, "root": node}
+        with pytest.raises(CertificationError,
+                           match="malformed certificate: RecursionError"):
+            certificate_from_dict(d)
+
+    def test_child_count_checked_before_enumeration(self):
+        # b comes from the input: a root claiming 10^15 children but holding
+        # none is refused without building the expected child paths
+        d = {"format": "ctforge-certificate/1",
+             "params": {"n": 1, "a": [10 ** 15], "b": 10 ** 15},
+             "oracle_checked": [],
+             "root": {"path": {"r": [], "k": []}, "status": "recursed",
+                      "witness": None, "children": []}}
+        assert _checked_in_child(d).startswith("refused: bad child enumeration")
+
+    def test_large_a_is_not_iterated(self):
+        # a_1 = 10^15 comes from the input: the witness (q^0)_{a_1} is zero
+        # at its first factor, and the checker stops there
+        d = {"format": "ctforge-certificate/1",
+             "params": {"n": 1, "a": [10 ** 15], "b": 1},
+             "oracle_checked": [],
+             "root": {"path": {"r": [], "k": []}, "status": "recursed",
+                      "witness": None, "children": [
+                          {"path": {"r": [1], "k": [1]}, "status": "zero_case1",
+                           "witness": {"case": 1, "i": 1}, "children": []}]}}
+        assert _checked_in_child(d) == "2"
+
+
+_CHILD_CHECK = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from ctforge.errors import CertificationError
+from ctforge.qdyson import certificate_from_dict, validate_certificate
+try:
+    print(validate_certificate(certificate_from_dict(json.load(sys.stdin))))
+except CertificationError as e:
+    print("refused:", e)
+"""
+
+
+def _checked_in_child(d: dict) -> str:
+    """_checked on d in a child process held to 512 MB of address space and
+    60 s, so a checker whose work grows with an input integer fails the
+    test instead of exhausting the machine; returns the child's output."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qdyson.__file__).parents[1]))
+    r = subprocess.run((sys.executable, "-c", _CHILD_CHECK),
+                       input=json.dumps(d), capture_output=True, text=True,
+                       env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.strip()
 
 
 def _integer_sites(d: dict) -> list[tuple]:
