@@ -53,7 +53,7 @@ print("JSON certificate starts:")
 print("\n".join(blob.splitlines()[:8]), "\n  ...")
 
 # the full replay: base case by rank induction, roots by certificates,
-# degree bound by interpolation, value pinned by uniqueness
+# degree bound by the lemma's exact check, value pinned by uniqueness
 print()
 report = verify_qdyson(3, a, method="replay")
 for line in report.detail:

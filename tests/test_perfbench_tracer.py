@@ -25,7 +25,7 @@ def test_replay_spans_and_uninstall(capsys):
     tracer.install()
     try:
         assert qdyson.interpolate_eval is not originals[0]
-        rc = cli.main(["verify", "--a0", "1", "--a", "1,1", "--method", "replay"])
+        rc = cli.main(["verify", "--a0", "1", "--a", "1,1", "--method", "both"])
     finally:
         tracer.uninstall()
     assert rc == 0 and "certified" in capsys.readouterr().out

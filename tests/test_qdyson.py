@@ -15,8 +15,8 @@ import pytest
 from ctforge import qdyson
 from ctforge.ctengine import ct_all_series
 from ctforge.errors import CertificationError, DomainError
-from ctforge.laurent import FactoredForm, qpochhammer
-from ctforge.qdyson import (DysonParams, ProofPath,
+from ctforge.laurent import Factor, FactoredForm, qpochhammer
+from ctforge.qdyson import (DegreeBoundReport, DysonParams, ProofPath,
                             certificate_from_dict, certificate_to_dict,
                             certificate_to_json, certify_vanishing,
                             collapse_path,
@@ -26,7 +26,7 @@ from ctforge.qdyson import (DysonParams, ProofPath,
                             multinomial, qdyson_kernel, qdyson_lhs_product,
                             qdyson_rhs, rhs_value_at, transfer_var,
                             validate_certificate, verify_dyson, verify_qdyson)
-from ctforge.qfield import QPoly, QRat, QRAT_ONE
+from ctforge.qfield import QPoly, QRat, QRAT_ONE, QRAT_ZERO
 from ctforge.tournament import Witness
 
 ONE_PLUS_Q = QRat(QPoly({0: 1, 1: 1}))
@@ -610,6 +610,36 @@ class TestCertificateMutations:
         assert Witness(w["case"], w["i"], w.get("j")).holds_for(
             A, tuple(node["path"]["k"]))
 
+    def test_oracle_checked_is_the_sampling_policy(self):
+        # the oracle samples the first and the last internal recursed node
+        # in preorder: moving, swapping or dropping an entry is refused
+        edits = 0
+        for a, b in self.CASES:
+            d = certificate_to_dict(certify_vanishing(a, b))
+            tampered = [d["oracle_checked"][::-1], d["oracle_checked"][:1],
+                        d["oracle_checked"][1:]]
+            for i, entry in enumerate(d["oracle_checked"]):
+                for key in ("r", "k"):
+                    for j in range(len(entry[key])):
+                        for delta in (1, -1):
+                            oc = copy.deepcopy(d["oracle_checked"])
+                            oc[i][key][j] += delta
+                            tampered.append(oc)
+                            edits += 1
+            for oc in tampered:
+                with pytest.raises(CertificationError):
+                    _checked(dict(d, oracle_checked=oc))
+        assert edits == 32
+
+    def test_oracle_policy_with_fewer_than_two_internal_nodes(self):
+        # (2, 1) at b = 1 has no internal recursed node, at b = 2 just one
+        assert certify_vanishing((2, 1), 1).oracle_checked == []
+        d = certificate_to_dict(certify_vanishing((2, 1), 2))
+        assert d["oracle_checked"] == [{"r": [2], "k": [2]}]
+        for oc in ([], d["oracle_checked"] * 2):
+            with pytest.raises(CertificationError, match="oracle_checked"):
+                _checked(dict(d, oracle_checked=oc))
+
 
 class TestOneChecker:
     """certify_vanishing hands every certificate to validate_certificate."""
@@ -672,6 +702,42 @@ class TestVerify:
 
     def test_both(self):
         assert verify_qdyson(2, (2, 1), "both").ok
+
+    def test_both_requires_the_sampled_fit(self, monkeypatch):
+        r = verify_qdyson(2, (2, 1), "both")
+        assert r.ok and r.detail[-1] == "sampled degree fit holds"
+        monkeypatch.setattr(qdyson, "degree_bound_check", lambda a:
+                            DegreeBoundReport(a, QRAT_ONE, QRAT_ZERO))
+        r = verify_qdyson(2, (2, 1), "both")
+        assert not r.ok and r.detail[-1] == "sampled degree fit FAILS"
+        assert verify_qdyson(2, (2, 1), "replay").ok
+
+    def test_replay_never_expands_the_product(self, monkeypatch):
+        # brute and replay are two routes that do not cross
+        def refuse(*args):
+            raise AssertionError("replay took the brute-force route")
+        for name in ("ct_all_bruteforce", "lhs_value_at", "degree_bound_check"):
+            monkeypatch.setattr(qdyson, name, refuse)
+        for a0, a in [(1, (1,)), (0, (1, 1)), (2, (1, 2)), (1, (1, 1, 1)),
+                      (2, (2, 1, 1))]:
+            r = verify_qdyson(a0, a, "replay")
+            assert r.ok, (a0, a, r.detail)
+
+    def test_replay_checks_the_degree_lemma(self, monkeypatch):
+        # an extra (1 - x1/x0) in the a0-free part reaches x0^-4 below -3
+        build = qdyson.qdyson_lhs_product
+
+        def lowered(a0, a):
+            ff = build(a0, a)
+            if a0 == 0:
+                ff = ff.times_factor(Factor.binomial(ff.nvars, 0, 1, 0))
+            return ff
+        monkeypatch.setattr(qdyson, "qdyson_lhs_product", lowered)
+        r = verify_qdyson(2, (2, 1), "replay")
+        assert not r.ok
+        assert r.detail[-1] == ("rank 2: degree bound: a0-free part's lowest "
+                                "x0-degree -4, needs >= -3: FAILS; "
+                                "q-binomial theorem taken on trust")
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):
