@@ -157,7 +157,10 @@ def run_certify(ap: argparse.ArgumentParser, args) -> int:
             path = args.json_out
             if len(bs) > 1:
                 path = path.with_name(f"{path.stem}_b{b}{path.suffix or '.json'}")
-            path.write_text(certificate_to_json(cert))
+            try:
+                path.write_text(certificate_to_json(cert))
+            except OSError as e:
+                raise CTForgeError(f"cannot write {path}: {e.strerror or e}") from None
             print(f"  wrote {path}")
     return EXIT_OK
 
@@ -175,13 +178,9 @@ def _print_summands(parts: list) -> None:
     if not parts:
         print("0")
         return
-    scalars = [p.scalar for p in parts
-               if not p.factors and not any(p.mono) and p.poly is None]
-    if len(scalars) == len(parts):
-        total = scalars[0]
-        for s in scalars[1:]:
-            total = total + s
-        print(total)
+    monos = [m for p in parts for m in (p.mono, *(f.mono for f in p.factors))]
+    if not any(map(any, monos)) and all(p.poly is None for p in parts):
+        print(sum(map(ct_all_series, parts[1:]), ct_all_series(parts[0])))
         return
     print("  +  ".join(str(p) for p in parts))
 

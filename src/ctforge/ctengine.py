@@ -49,7 +49,7 @@ def ct_factored_pfrac_labeled(
         f: FactoredForm, var: int) -> list[tuple[tuple[int, int], FactoredForm]]:
     """Partial-fraction constant term, each summand labeled by its pole.
 
-    Every denominator factor must be a simple two-variable factor
+    Each denominator factor with a variable must be a simple two-variable factor
     (1 - q^s x_var/x_t), i.e. x_var in the numerator slot: the only shape
     the proof pipeline produces and the shape the partial-fraction lemma
     covers.  Its pole is x_t q^{-s}, labeled (t, -s).

@@ -21,12 +21,15 @@ Two representations:
     lossless symbolic form the proof engine manipulates (poly is an
     optional LaurentPoly prefix, 1 for all pipeline-built forms).
 
+A substitution that collapses a binomial to 1 - q^e keeps it as a factor
+with an all-zero monomial, so the proof engine does no Q(q) arithmetic.
 Expansion works over Z[q, 1/q]: every binomial factor expands with
 coefficients +-C(n, k) q^e, so inside `expand_within` a coefficient is an
 integer map {q-exponent: int} and a part of the product is
 {x-exponent tuple: {q-exponent: int}}.  Q(q) enters only at the boundary:
-the scalar (and the common denominator of a poly prefix) multiplies each
-output coefficient once.
+the scalar, folded with the variable-free factors by `_scalar_value` (and
+the common denominator of a poly prefix), multiplies each output
+coefficient once.
 """
 
 from __future__ import annotations
@@ -230,7 +233,8 @@ class LaurentPoly:
 class Factor:
     """One binomial factor (1 - q^qexp * X^mono)^exp.
 
-    mono is a full-length exponent tuple with at least one nonzero entry.
+    mono is a full-length exponent tuple.  It may be all zero only when
+    qexp is not: that factor is the collapsed scalar (1 - q^qexp)^exp.
     exp > 0 is a numerator factor, exp < 0 a denominator factor.
     """
 
@@ -239,8 +243,8 @@ class Factor:
     def __init__(self, qexp: int, mono: tuple[int, ...], exp: int = 1):
         if exp == 0:
             raise DomainError("factor with zero exponent")
-        if not any(mono):
-            raise ShapeError("factor monomial must involve a variable")
+        if not (qexp or any(mono)):
+            raise ShapeError("factor 1 - q^0 is zero")
         self.qexp = qexp
         self.mono = mono
         self.exp = exp
@@ -297,13 +301,8 @@ class Factor:
     def base_str(self) -> str:
         mono = "*".join((f"x{i}" if e == 1 else f"x{i}^{e}")
                         for i, e in enumerate(self.mono) if e != 0)
-        if self.qexp == 0:
-            inner = mono
-        elif self.qexp == 1:
-            inner = f"q*{mono}"
-        else:
-            inner = f"q^{self.qexp}*{mono}"
-        return f"(1 - {inner})"
+        q = {0: "", 1: "q"}.get(self.qexp, f"q^{self.qexp}")
+        return f"(1 - {'*'.join(filter(None, (q, mono)))})"
 
     def __repr__(self) -> str:
         b = self.base_str()
@@ -393,7 +392,8 @@ class FactoredForm:
         return self.scalar.is_zero()
 
     def denominator_factors(self) -> list[Factor]:
-        return [f for f in self.factors if f.exp < 0]
+        """The denominator factors that contain a variable."""
+        return [f for f in self.factors if f.exp < 0 and any(f.mono)]
 
     # -- algebra ------------------------------------------------------------
 
@@ -455,6 +455,8 @@ class FactoredForm:
                             self.poly)
 
     def __eq__(self, other) -> bool:
+        """Factors, collapsed ones too, compare structurally: equal forms
+        have equal values, but (1 - q) and -q(1 - q^-1) compare unequal."""
         if not isinstance(other, FactoredForm) or self.nvars != other.nvars:
             return False
         a, b = self.canonical(), other.canonical()
@@ -466,11 +468,10 @@ class FactoredForm:
     def substitute(self, src: int, dst: int, qshift: int) -> "FactoredForm":
         """Replace x_src by x_dst * q^qshift everywhere (src != dst).
 
-        A factor whose monomial collapses to a pure q-power becomes a scalar;
-        if that scalar is zero the whole form is zero for numerator factors
-        and an UncancelledPoleError for denominator factors.  The collapsed
-        scalars are multiplied in only after every factor has been seen, so
-        a form that turns out to be zero costs no Q(q) arithmetic for them.
+        Every factor keeps its place; one whose monomial collapses stays as
+        the factor (1 - q^e)^exp with an all-zero monomial, so no Q(q)
+        arithmetic is done.  If e = 0 the whole form is zero for a
+        numerator factor and an UncancelledPoleError for a denominator one.
         """
         from .errors import UncancelledPoleError
         if src == dst:
@@ -510,7 +511,6 @@ class FactoredForm:
             if poly.is_zero():
                 return FactoredForm.zero(self.nvars)
         factors = []
-        collapsed = []
         for f in self.factors:
             e = f.mono[src]
             if not e:
@@ -520,18 +520,12 @@ class FactoredForm:
             mono[src] = 0
             mono[dst] += e
             qexp = f.qexp + qshift * e
-            if any(mono):
-                factors.append(Factor(qexp, tuple(mono), f.exp))
-                continue
-            # collapsed to 1 - q^qexp: a scalar
-            if qexp == 0:
+            if not (qexp or any(mono)):
                 if f.exp < 0:
                     raise UncancelledPoleError(
                         f"substitution x{src} -> x{dst} q^{qshift} zeroes {f!r}")
                 return FactoredForm.zero(self.nvars)
-            collapsed.append((qexp, f.exp))
-        for qexp, exp in collapsed:
-            scalar = scalar * QRat.one_minus_qpow(qexp) ** exp
+            factors.append(Factor(qexp, tuple(mono), f.exp))
         return FactoredForm(self.nvars, scalar, tuple(m), tuple(factors), poly)
 
     # -- degrees --------------------------------------------------------------
@@ -587,20 +581,16 @@ class FactoredForm:
         if self.is_zero():
             return LaurentPoly.zero(nv)
 
-        scalar = self.scalar
+        scalar = _scalar_value(self)
         if self.poly is None:
             head = {self.mono: {0: 1}}
         else:
             poly, den = _integer_terms(self.poly)
             head = {add_exps(self.mono, k): m for k, m in poly.items()}
             scalar = scalar / den
-        parts = [head]
-        dens: list[Factor] = []
-        for f in self.factors:
-            if f.exp > 0:
-                parts.append(f.expand_exact())
-            else:
-                dens.append(f)
+        parts = [head] + [f.expand_exact() for f in self.factors
+                          if f.exp > 0 and any(f.mono)]
+        dens = self.denominator_factors()
 
         if dens:
             bounds = self._series_bounds(parts, dens, hi)
@@ -666,22 +656,37 @@ class FactoredForm:
         if self.is_zero():
             return "0"
         bits = []
-        if not self.scalar.is_one() or (not any(self.mono)
-                                        and not self.factors
-                                        and self.poly is None):
-            bits.append(str(self.scalar))
+        scalar = _scalar_value(self)
+        factors = [f for f in self.factors if any(f.mono)]
+        if not scalar.is_one() or (not any(self.mono) and not factors
+                                   and self.poly is None):
+            bits.append(str(scalar))
         mono = "*".join((f"x{i}" if e == 1 else f"x{i}^{e}")
                         for i, e in enumerate(self.mono) if e != 0)
         if mono:
             bits.append(mono)
         if self.poly is not None:
             bits.append(f"({self.poly})")
-        for f in sorted(self.factors, key=Factor.sort_key):
+        for f in sorted(factors, key=Factor.sort_key):
             bits.append(repr(f))
         return " * ".join(bits)
 
     def __repr__(self) -> str:
         return f"FactoredForm({self})"
+
+
+def _scalar_value(ff: FactoredForm) -> QRat:
+    """ff.scalar times ff's variable-free factors (1 - q^e)^m.  Numerator and
+    denominator factors multiply apart, over the engine's q-power
+    denominators with no gcd; one division makes the one reduction."""
+    num, den = ff.scalar, QRAT_ONE
+    for f in ff.factors:
+        if not any(f.mono):
+            if f.exp > 0:
+                num = num * QRat.one_minus_qpow(f.qexp) ** f.exp
+            else:
+                den = den * QRat.one_minus_qpow(f.qexp) ** -f.exp
+    return num if den.is_one() else num / den
 
 
 def _integer_terms(poly: LaurentPoly) -> tuple[dict, QRat]:

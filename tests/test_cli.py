@@ -1,5 +1,7 @@
 """End-to-end command-line checks: exit codes and emitted artifacts."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -79,6 +81,15 @@ class TestCertifyCommand:
     def test_b_out_of_range(self):
         assert run_cli("certify", "--a", "1", "--b", "2").returncode == 2
 
+    def test_unwritable_json_out_exit_1(self, tmp_path, capsys):
+        for path, reason in ((tmp_path / "missing" / "x.json",
+                              "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+            assert main(["certify", "--a", "1", "--b", "1",
+                         "--json-out", str(path)]) == 1
+            assert capsys.readouterr().err == \
+                f"error: cannot write {path}: {reason}\n"
+
 
 class TestCtCommand:
     def test_small_pole(self):
@@ -103,6 +114,23 @@ class TestCtCommand:
                     "--method", "pfrac")
         assert r.returncode == 1
         assert "degree" in r.stderr
+
+    def test_scalar_summands_are_summed(self):
+        # both summands collapse to scalars: 1/(1 - q^-3) + 1/(1 - q^3) = 1
+        r = run_cli("ct", "--expr", "1/((1 - q*x0/x1)*(1 - x0/(q^2*x1)))",
+                    "--var", "x0", "--method", "pfrac")
+        assert r.returncode == 0 and r.stdout == "1\n"
+
+    def test_benchmark_kernel_summands_pinned(self, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_cases", ROOT / "perfbench" / "cases.py")
+        cases = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cases)
+        assert main(["ct", "--expr", cases.kernel_expr((2, 1, 1), 4), "--var",
+                     "x0", "--method", "both", "--trunc", "1"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == \
+            "ed5878b2b61824da3a8c637555c4e21b00c8f408fd382b1421baaad1a75d82d1"
 
     def test_methods_agree(self):
         r = run_cli("ct", "--expr", "1/((1 - x0/x1)*(1 - x0/(q*x2)))",

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ctforge.ctengine import ct_all_series, ct_factored_pfrac_labeled
 from ctforge.errors import (DomainError, NotPolynomialError, ShapeError,
                             TruncationError)
 from ctforge.identities import (finite_qbinomial_check,
@@ -231,16 +232,19 @@ class TestIntegerRing:
             assert ff.expand_exact() == side(left) * side(right)
 
     def test_scalar_with_non_monomial_denominator(self):
-        from ctforge.ctengine import ct_factored_pfrac_labeled
         from ctforge.qdyson import qdyson_kernel
         summands = dict(ct_factored_pfrac_labeled(qdyson_kernel(4, (2, 2)), 0))
         s = summands[(1, 3)]
-        assert len(s.scalar.den.c) > 1  # 1/(q^3 - q^2)
-        bare = FactoredForm(s.nvars, QRAT_ONE, s.mono, s.factors, s.poly)
+        # the scalar folded with the collapsed factors, which have no variable
+        value = ct_all_series(FactoredForm(
+            s.nvars, s.scalar, factors=[f for f in s.factors if not any(f.mono)]))
+        assert len(value.den.c) > 1  # 1/(q^3 - q^2)
+        bare = FactoredForm(s.nvars, QRAT_ONE, s.mono,
+                            [f for f in s.factors if any(f.mono)], s.poly)
         window = {0: 0, 1: 2, 2: 2}
         lp = s.expand_within(window)
         assert not lp.is_zero()
-        assert lp.terms == {k: v * s.scalar
+        assert lp.terms == {k: v * value
                             for k, v in bare.expand_within(window).terms.items()}
 
     @staticmethod
@@ -318,7 +322,25 @@ class TestFactoredFormAlgebra:
         # (1 - q^2 x0/x1) with x0 -> x1 q: 1 - q^3
         ff = FactoredForm(2, factors=(Factor.binomial(2, 2, 0, 1),))
         out = ff.substitute(0, 1, 1)
-        assert out.factors == () and out.scalar == QRat.one_minus_qpow(3)
+        assert ct_all_series(out) == QRat.one_minus_qpow(3)
+
+    def test_collapsed_binomial_stays_a_factor(self):
+        # the same collapse keeps (1 - q^3) as a variable-free factor
+        ff = FactoredForm(2, factors=(Factor.binomial(2, 2, 0, 1),))
+        out = ff.substitute(0, 1, 1)
+        assert out.factors == (Factor(3, (0, 0)),)
+        assert ct_all_series(out) == QRat.one_minus_qpow(3)
+        assert str(out) == "1 - q^3"
+
+    def test_collapsed_denominator_factor(self):
+        # 1/((1 - q x0/x1)(1 - q^2)): one pole in x0; (1 - q^2)^-1 is a scalar
+        pole, c = Factor.binomial(2, 1, 0, 1, -1), Factor(2, (0, 0), -1)
+        ff = FactoredForm(2, factors=(pole, c))
+        assert ff.denominator_factors() == [pole]
+        (label, summand), = ct_factored_pfrac_labeled(ff, 0)
+        assert label == (1, -1) and summand.factors == (c,)
+        value = QRat.one_minus_qpow(2).inverse()
+        assert ct_all_series(summand) == value and ct_all_series(ff) == value
 
     def test_substitute_zero_numerator_kills_form(self):
         ff = FactoredForm(2, factors=(Factor.binomial(2, 1, 1, 0),))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from ctforge import qdyson
-from ctforge.ctengine import ct_all_series
+from ctforge.ctengine import ct_all_series, ct_factored_pfrac_labeled
 from ctforge.errors import CertificationError, DomainError
 from ctforge.laurent import Factor, FactoredForm, qpochhammer
 from ctforge.qdyson import (DegreeBoundReport, DysonParams, ProofPath,
@@ -286,6 +286,26 @@ class TestRecursion:
             for child, ff in kids:
                 assert ff == kernel_at_path(b, a, child)
 
+    def test_recursion_does_no_qfield_arithmetic(self, monkeypatch):
+        # collapsed binomials stay factors: a full walk of the proof tree
+        # neither multiplies nor reduces in Q(q)
+        calls = []
+        gcd, mul = QPoly.gcd, QRat.__mul__
+        monkeypatch.setattr(QPoly, "gcd", staticmethod(
+            lambda x, y: calls.append("gcd") or gcd(x, y)))
+        monkeypatch.setattr(QRat, "__mul__",
+                            lambda x, y: calls.append("mul") or mul(x, y))
+        for a, b in (((2, 2, 2), 4), ((2, 1, 1), 3)):
+            nodes = 0
+            stack = [(ProofPath(), qdyson_kernel(b, a))]
+            while stack:
+                path, ff = stack.pop()
+                if path.depth and find_vanishing_witness(a, path) is not None:
+                    continue
+                nodes += 1
+                stack += expand_recursion(b, a, path, ff)
+            assert nodes > 1 and calls == [], (a, b)
+
 
 class TestCertificates:
     def test_rank1_tree(self):
@@ -424,6 +444,29 @@ class TestCertificates:
         for a, digests in pinned.items():
             for b, want in enumerate(digests, start=1):
                 blob = certificate_to_json(certify_vanishing(a, b)).encode()
+                assert hashlib.sha256(blob).hexdigest() == want, (a, b)
+
+    def test_pfrac_summands_pinned(self):
+        # sha256 of the printed partial-fraction summands of K(b) in x0,
+        # every order of (2,1,1) and (1,1,1)
+        b1 = "b451a8b0c5532a7d55a6f161b364261d268dfe2523d1b00d47a5f7d9555b58e6"
+        pinned = {
+            (1, 1, 2): [b1, "49130aeb4f423218c430f351d226192613ac24a3e1de2b1832d06c7bcacab7e1",
+                        "9aedb64443095ae410401226fe0824f435613758c4533e24f7bb497d6c90ff62",
+                        "2298663356574848c720be5c240f04c760f3d6a2e9c4ebe557ed23aa942330fc"],
+            (1, 2, 1): [b1, "7b6292cc792aa71f37bd267663d6352d76893a921a6a6bbd9b54e1bf17193f81",
+                        "75f4604b93456a4a3e841d83b0ec0d709988b420904a0a94a32313239b5bdbd6",
+                        "4f2f1d9d8be4e2df4d59f769552d19a49c4d2a599217bb9855518af3b0ab541e"],
+            (2, 1, 1): [b1, "dd7e7ae1c5d98e6bded5fd6bc0ab3b7d8dadf5ee979a271e8cb34b0c892baffb",
+                        "38753afab69927b2c98ee8462dcf3268a161bfc5229ef618138d0e7c4ded969c",
+                        "9c08d70026144308e0b15f090c09b5ed1793463e210ed9f5ac7f285f3e5fc2ff"],
+            (1, 1, 1): [b1, "084386efeba287bf33d74e4fe734f0b10930f3e02fc28f4f70c556f858563448",
+                        "d4d0b43d1be21318ed5a42acc3043ace3de13ee807ee53d795a3f71b7515202d"],
+        }
+        for a, digests in pinned.items():
+            for b, want in enumerate(digests, start=1):
+                summands = ct_factored_pfrac_labeled(qdyson_kernel(b, a), 0)
+                blob = "\n".join(f"{pole}: {s}" for pole, s in summands).encode()
                 assert hashlib.sha256(blob).hexdigest() == want, (a, b)
 
 
