@@ -26,10 +26,12 @@ with an all-zero monomial, so the proof engine does no Q(q) arithmetic.
 Expansion works over Z[q, 1/q]: every binomial factor expands with
 coefficients +-C(n, k) q^e, so inside `expand_within` a coefficient is an
 integer map {q-exponent: int} and a part of the product is
-{x-exponent tuple: {q-exponent: int}}.  Q(q) enters only at the boundary:
-the scalar, folded with the variable-free factors by `_scalar_value` (and
-the common denominator of a poly prefix), multiplies each output
-coefficient once.
+{x-exponent tuple: {q-exponent: int}}.  Inside `_multiply_within` each
+such map is packed into one integer, its value at q = 2^w (Kronecker
+substitution), and decoded back once at the end.  Q(q) enters only at the
+boundary: the scalar, folded with the variable-free factors by
+`_scalar_value` (and the common denominator of a poly prefix), multiplies
+each output coefficient once.
 """
 
 from __future__ import annotations
@@ -44,11 +46,34 @@ from .qfield import QRAT_ONE, QRAT_ZERO, QPoly, QRat, _power
 # Exponents are plain machine ints; anything this big is a bug upstream.
 _EXP_LIMIT = 10**9
 
+# Work budget of a product of binomials: the bits one packed q-map of
+# `_multiply_within` may need (slot width times slots), and the same
+# measure for `qpoch_qrat`.  The perfbench kernels need at most 79,040.
+_MAX_PACKED_BITS = 1 << 22
+
+# Work budget of powers, binomial expansions and Pochhammer factor lists:
+# the largest exponent or count.
+_MAX_POWER = 10_000
+
 
 def _check_exp(e: int) -> int:
     if not -_EXP_LIMIT < e < _EXP_LIMIT:
         raise DomainError(f"exponent overflow: {e}")
     return e
+
+
+def _check_packed(w: int, span: int) -> None:
+    if w * (span + 1) > _MAX_PACKED_BITS:
+        raise DomainError(
+            f"expansion too large: {w}-bit coefficients over {span + 1} "
+            f"powers of q exceed the {_MAX_PACKED_BITS}-bit work budget")
+
+
+def _check_power(n: int) -> int:
+    if n > _MAX_POWER:
+        raise DomainError(
+            f"power or count {n} exceeds the work budget of {_MAX_POWER}")
+    return n
 
 
 def add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -171,6 +196,7 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise DomainError("negative power of a LaurentPoly")
+        _check_power(n)
         return _power(self, n) if n else LaurentPoly.one(self.nvars)
 
     def coeff_of(self, exps: tuple[int, ...]) -> QRat:
@@ -314,7 +340,7 @@ class Factor:
         """Finite expansion {x-exponents: {q-exponent: int}}; requires exp > 0."""
         if self.exp < 0:
             raise NotPolynomialError("denominator factor has no finite expansion")
-        e = self.exp
+        e = _check_power(self.exp)
         return {scale_exps(self.mono, t): {self.qexp * t: (-1) ** t * comb(e, t)}
                 for t in range(e + 1)}
 
@@ -433,6 +459,9 @@ class FactoredForm:
             return FactoredForm.one(self.nvars)
         if self.poly is not None and n < 0:
             raise DomainError("cannot invert a polynomial prefix symbolically")
+        s = self.scalar
+        if len(s.num.c) + len(s.den.c) > 2 or abs(s.num.leading_coeff) != 1:
+            _check_power(abs(n))        # only a power of +-q^k costs nothing
         poly = None
         if self.poly is not None:
             poly = self.poly ** n
@@ -709,7 +738,30 @@ def _multiply_within(nvars: int, parts: list[dict],
                      hi: dict[int, int],
                      lo: dict[int, int] | None) -> dict:
     """Multiply integer parts {x-exponents: {q-exponent: int}}, pruning
-    x-exponents that cannot re-enter the window (q is never pruned)."""
+    x-exponents that cannot re-enter the window (q is never pruned).
+
+    Kronecker substitution: inside the loop each x-key's q-map is a pair
+    (offset, value at q = 2^w), offset at or below the key's lowest
+    q-exponent, so value = sum c_e 2^(w (e - offset)).  The slot width is
+    set once per product: w = P.bit_length() + 1, P the product over the
+    parts of each part's l1 norm.  A pair product is one integer multiply
+    plus an offset add; accumulating into a key is one add, after a shift
+    of w times the offset difference; a key whose value is 0 is dropped;
+    the surviving keys are decoded once, with balanced digits.
+
+    Why this is exact.  Evaluation at 2^w is a ring homomorphism from
+    Z[q] to Z, so each value is the evaluation of the map a product of
+    {q-exponent: int} maps would hold, even if an intermediate
+    coefficient exceeded a slot.  Dropping a key whose value is 0 removes
+    only zeros from every later evaluation.  Only the final maps are
+    decoded.  Their keys lie in the window, so their coefficients are
+    coefficients of the full product, and those are at most P < 2^(w-1):
+    each balanced digit is one coefficient.
+
+    Work budget.  Every value spans at most S + 1 slots, S the sum of the
+    parts' q-exponent ranges, so w (S + 1) bounds its bits; a product that
+    could exceed _MAX_PACKED_BITS is refused before anything is packed.
+    """
     hivars = tuple(hi.items())
     lovars = tuple(lo.items()) if lo else ()
 
@@ -725,13 +777,22 @@ def _multiply_within(nvars: int, parts: list[dict],
             suffmin[i][v] = suffmin[i + 1][v] + min(cols[v])
             suffmax[i][v] = suffmax[i + 1][v] + max(cols[v])
 
-    acc = {(0,) * nvars: {0: 1}}
+    bound, span = 1, 0
+    for part in parts:
+        bound *= sum(abs(c) for m in part.values() for c in m.values())
+        span += (max(e for m in part.values() for e in m)
+                 - min(e for m in part.values() for e in m))
+    w = bound.bit_length() + 1
+    _check_packed(w, span)
+
+    acc = {(0,) * nvars: (0, 1)}
     for i, part in enumerate(parts):
+        part = {k: _pack(m, w) for k, m in part.items()}
         rem_min = suffmin[i + 1]
         rem_max = suffmax[i + 1]
         out: dict = {}
-        for k1, m1 in acc.items():
-            for k2, m2 in part.items():
+        for k1, (o1, v1) in acc.items():
+            for k2, (o2, v2) in part.items():
                 k = tuple(map(add, k1, k2))
                 bad = False
                 for v, b in hivars:
@@ -745,24 +806,52 @@ def _multiply_within(nvars: int, parts: list[dict],
                             break
                 if bad:
                     continue
-                o = out.get(k)
-                for e2, c2 in m2.items():
-                    if o is None:
-                        out[k] = o = {e1 + e2: c1 * c2 for e1, c1 in m1.items()}
-                        continue
-                    for e1, c1 in m1.items():
-                        e = e1 + e2
-                        o[e] = o.get(e, 0) + c1 * c2
-        acc = {}
-        for k, o in out.items():
-            if 0 in o.values():
-                o = {e: c for e, c in o.items() if c}
-                if not o:
-                    continue
-            acc[k] = o
+                o = o1 + o2
+                v = v1 * v2
+                prev = out.get(k)
+                if prev is not None:
+                    po, pv = prev
+                    if po == o:
+                        v += pv
+                    elif po < o:
+                        v = pv + (v << w * (o - po))
+                        o = po
+                    else:
+                        v += pv << w * (po - o)
+                out[k] = (o, v)
+        acc = {k: ov for k, ov in out.items() if ov[1]}
         if not acc:
             return {}
-    return acc
+    return {k: _unpack(o, v, w) for k, (o, v) in acc.items()}
+
+
+def _pack(m: dict[int, int], w: int) -> tuple[int, int]:
+    """(offset, value at q = 2^w) of the q-map m, offset its lowest exponent."""
+    o = min(m)
+    return o, sum(c << w * (e - o) for e, c in m.items())
+
+
+def _unpack(offset: int, value: int, w: int) -> dict[int, int]:
+    """{q-exponent: int} from the balanced base-2^w digits of value, the
+    lowest at offset; zero digits are left out.  Splitting the digits in
+    halves keeps the work near-linear in value's size and skips zero runs."""
+    out = {}
+    todo = [(value, offset, abs(value).bit_length() // w + 1)]
+    while todo:
+        v, e, n = todo.pop()
+        if not v:
+            continue
+        if n == 1:
+            out[e] = v
+            continue
+        k = n // 2
+        s = w * k
+        low = v & ((1 << s) - 1)
+        if low >> (s - 1):             # the balanced low half is negative
+            low -= 1 << s
+        todo.append(((v - low) >> s, e + k, n - k))
+        todo.append((low, e, k))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +869,7 @@ def qpochhammer(nvars: int, mono: dict[int, int] | tuple[int, ...],
     mono = _exp_tuple(nvars, mono)
     if not any(mono):
         raise ShapeError("use qpoch_qrat for a pure q-power base")
+    _check_power(abs(count))
     factors = []
     if count >= 0:
         for m in range(count):
@@ -791,19 +881,25 @@ def qpochhammer(nvars: int, mono: dict[int, int] | tuple[int, ...],
 
 
 def qpoch_qrat(qexp: int, count: int) -> QRat:
-    """(z)_count for the scalar base z = q^qexp, as an exact QRat."""
+    """(z)_count for the scalar base z = q^qexp, as an exact QRat.
+
+    Its factors are 1 - q^e for e from lo to hi, inverted when count < 0.
+    The product is held to the budget `_multiply_within` would apply to
+    it: l1 norm 2^|count| and q-degree the sum of |e|.
+    """
+    lo, hi = (qexp, qexp + count - 1) if count >= 0 else (qexp + count, qexp - 1)
+    if lo <= 0 <= hi:
+        if count >= 0:
+            return QRAT_ZERO        # the factor 1 - q^0
+        raise DomainError("negative Pochhammer hits a zero factor")
+    _check_packed(abs(count) + 2, abs(lo + hi) * abs(count) // 2)
     out = QRAT_ONE
     if count >= 0:
-        if qexp <= 0 < qexp + count:
-            return QRAT_ZERO        # the factor 1 - q^0
         for m in range(count):
             out = out * QRat.one_minus_qpow(qexp + m)
     else:
         for m in range(1, -count + 1):
-            f = QRat.one_minus_qpow(qexp - m)
-            if f.is_zero():
-                raise DomainError("negative Pochhammer hits a zero factor")
-            out = out * f.inverse()
+            out = out * QRat.one_minus_qpow(qexp - m).inverse()
     return out
 
 

@@ -23,6 +23,23 @@ def run_cli(*args, **kw):
                           capture_output=True, text=True, env=env, **kw)
 
 
+_BOUNDED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from ctforge.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_bounded_cli(*args):
+    """run_cli in a child process held to 512 MB of address space and 60 s,
+    so an input whose work has no budget fails the test instead of
+    exhausting the machine."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run((sys.executable, "-c", _BOUNDED_CLI) + args,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestVerifyCommand:
     def test_identity_holds(self):
         r = run_cli("verify", "--a0", "1", "--a", "1")
@@ -141,6 +158,23 @@ class TestCtCommand:
         r = run_cli("ct", "--expr", "x0^999999999*x0^999999999", "--var", "x0")
         assert r.returncode == 1
         assert "exponent overflow" in r.stderr
+
+    def _refused(self, expr):
+        r = run_bounded_cli("ct", "--expr", expr, "--all-vars")
+        assert r.returncode == 1 and r.stdout == "", expr
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert "work budget" in r.stderr
+
+    def test_binomial_power_budget_exit_1(self):
+        self._refused("(1-x0/x1)^100000")
+
+    def test_scalar_power_and_qpoch_budget_exit_1(self):
+        self._refused("(1+q)^100000")
+        self._refused("qpoch(q,100000)")
+
+    def test_packed_width_budget_exit_1(self):
+        # 1 and q^100000000 both land on the constant x-key
+        self._refused("(1-q^100000000*x0/x1)*(1-x1/x0)")
 
     def test_negative_trunc_exit_2(self):
         # a negative window would drop the constant term (the value is 1)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctforge.ctengine import ct_all_series, ct_factored_pfrac_labeled
 from ctforge.errors import (DomainError, NotPolynomialError, ShapeError,
@@ -11,8 +12,9 @@ from ctforge.identities import (finite_qbinomial_check,
                                 pochhammer_additivity_check,
                                 product_identity_check,
                                 qbinomial_theorem_check)
-from ctforge.laurent import (Factor, FactoredForm, LaurentPoly, qbinomial,
-                             qfactorial, qpoch_qrat, qpochhammer)
+from ctforge.laurent import (_MAX_PACKED_BITS, _MAX_POWER, Factor,
+                             FactoredForm, LaurentPoly, _multiply_within,
+                             qbinomial, qfactorial, qpoch_qrat, qpochhammer)
 from ctforge.qfield import QPoly, QRat, QRAT_ONE
 
 
@@ -287,6 +289,118 @@ class TestIntegerRing:
             # second, longer truncation shows the reference is complete
             assert got == self._reference(ff, hi, lo, 8)
             assert got == self._reference(ff, hi, lo, 10)
+
+
+def _reference_product(nvars, parts, hi, lo):
+    """_multiply_within's result by plain {q-exponent: int} arithmetic: the
+    full product, zero coefficients and empty maps dropped, then the
+    window."""
+    acc = {(0,) * nvars: {0: 1}}
+    for part in parts:
+        out = {}
+        for k1, m1 in acc.items():
+            for k2, m2 in part.items():
+                o = out.setdefault(tuple(a + b for a, b in zip(k1, k2)), {})
+                for e1, c1 in m1.items():
+                    for e2, c2 in m2.items():
+                        o[e1 + e2] = o.get(e1 + e2, 0) + c1 * c2
+        acc = {k: {e: c for e, c in m.items() if c} for k, m in out.items()}
+        acc = {k: m for k, m in acc.items() if m}
+    return {k: m for k, m in acc.items()
+            if all(k[v] <= b for v, b in hi.items())
+            and all(k[v] >= b for v, b in (lo or {}).items())}
+
+
+@st.composite
+def _products(draw):
+    """Random parts with negative q-exponents and coefficients, some of
+    them large, and a random hi/lo window.  x-keys come from a small range
+    so that terms meet, and binomials 1 +- q^e x_v^+-1 often pair up as
+    (1 - M)(1 + M), whose M key cancels to zero."""
+    nvars = draw(st.integers(1, 3))
+    key = st.tuples(*[st.integers(-2, 2)] * nvars)
+    coeff = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9),
+                      st.integers(-10**12, 10**12)).filter(bool)
+    qmap = st.dictionaries(st.integers(-5, 5), coeff, min_size=1, max_size=3)
+    unit = st.builds(lambda v, s: tuple(s if i == v else 0
+                                        for i in range(nvars)),
+                     st.integers(0, nvars - 1), st.sampled_from([1, -1]))
+    binomial = st.builds(lambda m, e, c: {(0,) * nvars: {0: 1}, m: {e: c}},
+                         unit, st.integers(-1, 1), st.sampled_from([1, -1]))
+    part = st.one_of(st.dictionaries(key, qmap, min_size=1, max_size=4),
+                     binomial)
+    parts = draw(st.lists(part, min_size=1, max_size=5))
+    bound = st.dictionaries(st.integers(0, nvars - 1), st.integers(-4, 4))
+    return nvars, parts, draw(bound), draw(st.one_of(st.none(), bound))
+
+
+class TestPackedProduct:
+    """_multiply_within packs each x-key's q-map into one integer; these
+    hold it to the plain dict-of-dicts product."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_products())
+    def test_matches_reference(self, case):
+        nvars, parts, hi, lo = case
+        got = _multiply_within(nvars, parts, hi, lo)
+        assert got == _reference_product(nvars, parts, hi, lo)
+        assert all(m and all(m.values()) for m in got.values())
+
+    def test_cancelling_keys_are_dropped(self):
+        # (1 - q x0)(1 + q x0) = 1 - q^2 x0^2: the x0 key cancels
+        parts = [{(0,): {0: 1}, (1,): {1: -1}}, {(0,): {0: 1}, (1,): {1: 1}}]
+        assert _multiply_within(1, parts, {}, None) == \
+            {(0,): {0: 1}, (2,): {2: -1}}
+
+    def test_coefficient_equal_to_the_l1_bound(self):
+        # one key and one q-exponent per part, all of one sign: the single
+        # coefficient is the product of the l1 norms, the most a slot holds
+        for norms in ((3, 7, 255), (2, 4, 8)):
+            for sign in (1, -1):
+                parts = [{(i,): {i - 2: sign * c}} for i, c in enumerate(norms)]
+                top = sign ** 3 * norms[0] * norms[1] * norms[2]
+                assert _multiply_within(1, parts, {}, None) == {(3,): {-3: top}}
+
+    def test_packed_width_budget(self):
+        # two keys of one part whose q-exponents lie 10^7 apart: a packed
+        # map could span 10^7 slots, so the product is refused unbuilt
+        parts = [{(0,): {0: 1}, (1,): {10**7: -1}}]
+        assert 3 * (10**7 + 1) > _MAX_PACKED_BITS
+        with pytest.raises(DomainError, match="work budget"):
+            _multiply_within(1, parts, {}, None)
+
+
+class TestWorkBudget:
+    def test_binomial_exponent(self):
+        f = Factor(0, (1, -1), _MAX_POWER + 1)
+        with pytest.raises(DomainError, match="work budget"):
+            f.expand_exact()
+        assert len(Factor(0, (1, -1), 3).expand_exact()) == 4
+
+    def test_powers(self):
+        poly = FactoredForm(1, poly=lp_mono(1, {0: 1}) + LaurentPoly.one(1))
+        scalar = FactoredForm.from_scalar(1, QRat(QPoly({0: 1, 1: 1})))
+        for ff in (poly, scalar):
+            with pytest.raises(DomainError, match="work budget"):
+                ff ** (_MAX_POWER + 1)
+        with pytest.raises(DomainError, match="work budget"):
+            poly.poly ** (_MAX_POWER + 1)
+        # powers of monomials and of +-q^k cost nothing and are not limited
+        q = FactoredForm.monomial(1, {0: 1}, QRat.qpow(1).scaled(-1))
+        assert (q ** (10 * _MAX_POWER)).scalar == QRat.qpow(10 * _MAX_POWER)
+
+    def test_pochhammer_counts(self):
+        # (q)_203 has degree 20706 and l1 norm up to 2^203: as a packed
+        # product of binomials it would need 205 * 20707 bits
+        assert 205 * 20707 > _MAX_PACKED_BITS > 204 * 20504
+        with pytest.raises(DomainError, match="work budget"):
+            qpoch_qrat(1, 203)
+        with pytest.raises(DomainError, match="work budget"):
+            qpoch_qrat(-1, -203)
+        with pytest.raises(DomainError, match="count"):
+            qpochhammer(2, {0: 1, 1: -1}, _MAX_POWER + 1)
+        assert qpoch_qrat(-5, 10 ** 15).is_zero()   # zero before the budget
+        assert qpoch_qrat(1, 100) == qfactorial(100)
 
 
 class TestDegree:
