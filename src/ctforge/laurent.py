@@ -28,7 +28,8 @@ coefficients +-C(n, k) q^e, so inside `expand_within` a coefficient is an
 integer map {q-exponent: int} and a part of the product is
 {x-exponent tuple: {q-exponent: int}}.  Inside `_multiply_within` each
 such map is packed into one integer, its value at q = 2^w (Kronecker
-substitution), and decoded back once at the end.  Q(q) enters only at the
+substitution), each x-key into another, one bit field per variable, and
+both are decoded back once at the end.  Q(q) enters only at the
 boundary: the scalar, folded with the variable-free factors by
 `_scalar_value` (and the common denominator of a poly prefix), multiplies
 each output coefficient once.
@@ -37,7 +38,6 @@ each output coefficient once.
 from __future__ import annotations
 
 from math import comb, lcm
-from operator import add
 
 from .errors import (DomainError, NotPolynomialError, ShapeError,
                      TruncationError)
@@ -55,6 +55,13 @@ _MAX_PACKED_BITS = 1 << 22
 # the largest exponent or count.
 _MAX_POWER = 10_000
 
+# Work budget of the accumulator of `_multiply_within`: its number of keys
+# and the bits its packed values hold.  The perfbench cases and `verify`
+# up to brute (1; 1^8), (3; 3,3,3,3,3) and replay (3; 3,3,3,3) need at
+# most 25,686 keys (brute (1; 1^8)) and 26.1M bits (brute (3; 3,3,3,3,3)).
+_MAX_PRODUCT_KEYS = 1 << 18
+_MAX_PRODUCT_BITS = 1 << 28
+
 
 def _check_exp(e: int) -> int:
     if not -_EXP_LIMIT < e < _EXP_LIMIT:
@@ -67,6 +74,20 @@ def _check_packed(w: int, span: int) -> None:
         raise DomainError(
             f"expansion too large: {w}-bit coefficients over {span + 1} "
             f"powers of q exceed the {_MAX_PACKED_BITS}-bit work budget")
+
+
+def _rows_within_budget(out: dict, keys: int, bits: int) -> int:
+    """How many more accumulator rows, each adding at most `keys` keys and
+    `bits` bits to out, surely keep out within the budget of keys and
+    packed bits; DomainError when out is past it already."""
+    held = sum(v.bit_length() for _, v in out.values())
+    if len(out) > _MAX_PRODUCT_KEYS or held > _MAX_PRODUCT_BITS:
+        raise DomainError(
+            f"expansion too large: {len(out)} terms of {held} bits exceed "
+            f"the work budget of {_MAX_PRODUCT_KEYS} terms and "
+            f"{_MAX_PRODUCT_BITS} bits")
+    return min((_MAX_PRODUCT_KEYS - len(out)) // keys,
+               (_MAX_PRODUCT_BITS - held) // bits)
 
 
 def _check_power(n: int) -> int:
@@ -740,6 +761,41 @@ def _multiply_within(nvars: int, parts: list[dict],
     """Multiply integer parts {x-exponents: {q-exponent: int}}, pruning
     x-exponents that cannot re-enter the window (q is never pruned).
 
+    Part order.  parts[0] stays first; the others are sorted, stably, by
+    the lowest and then the highest variable their keys touch, so every
+    x0 part comes first: Gessel and Xin take constant terms x0 first, as
+    Xin orders iterated constant terms (EJC 11 (2004) R58).  A q-Dyson
+    product's pair factors are built in this order already; in a kernel
+    the x0 series move ahead of the pair products.  Any order gives the
+    same result: the product is commutative, and a key is pruned only
+    when the ranges of the parts still to come, in the order used, cannot
+    bring it back into the window.  This order keeps the accumulator
+    small.
+
+    Packed keys.  Inside the loop an x-key is one integer with a bit field
+    per variable.  Field v of a key of part i holds k[v] - pmin_i[v],
+    pmin_i[v] the part's least exponent of x_v, so it is at least 0; of
+    an accumulator key, the sum of those.  R_v, the sum over the parts of
+    their ranges in x_v, bounds every such sum, and the field is
+    R_v.bit_length() + 1 bits wide: the top bit, the guard, stays 0 in a
+    key, so adding two keys is one integer add that never carries into
+    the next field.  A sum of fields is the exponent minus the sum of the
+    same parts' pmin, so each bound of the window is a bound on a field:
+
+      hi: the exponent plus the least the later parts add, at most hi[v],
+          is field_v <= cap_v = hi[v] - sum_i pmin_i[v], one cap for the
+          whole product, clamped to R_v (a variable without hi gets R_v);
+      lo: the exponent plus the most the later parts add, at least lo[v],
+          is field_v >= lo[v] - prefix_min[v] - suffmax[v], one floor per
+          part, clamped to [0, R_v + 1].
+
+    Both are SWAR tests (Lamport, CACM 18(8), 1975).  With g_v the guard
+    bit, field_v + (g_v - 1 - cap_v) sets the guard exactly when
+    field_v > cap_v, and (g_v + floor_v - 1) - field_v sets it exactly
+    when field_v < floor_v; neither leaves its field, so one add (or
+    subtract) and one mask over all guards test every variable at once.
+    The keys are decoded to tuples once, at the end.
+
     Kronecker substitution: inside the loop each x-key's q-map is a pair
     (offset, value at q = 2^w), offset at or below the key's lowest
     q-exponent, so value = sum c_e 2^(w (e - offset)).  The slot width is
@@ -761,51 +817,77 @@ def _multiply_within(nvars: int, parts: list[dict],
     Work budget.  Every value spans at most S + 1 slots, S the sum of the
     parts' q-exponent ranges, so w (S + 1) bounds its bits; a product that
     could exceed _MAX_PACKED_BITS is refused before anything is packed.
+    The accumulator is held to _MAX_PRODUCT_KEYS keys and
+    _MAX_PRODUCT_BITS bits of packed values, checked after each row of
+    the accumulator, so a part cannot run far past either.  A row adds at
+    most len(part) keys, each of at most w (S_i + 1) bits, S_i the q-ranges
+    of the parts so far, so the keys and bits are counted only when that
+    many rows could have passed the budget.
     """
-    hivars = tuple(hi.items())
-    lovars = tuple(lo.items()) if lo else ()
+    if not all(parts):
+        return {}
+    mins = [list(map(min, zip(*p))) for p in parts]
+    maxs = [list(map(max, zip(*p))) for p in parts]
 
-    # per-variable achievable exponent ranges of the remaining parts
-    n = len(parts)
-    suffmin = [[0] * nvars for _ in range(n + 1)]
-    suffmax = [[0] * nvars for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        if not parts[i]:
-            return {}
-        cols = list(zip(*parts[i]))
-        for v in range(nvars):
-            suffmin[i][v] = suffmin[i + 1][v] + min(cols[v])
-            suffmax[i][v] = suffmax[i + 1][v] + max(cols[v])
+    def reach(i):
+        vs = [v for v in range(nvars) if mins[i][v] or maxs[i][v]]
+        return (vs[0], vs[-1]) if vs else (-1, -1)
 
-    bound, span = 1, 0
+    order = [0] + sorted(range(1, len(parts)), key=reach)
+    parts = [parts[i] for i in order]
+    mins = [mins[i] for i in order]
+    maxs = [maxs[i] for i in order]
+
+    bound, spans = 1, []
     for part in parts:
         bound *= sum(abs(c) for m in part.values() for c in m.values())
-        span += (max(e for m in part.values() for e in m)
-                 - min(e for m in part.values() for e in m))
+        spans.append(max(e for m in part.values() for e in m)
+                     - min(e for m in part.values() for e in m))
     w = bound.bit_length() + 1
-    _check_packed(w, span)
+    _check_packed(w, sum(spans))
 
-    acc = {(0,) * nvars: (0, 1)}
-    for i, part in enumerate(parts):
-        part = {k: _pack(m, w) for k, m in part.items()}
-        rem_min = suffmin[i + 1]
-        rem_max = suffmax[i + 1]
+    # field v: shift sh[v], guard bit g[v], values 0..R[v]
+    base = [sum(col) for col in zip(*mins)]
+    R = [sum(col) - b for col, b in zip(zip(*maxs), base)]
+    sh, g, top = [], [], 0
+    for r in R:
+        sh.append(top)
+        top += r.bit_length() + 1
+        g.append(1 << r.bit_length())
+    G = sum(gv << s for gv, s in zip(g, sh))
+    X = 0
+    for v in range(nvars):
+        cap = min(hi[v] - base[v], R[v]) if v in hi else R[v]
+        if cap < 0:
+            return {}
+        X += (g[v] - 1 - cap) << sh[v]
+    lo = lo or {}
+    pre = [0] * nvars
+    suf = [sum(col) for col in zip(*maxs)]
+
+    acc = {0: (0, 1)}
+    span = 0
+    for part, pmin, pmax, pspan in zip(parts, mins, maxs, spans):
+        span += pspan
+        for v in range(nvars):
+            pre[v] += pmin[v]
+            suf[v] -= pmax[v]
+        floors = {v: min(max(b - pre[v] - suf[v], 0), R[v] + 1)
+                  for v, b in lo.items()}
+        Z = (sum((g[v] - 1 + floors.get(v, 0)) << sh[v] for v in range(nvars))
+             if any(floors.values()) else None)
+        items = [(sum((e - m) << s for e, m, s in zip(k, pmin, sh)),
+                  _pack(qm, w)) for k, qm in part.items()]
+        row_bits = len(items) * w * (span + 1)
         out: dict = {}
+        rows = _rows_within_budget(out, len(items), row_bits)
         for k1, (o1, v1) in acc.items():
-            for k2, (o2, v2) in part.items():
-                k = tuple(map(add, k1, k2))
-                bad = False
-                for v, b in hivars:
-                    if k[v] + rem_min[v] > b:
-                        bad = True
-                        break
-                if not bad:
-                    for v, b in lovars:
-                        if k[v] + rem_max[v] < b:
-                            bad = True
-                            break
-                if bad:
+            khi = k1 + X
+            klo = None if Z is None else Z - k1
+            for k2, (o2, v2) in items:
+                if (khi + k2) & G or klo is not None and (klo - k2) & G:
                     continue
+                k = k1 + k2
                 o = o1 + o2
                 v = v1 * v2
                 prev = out.get(k)
@@ -819,10 +901,15 @@ def _multiply_within(nvars: int, parts: list[dict],
                     else:
                         v += pv << w * (po - o)
                 out[k] = (o, v)
+            rows -= 1
+            if rows < 0:
+                rows = _rows_within_budget(out, len(items), row_bits)
         acc = {k: ov for k, ov in out.items() if ov[1]}
         if not acc:
             return {}
-    return {k: _unpack(o, v, w) for k, (o, v) in acc.items()}
+    return {tuple(((k >> s) & (gv - 1)) + b
+                  for s, gv, b in zip(sh, g, base)): _unpack(o, v, w)
+            for k, (o, v) in acc.items()}
 
 
 def _pack(m: dict[int, int], w: int) -> tuple[int, int]:
@@ -884,23 +971,30 @@ def qpoch_qrat(qexp: int, count: int) -> QRat:
     """(z)_count for the scalar base z = q^qexp, as an exact QRat.
 
     Its factors are 1 - q^e for e from lo to hi, inverted when count < 0.
-    The product is held to the budget `_multiply_within` would apply to
-    it: l1 norm 2^|count| and q-degree the sum of |e|.
+    They multiply as one packed integer, the product's value at q = 2^w
+    (as in `_multiply_within`): each factor is one shift and one
+    subtraction.  A partial product's coefficients are at most its l1
+    norm, 2^|count| < 2^(w-1) for w = |count| + 2, so the product decodes
+    exactly; it is built as one QRat and inverted once.  It is held to
+    the budget `_multiply_within` would apply to it: slot width w and
+    q-degree the sum of |e|.
     """
     lo, hi = (qexp, qexp + count - 1) if count >= 0 else (qexp + count, qexp - 1)
     if lo <= 0 <= hi:
         if count >= 0:
             return QRAT_ZERO        # the factor 1 - q^0
         raise DomainError("negative Pochhammer hits a zero factor")
-    _check_packed(abs(count) + 2, abs(lo + hi) * abs(count) // 2)
-    out = QRAT_ONE
-    if count >= 0:
-        for m in range(count):
-            out = out * QRat.one_minus_qpow(qexp + m)
-    else:
-        for m in range(1, -count + 1):
-            out = out * QRat.one_minus_qpow(qexp - m).inverse()
-    return out
+    w = abs(count) + 2
+    _check_packed(w, abs(lo + hi) * abs(count) // 2)
+    offset, value = 0, 1
+    for e in range(lo, hi + 1):
+        if e > 0:
+            value -= value << w * e
+        else:                       # 1 - q^e = q^e (q^-e - 1)
+            offset += e
+            value = (value << w * -e) - value
+    out = QRat.from_laurent(_unpack(offset, value, w))
+    return out if count >= 0 else out.inverse()
 
 
 def qfactorial(m: int) -> QRat:

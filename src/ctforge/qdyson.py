@@ -122,10 +122,7 @@ def qdyson_rhs(a0: int, a: tuple[int, ...]) -> QRat:
 def rhs_value_at(a: tuple[int, ...], b: int) -> QRat:
     """The closed-form side as a function of b:
     (1-q^{b+a})(1-q^{b+a-1})...(1-q^{b+1}) / ((q)_{a_1} ... (q)_{a_n})."""
-    asum = sum(a)
-    num = QRAT_ONE
-    for t in range(1, asum + 1):
-        num = num * QRat.one_minus_qpow(b + t)
+    num = qpoch_qrat(b + 1, sum(a))
     for x in a:
         num = num / qfactorial(x)
     return num

@@ -176,6 +176,13 @@ class TestCtCommand:
         # 1 and q^100000000 both land on the constant x-key
         self._refused("(1-q^100000000*x0/x1)*(1-x1/x0)")
 
+    def test_accumulator_budget_exit_1(self):
+        # each packed value fits its width budget, but the accumulator's
+        # keys times their values would exhaust the memory limit
+        self._refused("qpoch(x0/x1,40)*qpoch(x1/x0,40)*qpoch(x0/x2,40)*"
+                      "qpoch(x2/x0,40)*qpoch(x0/x3,40)*qpoch(x3/x0,40)*"
+                      "qpoch(x1/x2,40)*qpoch(x2/x1,40)")
+
     def test_negative_trunc_exit_2(self):
         # a negative window would drop the constant term (the value is 1)
         r = run_cli("ct", "--expr", "1/((1 - x0/x1)*(1 - x0/(q*x2)))",

@@ -1,10 +1,12 @@
 """Laurent polynomials, factored forms, and the windowed expansion engine."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctforge import laurent
 from ctforge.ctengine import ct_all_series, ct_factored_pfrac_labeled
 from ctforge.errors import (DomainError, NotPolynomialError, ShapeError,
                             TruncationError)
@@ -78,6 +80,33 @@ class TestPochhammer:
     def test_scalar_base(self):
         assert qpoch_qrat(1, 2) == QRat.one_minus_qpow(1) * QRat.one_minus_qpow(2)
         assert qfactorial(0) == QRAT_ONE
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-12, 12), st.integers(-9, 9))
+    def test_scalar_base_matches_repeated_products(self, qexp, count):
+        # the packed product against one QRat product per factor
+        want = QRAT_ONE
+        if count >= 0:
+            for m in range(count):
+                want = want * QRat.one_minus_qpow(qexp + m)
+        elif all(qexp - m for m in range(1, -count + 1)):
+            for m in range(1, -count + 1):
+                want = want * QRat.one_minus_qpow(qexp - m).inverse()
+        else:
+            with pytest.raises(DomainError, match="zero factor"):
+                qpoch_qrat(qexp, count)
+            return
+        got = qpoch_qrat(qexp, count)
+        assert got == want and str(got) == str(want)
+
+    def test_largest_scalar_count_is_quick(self):
+        # (q)_202 is the largest q-factorial the packed budget admits (see
+        # TestWorkBudget); factor by factor in Q(q) it took about 2 s
+        start = time.perf_counter()
+        f = qfactorial(202)
+        assert time.perf_counter() - start < 1.0
+        assert f.den.is_one() and len(f.num.c) > 10_000
+        assert f.num.c[0] == 1 and f.num.c[202 * 203 // 2] == 1
 
 
 class TestQBinomial:
@@ -316,9 +345,10 @@ def _products(draw):
     """Random parts with negative q-exponents and coefficients, some of
     them large, and a random hi/lo window.  x-keys come from a small range
     so that terms meet, and binomials 1 +- q^e x_v^+-1 often pair up as
-    (1 - M)(1 + M), whose M key cancels to zero."""
-    nvars = draw(st.integers(1, 3))
-    key = st.tuples(*[st.integers(-2, 2)] * nvars)
+    (1 - M)(1 + M), whose M key cancels to zero.  A part may leave some
+    variables untouched, and hi and lo bound any subset of the variables,
+    lo possibly without hi."""
+    nvars = draw(st.integers(1, 5))
     coeff = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9),
                       st.integers(-10**12, 10**12)).filter(bool)
     qmap = st.dictionaries(st.integers(-5, 5), coeff, min_size=1, max_size=3)
@@ -327,24 +357,73 @@ def _products(draw):
                      st.integers(0, nvars - 1), st.sampled_from([1, -1]))
     binomial = st.builds(lambda m, e, c: {(0,) * nvars: {0: 1}, m: {e: c}},
                          unit, st.integers(-1, 1), st.sampled_from([1, -1]))
-    part = st.one_of(st.dictionaries(key, qmap, min_size=1, max_size=4),
-                     binomial)
-    parts = draw(st.lists(part, min_size=1, max_size=5))
+
+    @st.composite
+    def general(draw):
+        touched = draw(st.sets(st.integers(0, nvars - 1)))
+        key = st.tuples(*[st.integers(-2, 2) if v in touched else st.just(0)
+                          for v in range(nvars)])
+        return draw(st.dictionaries(key, qmap, min_size=1, max_size=4))
+
+    parts = draw(st.lists(st.one_of(general(), binomial),
+                          min_size=1, max_size=5))
     bound = st.dictionaries(st.integers(0, nvars - 1), st.integers(-4, 4))
     return nvars, parts, draw(bound), draw(st.one_of(st.none(), bound))
 
 
 class TestPackedProduct:
-    """_multiply_within packs each x-key's q-map into one integer; these
-    hold it to the plain dict-of-dicts product."""
+    """_multiply_within packs each x-key into one integer and each x-key's
+    q-map into another, and reorders the parts after the first; these hold
+    it to the plain dict-of-dicts product in the given order."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(_products())
     def test_matches_reference(self, case):
         nvars, parts, hi, lo = case
         got = _multiply_within(nvars, parts, hi, lo)
         assert got == _reference_product(nvars, parts, hi, lo)
         assert all(m and all(m.values()) for m in got.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(_products(), st.randoms(use_true_random=False))
+    def test_order_of_later_parts_is_irrelevant(self, case, rnd):
+        nvars, parts, hi, lo = case
+        rest = parts[1:]
+        rnd.shuffle(rest)
+        got = _multiply_within(nvars, parts[:1] + rest, hi, lo)
+        assert got == _reference_product(nvars, parts, hi, lo)
+
+    def test_variable_without_hi_bound_is_not_capped(self):
+        # x1 has no hi bound: its field may take every value up to its
+        # range, (1 + x1)(1 + q x1) = 1 + (1 + q) x1 + q x1^2
+        parts = [{(0, 0): {0: 1}, (0, 1): {0: 1}},
+                 {(0, 0): {0: 1}, (0, 1): {1: 1}}]
+        assert _multiply_within(2, parts, {0: 0}, None) == \
+            {(0, 0): {0: 1}, (0, 1): {0: 1, 1: 1}, (0, 2): {1: 1}}
+
+    def test_lo_bound_past_every_key(self):
+        # (1 + x0) x0^-2 has no term with x0 >= 0: the first part's floor
+        # lies above its field's range, and every candidate is pruned
+        parts = [{(0,): {0: 1}, (1,): {0: 1}}, {(-2,): {0: 1}}]
+        assert _multiply_within(1, parts, {}, {0: 0}) == {}
+        assert _multiply_within(1, parts, {}, {0: -1}) == {(-1,): {0: 1}}
+
+    def test_accumulator_budget(self, monkeypatch):
+        # (1 + x0)(1 + x1)(1 + x2) has 8 keys; the budget is checked after
+        # every accumulator row, so out never runs a whole part past it
+        parts = [{(0, 0, 0): {0: 1}}] + [
+            {(0, 0, 0): {0: 1}, tuple(int(i == v) for i in range(3)): {0: 1}}
+            for v in range(3)]
+        assert len(_multiply_within(3, parts, {}, None)) == 8
+        monkeypatch.setattr(laurent, "_MAX_PRODUCT_KEYS", 7)
+        with pytest.raises(DomainError, match="work budget"):
+            _multiply_within(3, parts, {}, None)
+        monkeypatch.setattr(laurent, "_MAX_PRODUCT_KEYS", 8)
+        assert len(_multiply_within(3, parts, {}, None)) == 8
+        # each of the 8 packed values is 1, one bit
+        monkeypatch.setattr(laurent, "_MAX_PRODUCT_BITS", 7)
+        with pytest.raises(DomainError, match="work budget"):
+            _multiply_within(3, parts, {}, None)
 
     def test_cancelling_keys_are_dropped(self):
         # (1 - q x0)(1 + q x0) = 1 - q^2 x0^2: the x0 key cancels
