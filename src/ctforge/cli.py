@@ -175,6 +175,7 @@ def _parse_var(ap, text: str) -> int:
 
 
 def _print_summands(parts: list) -> None:
+    parts = [p for p in parts if not p.is_zero()]
     if not parts:
         print("0")
         return

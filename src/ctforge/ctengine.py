@@ -86,5 +86,5 @@ def ct_factored_pfrac_labeled(
         rest = FactoredForm(
             f.nvars, f.scalar, f.mono,
             tuple(g for g in f.factors if g is not fac), f.poly)
-        out.append((pole, rest.substitute(var, *pole)))
+        out.append((pole, rest.substitute({var: pole[1]}, pole[0])))
     return out

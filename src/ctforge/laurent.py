@@ -40,7 +40,7 @@ from __future__ import annotations
 from math import comb, lcm
 
 from .errors import (DomainError, NotPolynomialError, ShapeError,
-                     TruncationError)
+                     TruncationError, UncancelledPoleError)
 from .qfield import QRAT_ONE, QRAT_ZERO, QPoly, QRat, _power
 
 # Exponents are plain machine ints; anything this big is a bug upstream.
@@ -103,6 +103,26 @@ def add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def scale_exps(a: tuple[int, ...], c: int) -> tuple[int, ...]:
     return tuple(_check_exp(x * c) for x in a)
+
+
+def _move(mono: tuple[int, ...], moves: tuple[tuple[int, int], ...],
+          dst: int) -> tuple[tuple[int, ...] | None, int]:
+    """mono with each (src, shift) of moves applied: x_src := x_dst q^shift.
+
+    Returns the new exponent tuple and the q-exponent the move adds, or
+    (None, 0) when mono has no src exponent.
+    """
+    out = None
+    qexp = 0
+    for v, s in moves:
+        e = mono[v]
+        if e:
+            if out is None:
+                out = list(mono)
+            out[v] = 0
+            out[dst] += e
+            qexp += s * e
+    return (None if out is None else tuple(out)), qexp
 
 
 def _exp_tuple(nvars: int, exps: dict[int, int] | tuple) -> tuple[int, ...]:
@@ -515,39 +535,64 @@ class FactoredForm:
 
     # -- substitution ---------------------------------------------------------
 
-    def substitute(self, src: int, dst: int, qshift: int) -> "FactoredForm":
-        """Replace x_src by x_dst * q^qshift everywhere (src != dst).
+    def substitute(self, shifts: dict[int, int], dst: int) -> "FactoredForm":
+        """Replace x_src by x_dst * q^shifts[src] for every src in shifts,
+        all at once (dst must not be a src).
 
-        Every factor keeps its place; one whose monomial collapses stays as
-        the factor (1 - q^e)^exp with an all-zero monomial, so no Q(q)
-        arithmetic is done.  If e = 0 the whole form is zero for a
-        numerator factor and an UncancelledPoleError for a denominator one.
+        Each factor is rewritten once and keeps its place; one whose
+        monomial collapses stays as the factor (1 - q^e)^exp with an
+        all-zero monomial, so no Q(q) arithmetic is done.  Whatever the
+        factor order, a denominator factor that collapses to 1 - q^0
+        raises UncancelledPoleError; otherwise a numerator factor that
+        collapses to it makes the form zero.
         """
-        from .errors import UncancelledPoleError
-        if src == dst:
+        if dst in shifts:
             raise DomainError("substitute onto the same variable")
         if self.is_zero():
             return self
+        moves = tuple(shifts.items())
+        factors = []
+        zero = False
+        # a Pochhammer's factors share one monomial tuple, and so do the
+        # factors built here from them: a monomial is moved once per run
+        # of factors that share it.  Once a numerator has collapsed, only
+        # a collapsing denominator can change the outcome.
+        last = None
+        for f in self.factors:
+            if zero and f.exp > 0:
+                continue
+            if f.mono is not last:
+                last = f.mono
+                mono, dq = _move(last, moves, dst)
+                varying = mono is not None and any(mono)
+            if mono is None:
+                factors.append(f)
+                continue
+            qexp = f.qexp + dq
+            if qexp or varying:
+                factors.append(Factor(qexp, mono, f.exp))
+            elif f.exp < 0:
+                raise UncancelledPoleError(
+                    f"substitution {shifts} onto x{dst} zeroes {f!r}")
+            else:
+                zero = True
+        if zero:
+            return FactoredForm.zero(self.nvars)
         scalar = self.scalar
-        # monomial prefix
-        m = list(self.mono)
-        if m[src]:
-            scalar = scalar.times_qpow(qshift * m[src])
-            m[dst] += m[src]
-            m[src] = 0
+        mono, qexp = _move(self.mono, moves, dst)
+        if mono is None:
+            mono = self.mono
+        elif qexp:
+            scalar = scalar.times_qpow(qexp)
         poly = None
         if self.poly is not None:
             terms = {}
             for k, v in self.poly.terms.items():
-                e = k[src]
-                if e:
-                    k2 = list(k)
-                    k2[src] = 0
-                    k2[dst] += e
-                    k2 = tuple(k2)
-                    v = v.times_qpow(qshift * e)
-                else:
+                k2, qexp = _move(k, moves, dst)
+                if k2 is None:
                     k2 = k
+                else:
+                    v = v.times_qpow(qexp)
                 c = terms.get(k2)
                 if c is None:
                     terms[k2] = v
@@ -560,23 +605,7 @@ class FactoredForm:
             poly = LaurentPoly._raw(self.nvars, terms)
             if poly.is_zero():
                 return FactoredForm.zero(self.nvars)
-        factors = []
-        for f in self.factors:
-            e = f.mono[src]
-            if not e:
-                factors.append(f)
-                continue
-            mono = list(f.mono)
-            mono[src] = 0
-            mono[dst] += e
-            qexp = f.qexp + qshift * e
-            if not (qexp or any(mono)):
-                if f.exp < 0:
-                    raise UncancelledPoleError(
-                        f"substitution x{src} -> x{dst} q^{qshift} zeroes {f!r}")
-                return FactoredForm.zero(self.nvars)
-            factors.append(Factor(qexp, tuple(mono), f.exp))
-        return FactoredForm(self.nvars, scalar, tuple(m), tuple(factors), poly)
+        return FactoredForm(self.nvars, scalar, mono, tuple(factors), poly)
 
     # -- degrees --------------------------------------------------------------
 

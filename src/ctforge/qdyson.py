@@ -161,15 +161,13 @@ def qdyson_kernel(b: int, a: tuple[int, ...]) -> FactoredForm:
 
 def collapse_path(path: ProofPath, f: FactoredForm) -> FactoredForm:
     """The substitution E: x_{r_i} := x_{r_s} q^{k_s - k_i} for i = 0..s-1
-    (with r_0 = k_0 = 0)."""
+    (with r_0 = k_0 = 0), as one substitution."""
     if path.depth == 0:
         raise DomainError("collapse needs a nonempty path")
-    rs = path.r[-1]
     ks = path.k[-1]
-    out = f
-    for ri, ki in zip((0,) + path.r[:-1], (0,) + path.k[:-1]):
-        out = out.substitute(ri, rs, ks - ki)
-    return out
+    return f.substitute(
+        {ri: ks - ki for ri, ki in zip((0,) + path.r[:-1], (0,) + path.k[:-1])},
+        path.r[-1])
 
 
 def transfer_var(f: FactoredForm, src: int, dst: int, k: int,
@@ -178,27 +176,41 @@ def transfer_var(f: FactoredForm, src: int, dst: int, k: int,
     the current path collapsed onto; dst must differ)."""
     if src == dst:
         raise DomainError("transfer onto the same variable")
-    return f.substitute(src, dst, k - ks)
+    return f.substitute({src: k - ks}, dst)
 
 
-def kernel_at_path(b: int, a: tuple[int, ...], path: ProofPath) -> FactoredForm:
+def kernel_at_path(b: int, a: tuple[int, ...], path: ProofPath,
+                   root: FactoredForm | None = None) -> FactoredForm:
     """K(b | r; k): the path's denominator factors are cancelled
-    symbolically *before* the collapse, so no zero denominators arise."""
+    symbolically *before* the collapse, so no zero denominators arise.
+
+    root is K(b) = qdyson_kernel(b, a), built here when not given.  The
+    poles are found by position: qdyson_lhs_product puts the pole
+    1 - x_0/(x_r q^k) at (r-1)*b + a_1 + ... + a_{r-1} + k - 1.  A root
+    that is not K(b) factor for factor -- of another length, not led by
+    its pole (1, 1), or without the path's poles at their positions --
+    raises ProofInvariantError.
+    """
     n = len(a)
     if path.r and path.r[-1] > n:
         raise DomainError("path index exceeds the number of variables")
     if any(x > b for x in path.k):
         raise DomainError("path k entries must be at most b")
-    ff = qdyson_kernel(b, a)
+    if root is None:
+        root = qdyson_kernel(b, a)
     if path.depth == 0:
-        return ff
-    # the pole of child (r, k) is 1 - x_0/(x_r q^k)
-    poles = {Factor.binomial(n + 1, -k, 0, r, -1)
-             for r, k in zip(path.r, path.k)}
-    kept = tuple(f for f in ff.factors if f not in poles)
-    if len(kept) != len(ff.factors) - len(poles):
-        raise ProofInvariantError(f"missing denominator factors at {path}")
-    ff = FactoredForm(ff.nvars, ff.scalar, ff.mono, kept, ff.poly)
+        return root
+    factors = list(root.factors)
+    if len(factors) != n * (b + sum(a)) or \
+            factors[0] != Factor.binomial(n + 1, -1, 0, 1, -1):
+        raise ProofInvariantError(f"root is not K({b}) at {path}")
+    for r, k in zip(reversed(path.r), reversed(path.k)):   # highest first
+        pos = (r - 1) * b + sum(a[:r - 1]) + k - 1
+        if factors[pos] != Factor.binomial(n + 1, -k, 0, r, -1):
+            raise ProofInvariantError(f"missing denominator factors at {path}")
+        del factors[pos]
+    ff = FactoredForm(root.nvars, root.scalar, root.mono, tuple(factors),
+                      root.poly)
     return collapse_path(path, ff)
 
 
@@ -232,9 +244,11 @@ def witness_vanishing_value(a: tuple[int, ...], path: ProofPath,
 
 
 def expand_recursion(b: int, a: tuple[int, ...], path: ProofPath,
-                     ff: FactoredForm) -> list[tuple[ProofPath, FactoredForm]]:
+                     ff: FactoredForm, root: FactoredForm | None = None
+                     ) -> list[tuple[ProofPath, FactoredForm]]:
     """Children of a witness-free node whose kernel K(b | r; k) is ff, in
-    lexicographic order, each paired with its own kernel.
+    lexicographic order, each paired with its own kernel, built by
+    kernel_at_path from root (K(b), built there when not given).
 
     Verifies the properness degree of ff in the collapse variable equals
     (n - s)(a_{r_1}+...+a_{r_s} - b) and is negative, and that each
@@ -267,7 +281,7 @@ def expand_recursion(b: int, a: tuple[int, ...], path: ProofPath,
         for kn in range(1, b + 1):
             child = path.extended(rn, kn)
             got = summands.get((rn, kn))
-            want = kernel_at_path(b, a, child)
+            want = kernel_at_path(b, a, child, root)
             if got is None or not (got == want):
                 raise ProofInvariantError(
                     f"composition law fails at {path} -> {child}")
@@ -317,12 +331,14 @@ def certify_vanishing(a: tuple[int, ...], b: int) -> Certificate:
     """Certificate that the constant-term side vanishes at t = q^{-b}.
 
     Requires 1 <= b <= a_1+...+a_n.  One pass down the proof tree builds
-    it: a node with a vanishing witness is a leaf; every other node is a
-    recursion step, degree- and composition-checked, and each child's
-    kernel is the one its composition check built.  The first and the
-    last internal (non-root recursed) kernels are independently confirmed
-    to have zero constant term by the series oracle.  The finished tree
-    is then checked by validate_certificate, the one certificate checker.
+    it: a node with a vanishing witness is a leaf, whose kernel must be
+    zero; every other node is a recursion step, degree- and
+    composition-checked, and each child's kernel is the one its
+    composition check built from the root kernel K(b), which is built
+    once.  The first and the last internal (non-root recursed) kernels
+    are independently confirmed to have zero constant term by the series
+    oracle.  The finished tree is then checked by validate_certificate,
+    the one certificate checker.
     """
     a = tuple(a)
     asum = sum(a)
@@ -330,6 +346,7 @@ def certify_vanishing(a: tuple[int, ...], b: int) -> Certificate:
         raise DomainError(f"b must lie in [1, {asum}]")
     n = len(a)
     first = last = None
+    nonzero = []                    # witnessed leaves whose kernel is not zero
 
     def build(path: ProofPath, ff: FactoredForm) -> CertNode:
         nonlocal first, last
@@ -337,16 +354,19 @@ def certify_vanishing(a: tuple[int, ...], b: int) -> Certificate:
         if s > 0:
             w = find_vanishing_witness(a, path)
             if w is not None:
+                if not ff.is_zero():
+                    nonzero.append(path)
                 return CertNode(path, ZERO_CASE1 if w.case == 1 else ZERO_CASE2, w)
             if s == n:
                 raise CertificationError(
                     f"full-depth node without witness at {path}")
             last = (path, ff)
             first = first or last
-        children = expand_recursion(b, a, path, ff)
+        children = expand_recursion(b, a, path, ff, kernel)
         return CertNode(path, RECURSED, None, [build(*c) for c in children])
 
-    root = build(ProofPath(), qdyson_kernel(b, a))
+    kernel = qdyson_kernel(b, a)
+    root = build(ProofPath(), kernel)
     cert = Certificate(DysonParams(a, b), root)
     # the first and the last internal kernel, once when they coincide
     for path, ff in dict(p for p in (first, last) if p).items():
@@ -354,7 +374,10 @@ def certify_vanishing(a: tuple[int, ...], b: int) -> Certificate:
         if not value.is_zero():
             raise CertificationError(f"series oracle nonzero at {path}: {value}")
         cert.oracle_checked.append(path)
+    # a witness that fails its own inequalities is reported as such first
     validate_certificate(cert)
+    if nonzero:
+        raise CertificationError(f"witnessed kernel is not zero at {nonzero[0]}")
     return cert
 
 
@@ -516,15 +539,21 @@ class DegreeBoundReport:
         return self.predicted == self.actual
 
 
-def degree_bound_check(a: tuple[int, ...]) -> DegreeBoundReport:
+def degree_bound_check(a: tuple[int, ...],
+                       known: dict[int, QRat] | None = None
+                       ) -> DegreeBoundReport:
     """Sampled cross-check of the degree lemma, run by `--method both`:
     the degree-<=a fit in t = q^b through the brute-force values at
-    b = 0..a predicts the value at b = a+1 exactly."""
+    b = 0..a predicts the value at b = a+1 exactly.  known holds values
+    lhs_value_at(a, b) already computed, by b; they are not recomputed."""
     a = tuple(a)
     asum = sum(a)
-    points = [(QRat.qpow(b), lhs_value_at(a, b)) for b in range(asum + 1)]
+    known = known or {}
+    values = [known[b] if b in known else lhs_value_at(a, b)
+              for b in range(asum + 2)]
+    points = [(QRat.qpow(b), values[b]) for b in range(asum + 1)]
     predicted = interpolate_eval(points, QRat.qpow(asum + 1))
-    actual = lhs_value_at(a, asum + 1)
+    actual = values[-1]
     return DegreeBoundReport(a, predicted, actual)
 
 
@@ -573,7 +602,7 @@ def verify_qdyson(a0: int, a: tuple[int, ...],
     if method == "both":
         r1 = verify_qdyson(a0, a, "brute")
         r2 = verify_qdyson(a0, a, "replay")
-        fit = degree_bound_check(a).ok
+        fit = degree_bound_check(a, {a0: r1.lhs}).ok
         r2.detail.append(f"sampled degree fit {'holds' if fit else 'FAILS'}")
         return VerifyReport(r1.ok and r2.ok and fit, method, a0, a, r1.lhs,
                             rhs, r1.detail + r2.detail)

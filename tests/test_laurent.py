@@ -514,13 +514,13 @@ class TestFactoredFormAlgebra:
     def test_substitute_collapse_to_scalar(self):
         # (1 - q^2 x0/x1) with x0 -> x1 q: 1 - q^3
         ff = FactoredForm(2, factors=(Factor.binomial(2, 2, 0, 1),))
-        out = ff.substitute(0, 1, 1)
+        out = ff.substitute({0: 1}, 1)
         assert ct_all_series(out) == QRat.one_minus_qpow(3)
 
     def test_collapsed_binomial_stays_a_factor(self):
         # the same collapse keeps (1 - q^3) as a variable-free factor
         ff = FactoredForm(2, factors=(Factor.binomial(2, 2, 0, 1),))
-        out = ff.substitute(0, 1, 1)
+        out = ff.substitute({0: 1}, 1)
         assert out.factors == (Factor(3, (0, 0)),)
         assert ct_all_series(out) == QRat.one_minus_qpow(3)
         assert str(out) == "1 - q^3"
@@ -537,13 +537,41 @@ class TestFactoredFormAlgebra:
 
     def test_substitute_zero_numerator_kills_form(self):
         ff = FactoredForm(2, factors=(Factor.binomial(2, 1, 1, 0),))
-        assert ff.substitute(1, 0, -1).is_zero()
+        assert ff.substitute({1: -1}, 0).is_zero()
 
     def test_substitute_zero_denominator_raises(self):
         from ctforge.errors import UncancelledPoleError
         ff = FactoredForm(2, factors=(Factor.binomial(2, 1, 1, 0, -1),))
         with pytest.raises(UncancelledPoleError):
-            ff.substitute(1, 0, -1)
+            ff.substitute({1: -1}, 0)
+
+    def test_substitute_zero_denominator_wins_in_any_order(self):
+        # x1 := x0 q^-1, x2 := x0 q^-2 zeroes (1 - q x1/x0) and
+        # (1 - q^2 x2/x0)^-1 alike: the pole decides, whichever comes first
+        from ctforge.errors import UncancelledPoleError
+        num = Factor.binomial(3, 1, 1, 0)
+        den = Factor.binomial(3, 2, 2, 0, -1)
+        for factors in ((num, den), (den, num)):
+            ff = FactoredForm(3, factors=factors)
+            with pytest.raises(UncancelledPoleError):
+                ff.substitute({1: -1, 2: -2}, 0)
+
+    def test_substitute_maps_several_variables_at_once(self):
+        # x0 := x2 q^2, x1 := x2 q in x0 * x1^-1 * (1 - x0/x1) * (1 - x1/x2)
+        ff = FactoredForm(3, mono=(1, -1, 0), factors=(
+            Factor.binomial(3, 0, 0, 1), Factor.binomial(3, 0, 1, 2)))
+        out = ff.substitute({0: 2, 1: 1}, 2)
+        assert out.mono == (0, 0, 0) and out.scalar == QRat.qpow(1)
+        assert out.factors == (Factor(1, (0, 0, 0)), Factor(1, (0, 0, 0)))
+        # a polynomial prefix x0 - q x1 becomes q^2 x2 - q^2 x2 = 0
+        x0, x1 = lp_mono(3, {0: 1}), lp_mono(3, {1: 1})
+        g = FactoredForm(3, poly=x0 - x1.scaled(QRat.qpow(1)))
+        assert g.substitute({0: 2, 1: 1}, 2).is_zero()
+        # and x0 + x1 becomes (q^2 + q) x2
+        h = FactoredForm(3, poly=x0 + x1).substitute({0: 2, 1: 1}, 2)
+        assert h.poly == lp_mono(3, {2: 1}, QRat(QPoly({1: 1, 2: 1})))
+        with pytest.raises(DomainError):
+            ff.substitute({0: 1, 2: 1}, 2)
 
 
 class TestSectionTwoIdentities:

@@ -14,7 +14,8 @@ import pytest
 
 from ctforge import qdyson
 from ctforge.ctengine import ct_all_series, ct_factored_pfrac_labeled
-from ctforge.errors import CertificationError, DomainError
+from ctforge.errors import (CertificationError, DomainError,
+                            ProofInvariantError)
 from ctforge.laurent import Factor, FactoredForm, qpochhammer
 from ctforge.qdyson import (DegreeBoundReport, DysonParams, ProofPath,
                             certificate_from_dict, certificate_to_dict,
@@ -242,6 +243,68 @@ class TestKernelAtPath:
             kernel_at_path(2, (1, 1), ProofPath((3,), (1,)))
         with pytest.raises(DomainError):
             kernel_at_path(2, (1, 1), ProofPath((1,), (5,)))
+
+
+def _walk_cases():
+    """(a, b, root kernel, the non-root paths of its certificate)."""
+    for a in ((2, 1, 1), (1, 2, 1), (2, 2), (3, 3, 3)):
+        for b in range(1, sum(a) + 1):
+            paths = [node.path for node in certify_vanishing(a, b).root.walk()
+                     if node.path.depth]
+            yield a, b, qdyson_kernel(b, a), paths
+
+
+def _chained_kernel(root: FactoredForm, path: ProofPath) -> FactoredForm:
+    """The walk's kernel the long way: the poles dropped by value, then one
+    one-entry substitution per collapsed variable."""
+    poles = {Factor.binomial(root.nvars, -k, 0, r, -1)
+             for r, k in zip(path.r, path.k)}
+    out = FactoredForm(root.nvars, factors=tuple(
+        f for f in root.factors if f not in poles))
+    rs, ks = path.r[-1], path.k[-1]
+    for ri, ki in zip((0,) + path.r[:-1], (0,) + path.k[:-1]):
+        out = out.substitute({ri: ks - ki}, rs)
+    return out
+
+
+class TestKernelWalk:
+    """One root kernel per certificate, one substitution per collapse, the
+    poles found by position."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return list(_walk_cases())
+
+    def test_one_pass_collapse_equals_chained(self, cases):
+        zeros = nonzeros = 0
+        for a, b, root, paths in cases:
+            for path in paths:
+                want = _chained_kernel(root, path)
+                got = kernel_at_path(b, a, path, root)
+                assert got == want, (a, b, path)
+                assert got == kernel_at_path(b, a, path)
+                zeros += got.is_zero()
+                nonzeros += not got.is_zero()
+        assert zeros and nonzeros
+
+    def test_wrong_root_is_refused(self, cases):
+        for a, b, root, paths in cases:
+            reversed_root = FactoredForm(root.nvars,
+                                         factors=root.factors[::-1])
+            for wrong in (qdyson_kernel(b + 1, a), reversed_root):
+                for path in paths:
+                    with pytest.raises(ProofInvariantError):
+                        kernel_at_path(b, a, path, wrong)
+
+    def test_nonzero_witnessed_kernel_is_refused(self, monkeypatch):
+        # a witnessed leaf handed a kernel that is not zero fails the build
+        expand = qdyson.expand_recursion
+        monkeypatch.setattr(qdyson, "expand_recursion", lambda *args: [
+            (p, FactoredForm.one(ff.nvars) if ff.is_zero() else ff)
+            for p, ff in expand(*args)])
+        with pytest.raises(CertificationError, match=r"witnessed kernel "
+                           r"is not zero at \(r=\[1\]; k=\[1\]\)"):
+            certify_vanishing((1, 1), 2)
 
 
 class TestVanishingWitness:
@@ -749,11 +812,26 @@ class TestVerify:
     def test_both_requires_the_sampled_fit(self, monkeypatch):
         r = verify_qdyson(2, (2, 1), "both")
         assert r.ok and r.detail[-1] == "sampled degree fit holds"
-        monkeypatch.setattr(qdyson, "degree_bound_check", lambda a:
+        monkeypatch.setattr(qdyson, "degree_bound_check", lambda a, known:
                             DegreeBoundReport(a, QRAT_ONE, QRAT_ZERO))
         r = verify_qdyson(2, (2, 1), "both")
         assert not r.ok and r.detail[-1] == "sampled degree fit FAILS"
         assert verify_qdyson(2, (2, 1), "replay").ok
+
+    def test_both_expands_each_point_once(self, monkeypatch):
+        # the brute value at a0 is one of the fit's points: not recomputed
+        calls = []
+        value = qdyson.lhs_value_at
+        monkeypatch.setattr(qdyson, "lhs_value_at",
+                            lambda a, b: calls.append(b) or value(a, b))
+        assert verify_qdyson(2, (2, 1), "both").ok
+        assert sorted(calls) == [0, 1, 2, 3, 4]
+        # a wrong value at b = a + 1 breaks the fit alone
+        monkeypatch.setattr(qdyson, "lhs_value_at", lambda a, b:
+                            QRAT_ZERO if b == 4 else value(a, b))
+        r = verify_qdyson(2, (2, 1), "both")
+        assert not r.ok and r.detail[-1] == "sampled degree fit FAILS"
+        assert r.lhs == r.rhs
 
     def test_replay_never_expands_the_product(self, monkeypatch):
         # brute and replay are two routes that do not cross
