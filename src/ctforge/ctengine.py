@@ -69,7 +69,9 @@ def ct_factored_pfrac_labeled(
     # otherwise surface as an UncancelledPoleError from substitute
     poles = []
     seen = set()
-    for fac in f.denominator_factors():
+    for idx, fac in enumerate(f.factors):
+        if fac.exp > 0 or not any(fac.mono):
+            continue        # not a denominator factor with a variable
         num, den = fac.pair_vars()
         if num != var:
             raise ShapeError(
@@ -78,13 +80,13 @@ def ct_factored_pfrac_labeled(
         if fac.exp != -1 or pole in seen:
             raise DistinctPolesError(f"repeated pole: {fac!r}")
         seen.add(pole)
-        poles.append((fac, pole))
+        poles.append((idx, pole))
     out = []
-    for fac, pole in poles:
+    for idx, pole in poles:
         if var > pole[0]:
             continue  # large pole: no contribution
         rest = FactoredForm(
             f.nvars, f.scalar, f.mono,
-            tuple(g for g in f.factors if g is not fac), f.poly)
+            f.factors[:idx] + f.factors[idx + 1:], f.poly)
         out.append((pole, rest.substitute({var: pole[1]}, pole[0])))
     return out

@@ -20,7 +20,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 
 from .errors import DomainError, PoleError
 
@@ -222,7 +222,8 @@ class QPoly:
 
     # -- division / gcd -----------------------------------------------------
 
-    def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
+    def exact_div(self, other: "QPoly") -> "QPoly":
+        """self / other; DomainError unless other divides self."""
         if other.is_zero():
             raise DomainError("polynomial division by zero")
         rem = dict(self.c)
@@ -242,27 +243,20 @@ class QPoly:
                     rem.pop(e2, None)
                 else:
                     rem[e2] = as_scalar(s)
-        return QPoly._raw(quo), QPoly._raw(rem)
-
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
+        if rem:
             raise DomainError("exact_div with nonzero remainder")
-        return q
+        return QPoly._raw(quo)
 
-    def _dense_int(self) -> tuple[list[int], int]:
-        """Dense integer coefficient list and the denominator cleared."""
-        if not self.c:
-            return [], 1
-        lcm = 1
-        for v in self.c.values():
-            if isinstance(v, Fraction):
-                d = v.denominator
-                lcm = lcm // _int_gcd(lcm, d) * d
-        dense = [0] * (self.degree + 1)
-        for e, v in self.c.items():
-            dense[e] = int(v * lcm)
-        return dense, lcm
+    def _cleared(self) -> dict[int, int]:
+        """The coefficients times the lcm of their denominators, as ints."""
+        scale = lcm(*(v.denominator for v in self.c.values()
+                      if isinstance(v, Fraction)))
+        return {e: int(v * scale) for e, v in self.c.items()}
+
+    def _dense_int(self) -> list[int]:
+        """Dense integer coefficient list, the denominators cleared."""
+        c = self._cleared()
+        return [c.get(e, 0) for e in range(self.degree + 1)]
 
     @staticmethod
     def gcd(a: "QPoly", b: "QPoly") -> "QPoly":
@@ -275,9 +269,7 @@ class QPoly:
             return b.monic()
         if b.is_zero():
             return a.monic()
-        da, _ = a._dense_int()
-        db, _ = b._dense_int()
-        g = _list_gcd(da, db)
+        g = _list_gcd(a._dense_int(), b._dense_int())
         poly = QPoly._raw({e: v for e, v in enumerate(g) if v != 0})
         return poly.monic()
 
@@ -475,6 +467,9 @@ class QRat:
     def __pow__(self, n: int) -> "QRat":
         if n < 0:
             return self.inverse() ** (-n)
+        if n > 1 and self.num.c:
+            _check_packed_power([self.num._cleared()], n)
+            _check_packed_power([self.den._cleared()], n)
         return _power(self, n) if n else QRAT_ONE
 
     def times_qpow(self, e: int) -> "QRat":
@@ -519,6 +514,34 @@ class QRat:
 
     def __repr__(self) -> str:
         return f"QRat({self})"
+
+
+# Work budget of a product over Z[q]: the bits one packed q-map of
+# `laurent._multiply_within` may need (slot width times slots), and the same
+# measure for `laurent.qpoch_qrat` and for powers.  The perfbench kernels
+# need at most 79,040.
+_MAX_PACKED_BITS = 1 << 22
+
+
+def _check_packed(w: int, span: int) -> None:
+    if w * (span + 1) > _MAX_PACKED_BITS:
+        raise DomainError(
+            f"expansion too large: {w}-bit coefficients over {span + 1} "
+            f"powers of q exceed the {_MAX_PACKED_BITS}-bit work budget")
+
+
+def _check_packed_power(maps: list[dict[int, int]], n: int) -> None:
+    """Refuse x**n, n >= 2, for x the integer maps {q-exponent: int}, when
+    `_multiply_within` would refuse the product of n copies of x: slot
+    width (l1^n).bit_length() + 1, l1 the maps' l1 norm, over n times
+    their q-span plus 1 slots.  l1^n is formed only after the width's
+    lower bound n * (l1.bit_length() - 1) + 2 has passed, so a refused
+    power costs no big integer."""
+    l1 = sum(abs(c) for m in maps for c in m.values())
+    qs = [e for m in maps for e in m]
+    span = n * (max(qs) - min(qs))
+    _check_packed(n * (l1.bit_length() - 1) + 2, span)
+    _check_packed((l1 ** n).bit_length() + 1, span)
 
 
 def _power(x, n: int):

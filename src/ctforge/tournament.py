@@ -8,9 +8,10 @@ every k_i <= A_1 + ... + A_s, at least one of the following holds:
 
 This is the totality guarantee behind the proof engine's vanishing test.
 `find_witness` produces a witness deterministically; `build_tournament`
-exposes the proof device (a labeled tournament whose transitivity forces a
-contradiction) so the argument itself can be machine-checked on inputs
-where the hypothesis is relaxed and no witness exists.
+exposes the proof device on inputs where the hypothesis is relaxed and no
+witness exists: a labeled tournament whose arcs all run forward along the
+order of (k_i, -i), so that it is transitive and its path sums are
+bounded, which forces the hypothesis to fail.
 """
 
 from __future__ import annotations
@@ -92,89 +93,38 @@ def find_witness(inst: TournamentInstance) -> Witness:
 class TournamentReport:
     """The labeled tournament built from a witness-free instance."""
     arcs: list[tuple[int, int, int]]          # (u, v, label): arc u -> v
-    order: list[int] | None                   # total order if transitive
-    cycle: list[int] | None                   # a directed cycle otherwise
-    cycle_label_sum: int | None
-
-    @property
-    def is_transitive(self) -> bool:
-        return self.order is not None
+    order: list[int]                          # its total order, 1-based
 
 
-def build_tournament(A: tuple[int, ...], k: tuple[int, ...],
-                     require_witness_free: bool = True) -> TournamentReport:
+def build_tournament(A: tuple[int, ...], k: tuple[int, ...]) -> TournamentReport:
     """The proof's tournament for an instance where NO witness exists.
 
     For i < j (0-based here, reported 1-based): k_i - k_j >= A_i draws an
-    arc j -> i labeled A_i; k_i - k_j <= -A_j - 1 draws i -> j labeled
-    A_j + 1.  Exactly one option holds per pair precisely because the
-    instance admits no case-2 witness.  The report carries either the
-    transitive total order (so the path-sum bound can be checked) or a
-    cycle (whose label sum is then both positive and nonpositive).
-
-    require_witness_free=False applies the drawing rule mechanically to
-    any input, skipping pairs where neither direction holds; that mode
-    exists purely so the rule itself can be unit-tested.
+    arc j -> i labeled A_i; otherwise k_i - k_j <= -A_j - 1, because the
+    instance admits no case-2 witness, and the arc i -> j is labeled
+    A_j + 1.  An arc j -> i needs k_i - k_j >= A_i >= 0 and an arc i -> j
+    needs k_j - k_i >= A_j + 1 >= 1, so every arc runs forward along the
+    order of (k_i, -i): the tournament is transitive, with that order.
+    Each arc is checked against it, which machine-checks the argument;
+    LemmaViolationError if one runs backward (never expected).
     """
     if scan_witness(A, k) is not None:
-        if require_witness_free:
-            raise DomainError("instance admits a witness; tournament not defined")
+        raise DomainError("instance admits a witness; tournament not defined")
     s = len(A)
     arcs = []
-    succ: dict[int, list[tuple[int, int]]] = {i: [] for i in range(s)}
     for i in range(s):
         for j in range(i + 1, s):
-            d = k[i] - k[j]
-            if d >= A[i]:
+            if k[i] - k[j] >= A[i]:
                 arcs.append((j, i, A[i]))
-                succ[j].append((i, A[i]))
-            elif d <= -A[j] - 1:
+            else:
                 arcs.append((i, j, A[j] + 1))
-                succ[i].append((j, A[j] + 1))
-            elif require_witness_free:  # unreachable by the scan above
-                raise DomainError("pair with neither arc direction")
-
-    # Kahn's algorithm; leftovers mean a cycle exists.
-    indeg = {i: 0 for i in range(s)}
+    order = sorted(range(s), key=lambda i: (k[i], -i))
+    place = {v: t for t, v in enumerate(order)}
     for u, v, _ in arcs:
-        indeg[v] += 1
-    queue = sorted(i for i in range(s) if indeg[i] == 0)
-    order = []
-    while queue:
-        u = queue.pop(0)
-        order.append(u)
-        for v, _ in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-        queue.sort()
-    if len(order) == s:
-        return TournamentReport(arcs, [i + 1 for i in order], None, None)
-
-    # DFS back-edge gives a directed cycle
-    color = {i: 0 for i in range(s)}  # 0 white, 1 on stack, 2 done
-    cycle: list[int] = []
-
-    def dfs(u: int, stack: list[int]) -> bool:
-        color[u] = 1
-        stack.append(u)
-        for v, _ in succ[u]:
-            if color[v] == 1:
-                cycle.extend(stack[stack.index(v):])
-                return True
-            if color[v] == 0 and dfs(v, stack):
-                return True
-        stack.pop()
-        color[u] = 2
-        return False
-
-    for start in range(s):
-        if color[start] == 0 and dfs(start, []):
-            break
-    label = {(u, v): lbl for u, v, lbl in arcs}
-    total = sum(label[(cycle[t], cycle[(t + 1) % len(cycle)])]
-                for t in range(len(cycle)))
-    return TournamentReport(arcs, None, [i + 1 for i in cycle], total)
+        if place[u] > place[v]:
+            raise LemmaViolationError(
+                f"arc {u + 1} -> {v + 1} runs backward for A={A}, k={k}")
+    return TournamentReport(arcs, [i + 1 for i in order])
 
 
 @dataclass

@@ -31,13 +31,14 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def run_bounded_cli(*args):
-    """run_cli in a child process held to 512 MB of address space and 60 s,
-    so an input whose work has no budget fails the test instead of
-    exhausting the machine."""
+def run_bounded_cli(*args, timeout=60):
+    """run_cli in a child process held to 512 MB of address space and
+    `timeout` seconds, so an input whose work has no budget fails the test
+    instead of exhausting the machine."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run((sys.executable, "-c", _BOUNDED_CLI) + args,
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 class TestVerifyCommand:
@@ -171,8 +172,9 @@ class TestCtCommand:
         assert r.returncode == 1
         assert "exponent overflow" in r.stderr
 
-    def _refused(self, expr):
-        r = run_bounded_cli("ct", "--expr", expr, "--all-vars")
+    def _refused(self, expr, *flags, timeout=60):
+        r = run_bounded_cli("ct", "--expr", expr, *(flags or ("--all-vars",)),
+                            timeout=timeout)
         assert r.returncode == 1 and r.stdout == "", expr
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
         assert "work budget" in r.stderr
@@ -183,6 +185,24 @@ class TestCtCommand:
     def test_scalar_power_and_qpoch_budget_exit_1(self):
         self._refused("(1+q)^100000")
         self._refused("qpoch(q,100000)")
+
+    def test_dense_power_budget_exit_1(self):
+        # a power is measured as the packed product of its copies and
+        # refused before anything is multiplied
+        self._refused("(1+q)^4000", timeout=10)
+        self._refused("qpoch(q,3)^1000", timeout=10)
+        self._refused("(1 - q*x1/x0)^3000/(1 - x0/x1)",
+                      "--var", "x0", "--method", "pfrac", timeout=10)
+
+    def test_dense_powers_within_budget(self):
+        for expr, digest in (
+                ("(1+q)^1000", "e680264d54b74e7fe9350a3db19bb83e"
+                               "0fdf37572798c751bfe41d4dae6ac99b"),
+                ("qpoch(q,3)^300", "a34b401d0ff826f5c7ca996d0c91c318"
+                                   "6ef4eaee827664e20eaae32d4061617c")):
+            r = run_bounded_cli("ct", "--expr", expr, "--all-vars")
+            assert r.returncode == 0, expr
+            assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
     def test_packed_width_budget_exit_1(self):
         # 1 and q^100000000 both land on the constant x-key

@@ -14,10 +14,10 @@ from ctforge.identities import (finite_qbinomial_check,
                                 pochhammer_additivity_check,
                                 product_identity_check,
                                 qbinomial_theorem_check)
-from ctforge.laurent import (_MAX_PACKED_BITS, _MAX_POWER, Factor,
-                             FactoredForm, LaurentPoly, _multiply_within,
-                             qbinomial, qfactorial, qpoch_qrat, qpochhammer)
-from ctforge.qfield import QPoly, QRat, QRAT_ONE
+from ctforge.laurent import (_MAX_POWER, Factor, FactoredForm, LaurentPoly,
+                             _multiply_within, qbinomial, qfactorial,
+                             qpoch_qrat, qpochhammer)
+from ctforge.qfield import _MAX_PACKED_BITS, QPoly, QRat, QRAT_ONE
 
 
 def lp_mono(nvars, exps, coeff=QRAT_ONE):

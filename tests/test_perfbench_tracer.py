@@ -21,9 +21,14 @@ def load_tracer():
 def test_replay_spans_and_uninstall(capsys):
     originals = (qdyson.interpolate_eval, qdyson.degree_bound_check,
                  cli.verify_qdyson, QPoly.__dict__["gcd"])
-    tracer = load_tracer().Tracer()
+    module = load_tracer()
+    tracer = module.Tracer()
     tracer.install()
     try:
+        # a deleted or renamed function would silently zero its metrics
+        named = {*module.METHODS.values(), *module.RENAME.values(),
+                 *tracer._after_hooks()}
+        assert named - set(tracer.names) == set()
         assert qdyson.interpolate_eval is not originals[0]
         rc = cli.main(["verify", "--a0", "1", "--a", "1,1", "--method", "both"])
     finally:

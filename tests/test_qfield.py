@@ -37,6 +37,8 @@ class TestQPoly:
         a = qp({0: 1, 3: -1})          # 1 - q^3
         quo = a.exact_div(ONE_MINUS_Q)
         assert quo == qp({0: 1, 1: 1, 2: 1})
+        with pytest.raises(DomainError):
+            quo.exact_div(ONE_MINUS_Q)
 
     def test_gcd_monic(self):
         a = qp({0: 1, 2: -1})          # (1-q)(1+q)

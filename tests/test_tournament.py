@@ -76,10 +76,10 @@ def witness_free_instances(s, kmax):
 
 class TestTournamentConstruction:
     def test_drawing_rule_example(self):
-        # relaxed input A=(1,1), k=(1,3): the pair rule k_i - k_j <= -1 - A_j
+        # witness-free A=(0,1), k=(1,3): the pair rule k_i - k_j <= -1 - A_j
         # draws the arc 1 -> 2 labeled A_2 + 1 = 2
-        rep = build_tournament((1, 1), (1, 3), require_witness_free=False)
-        assert rep.arcs == [(0, 1, 2)]
+        rep = build_tournament((0, 1), (1, 3))
+        assert rep.arcs == [(0, 1, 2)] and rep.order == [1, 2]
 
     def test_witness_input_rejected(self):
         with pytest.raises(DomainError):
@@ -88,17 +88,23 @@ class TestTournamentConstruction:
     def test_transitive_and_bounds(self):
         # fact (i): every arc label is at most k_head - k_tail, so path sums
         # are bounded; fact (ii): ascending arcs carry positive labels;
-        # together they forbid cycles, which the reports confirm
-        instances = witness_free_instances(3, 9)
-        assert instances, "generator produced no witness-free instances"
-        for A, k in instances[:200]:
+        # together they forbid cycles: every arc runs forward along the order
+        instances = [inst for s in (1, 2, 3)
+                     for inst in witness_free_instances(s, 9)]
+        instances += witness_free_instances(4, 6)
+        assert len(instances) == 18_230
+        for A, k in instances:
+            s = len(A)
             rep = build_tournament(A, k)
-            assert rep.is_transitive and rep.cycle is None
+            assert len(rep.arcs) == s * (s - 1) // 2
+            assert sorted(rep.order) == list(range(1, s + 1))
+            order = [i - 1 for i in rep.order]
+            place = {v: t for t, v in enumerate(order)}
             for u, v, label in rep.arcs:
+                assert place[u] < place[v]
                 assert label <= k[v] - k[u]
                 if u < v:
                     assert label > 0
-            order = [i - 1 for i in rep.order]
             # along the total order the sum of consecutive labels is bounded
             label_of = {(u, v): l for u, v, l in rep.arcs}
             total = sum(label_of[(order[t], order[t + 1])]
