@@ -94,6 +94,8 @@ def run_verify(ap: argparse.ArgumentParser, args) -> int:
     params = (args.a0,) + args.a
     if any(x < 0 for x in params):
         ap.error("parameters must be nonnegative")
+    if args.q1 and args.method != "brute":
+        ap.error("--q1 expands the q=1 product: --method must be brute")
     if args.q1:
         report = verify_dyson(args.a0, args.a)
     else:
@@ -189,6 +191,8 @@ def _print_summands(parts: list) -> None:
 def run_ct(ap: argparse.ArgumentParser, args) -> int:
     if args.trunc < 0:
         ap.error("--trunc must be nonnegative")
+    if args.all_vars and args.method is not None:
+        ap.error("--method applies to --var only")
     ast = parse(args.expr)
     if args.all_vars:
         print(ct_all_series(lower(ast)))

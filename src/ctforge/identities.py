@@ -38,9 +38,9 @@ def product_identity_check(l: int, m: int, i: int = 0, j: int = 1) -> bool:
     nv = max(i, j) + 1
     lhs = (qpochhammer(nv, {i: 1, j: -1}, l)
            * qpochhammer(nv, {j: 1, i: -1}, m, qshift=1))
-    rhs = qpochhammer(nv, {i: 1, j: -1}, l + m, qshift=-m) \
-        .times_monomial({j: m, i: -m},
-                        QRat.qpow(m * (m + 1) // 2).scaled((-1) ** m))
+    rhs = qpochhammer(nv, {i: 1, j: -1}, l + m, qshift=-m) * \
+        FactoredForm.monomial(nv, {j: m, i: -m},
+                              QRat.qpow(m * (m + 1) // 2).scaled((-1) ** m))
     return lhs.expand_exact() == rhs.expand_exact()
 
 

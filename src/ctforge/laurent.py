@@ -114,6 +114,22 @@ def _move(mono: tuple[int, ...], moves: tuple[tuple[int, int], ...],
     return (None if out is None else tuple(out)), qexp
 
 
+def _add_term(terms: dict, k, v: QRat) -> None:
+    """terms[k] += v in a sparse map, dropping the key when the sum is zero."""
+    c = terms.get(k)
+    c = v if c is None else c + v
+    if c.is_zero():
+        del terms[k]
+    else:
+        terms[k] = c
+
+
+def _mono_str(mono: tuple[int, ...]) -> str:
+    """x0*x1^-1 for (1, -1); empty for the all-zero tuple."""
+    return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}"
+                    for i, e in enumerate(mono) if e)
+
+
 def _exp_tuple(nvars: int, exps: dict[int, int] | tuple) -> tuple[int, ...]:
     """The full exponent tuple of {var: exp}; a tuple passes through."""
     if not isinstance(exps, dict):
@@ -173,15 +189,7 @@ class LaurentPoly:
             return self
         t = dict(self.terms)
         for k, v in other.terms.items():
-            c = t.get(k)
-            if c is None:
-                t[k] = v
-            else:
-                c = c + v
-                if c.is_zero():
-                    del t[k]
-                else:
-                    t[k] = c
+            _add_term(t, k, v)
         return LaurentPoly._raw(self.nvars, t)
 
     def __neg__(self) -> "LaurentPoly":
@@ -201,27 +209,8 @@ class LaurentPoly:
         out: dict = {}
         for k1, v1 in a.items():
             for k2, v2 in b.items():
-                k = tuple(x + y for x, y in zip(k1, k2))
-                c = out.get(k)
-                p = v1 * v2
-                if c is None:
-                    if not p.is_zero():
-                        out[k] = p
-                else:
-                    c = c + p
-                    if c.is_zero():
-                        del out[k]
-                    else:
-                        out[k] = c
+                _add_term(out, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
         return LaurentPoly._raw(self.nvars, out)
-
-    def scaled(self, c: QRat) -> "LaurentPoly":
-        if c.is_zero():
-            return LaurentPoly.zero(self.nvars)
-        if c.is_one():
-            return self
-        return LaurentPoly._raw(self.nvars,
-                                {k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -276,11 +265,8 @@ class LaurentPoly:
             return "0"
         bits = []
         for k in sorted(self.terms):
-            v = self.terms[k]
-            mono = "*".join(
-                (f"x{i}" if e == 1 else f"x{i}^{e}")
-                for i, e in enumerate(k) if e != 0)
-            vs = str(v)
+            mono = _mono_str(k)
+            vs = str(self.terms[k])
             if mono and (" " in vs or "/" in vs):
                 vs = f"({vs})"
             bits.append(f"{vs}*{mono}" if mono else vs)
@@ -359,10 +345,8 @@ class Factor:
         return hash((self.qexp, self.mono, self.exp))
 
     def base_str(self) -> str:
-        mono = "*".join((f"x{i}" if e == 1 else f"x{i}^{e}")
-                        for i, e in enumerate(self.mono) if e != 0)
         q = {0: "", 1: "q"}.get(self.qexp, f"q^{self.qexp}")
-        return f"(1 - {'*'.join(filter(None, (q, mono)))})"
+        return f"(1 - {'*'.join(filter(None, (q, _mono_str(self.mono))))})"
 
     def __repr__(self) -> str:
         b = self.base_str()
@@ -456,14 +440,6 @@ class FactoredForm:
         return [f for f in self.factors if f.exp < 0 and any(f.mono)]
 
     # -- algebra ------------------------------------------------------------
-
-    def times_monomial(self, exps: dict[int, int] | tuple,
-                       coeff: QRat = QRAT_ONE) -> "FactoredForm":
-        if self.is_zero() or coeff.is_zero():
-            return FactoredForm.zero(self.nvars)
-        return FactoredForm(self.nvars, self.scalar * coeff,
-                            add_exps(self.mono, _exp_tuple(self.nvars, exps)),
-                            self.factors, self.poly)
 
     def times_factor(self, f: Factor) -> "FactoredForm":
         if self.is_zero():
@@ -586,15 +562,7 @@ class FactoredForm:
                     k2 = k
                 else:
                     v = v.times_qpow(qexp)
-                c = terms.get(k2)
-                if c is None:
-                    terms[k2] = v
-                else:
-                    c = c + v
-                    if c.is_zero():
-                        del terms[k2]
-                    else:
-                        terms[k2] = c
+                _add_term(terms, k2, v)
             poly = LaurentPoly._raw(self.nvars, terms)
             if poly.is_zero():
                 return FactoredForm.zero(self.nvars)
@@ -669,6 +637,11 @@ class FactoredForm:
             if bounds is None:
                 return LaurentPoly.zero(nv)
             for f, tmax in zip(dens, bounds):
+                size = tmax - f.series_start() + 1   # before any lo pruning
+                if size > _MAX_PRODUCT_KEYS:
+                    raise DomainError(f"expansion too large: a series of {size} "
+                                      f"terms exceeds the work budget of "
+                                      f"{_MAX_PRODUCT_KEYS} terms")
                 parts.append(f.series_terms(tmax))
 
         terms = {k: QRat.from_laurent(m)
@@ -730,8 +703,7 @@ class FactoredForm:
         if not scalar.is_one() or (not any(self.mono) and not factors
                                    and self.poly is None):
             bits.append(str(scalar))
-        mono = "*".join((f"x{i}" if e == 1 else f"x{i}^{e}")
-                        for i, e in enumerate(self.mono) if e != 0)
+        mono = _mono_str(self.mono)
         if mono:
             bits.append(mono)
         if self.poly is not None:

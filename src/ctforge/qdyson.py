@@ -35,8 +35,8 @@ from math import factorial
 from .ctengine import (ct_all_bruteforce, ct_all_series,
                        ct_factored_pfrac_labeled)
 from .errors import CertificationError, DomainError, ProofInvariantError
-from .laurent import (Factor, FactoredForm, qbinomial, qfactorial,
-                      qpoch_qrat, qpochhammer)
+from .laurent import (Factor, FactoredForm, qfactorial, qpoch_qrat,
+                      qpochhammer)
 from .qfield import QRAT_ONE, QRAT_ZERO, QRat
 from .tournament import Witness, scan_witness
 
@@ -186,10 +186,11 @@ def kernel_at_path(b: int, a: tuple[int, ...], path: ProofPath,
 
     root is K(b) = qdyson_kernel(b, a), built here when not given.  The
     poles are found by position: qdyson_lhs_product puts the pole
-    1 - x_0/(x_r q^k) at (r-1)*b + a_1 + ... + a_{r-1} + k - 1.  A root
-    that is not K(b) factor for factor -- of another length, not led by
-    its pole (1, 1), or without the path's poles at their positions --
-    raises ProofInvariantError.
+    1 - x_0/(x_r q^k) at (r-1)*b + a_1 + ... + a_{r-1} + k - 1.  Of a
+    given root only its length n(b + a), its first factor, the pole (1, 1),
+    and the path's poles at their positions are checked (ProofInvariantError
+    if one is wrong); the rest is trusted to be K(b) for this a, so a
+    root built for another order of a with the same b passes.
     """
     n = len(a)
     if path.r and path.r[-1] > n:
@@ -580,55 +581,47 @@ class VerifyReport:
 
 def verify_qdyson(a0: int, a: tuple[int, ...],
                   method: str = "brute") -> VerifyReport:
-    """Check the identity at (a0, a).
+    """Check the identity at (a0, a); its closed form is computed once.
 
     brute: expand the product and compare constant terms exactly.
-    replay: re-run the proof's logic -- reduce the a0 = 0 base case by
-    rank induction, certify the a roots, check the degree lemma's exact
-    hypothesis, and pin the value at q^{a0} through the a+1 matching
-    points.  both: run both plus the sampled degree fit; all must hold.
+    replay: re-run the proof's logic by rank induction down to the empty
+    product -- at each rank, take the value at t = 1 from the rank below,
+    certify the a roots, check the degree lemma's exact hypothesis, and
+    pin the value at q^{a0} through the a+1 matching points.  both: run
+    both plus the sampled degree fit; all must hold.
     """
     a = tuple(a)
     if a0 < 0 or any(x < 0 for x in a):
         raise DomainError("parameters must be nonnegative")
+    if method not in ("brute", "replay", "both"):
+        raise DomainError(f"unknown method {method!r}")
     rhs = qdyson_rhs(a0, a)
-    if method == "brute":
-        lhs = lhs_value_at(a, a0)
-        return VerifyReport(lhs == rhs, method, a0, a, lhs, rhs)
-    if method == "replay":
-        detail: list[str] = []
-        ok = _replay(a0, a, detail)
-        return VerifyReport(ok, method, a0, a, None, rhs, detail)
+    lhs = None if method == "replay" else lhs_value_at(a, a0)
+    ok = lhs is None or lhs == rhs
+    detail: list[str] = []
+    if method != "brute":
+        ok = _replay(a0, a, rhs, detail) and ok
     if method == "both":
-        r1 = verify_qdyson(a0, a, "brute")
-        r2 = verify_qdyson(a0, a, "replay")
-        fit = degree_bound_check(a, {a0: r1.lhs}).ok
-        r2.detail.append(f"sampled degree fit {'holds' if fit else 'FAILS'}")
-        return VerifyReport(r1.ok and r2.ok and fit, method, a0, a, r1.lhs,
-                            rhs, r1.detail + r2.detail)
-    raise DomainError(f"unknown method {method!r}")
+        fit = degree_bound_check(a, {a0: lhs}).ok
+        detail.append(f"sampled degree fit {'holds' if fit else 'FAILS'}")
+        ok = ok and fit
+    return VerifyReport(ok, method, a0, a, lhs, rhs, detail)
 
 
-def _replay(a0: int, a: tuple[int, ...], detail: list[str]) -> bool:
-    """Rank-inductive replay; returns True when every step certifies."""
+def _replay(a0: int, a: tuple[int, ...], rhs: QRat, detail: list[str]) -> bool:
+    """Rank-inductive replay at (a0, a), rhs its closed form; returns True
+    when every step certifies.  Every rank n >= 1 takes the same step, and
+    its base point, the closed form at rank n - 1, is that rank's rhs."""
     n = len(a)
-    rhs = qdyson_rhs(a0, a)
     if n == 0:
         detail.append("rank 0: empty product, both sides 1")
         return rhs == QRAT_ONE
-    if n == 1:
-        # The pair product rewrites (two-Pochhammer identity) so that the
-        # constant term is a single coefficient of a finite q-binomial
-        # expansion: sign and q-power cancel to leave the Gaussian binomial.
-        a1 = a[0]
-        value = qbinomial(a0 + a1, a1)
-        detail.append(f"rank 1: Gaussian binomial [{a0 + a1}, {a1}]")
-        return value == rhs
-    asum = sum(a)
-    if not _replay(a[0], a[1:], detail):
+    base = qdyson_rhs(a[0], a[1:])
+    if not _replay(a[0], a[1:], base, detail):
         return False
+    asum = sum(a)
     detail.append(f"rank {n}: base point t=1 from rank {n - 1}")
-    points = [(QRAT_ONE, qdyson_rhs(a[0], a[1:]))]
+    points = [(QRAT_ONE, base)]
     for b in range(1, asum + 1):
         cert = certify_vanishing(a, b)
         counts = cert.leaf_counts()

@@ -445,13 +445,7 @@ class QRat:
         # a coprime pair stays coprime when swapped: no gcd
         if self.num.is_zero():
             raise DomainError("inverse of zero")
-        num, den = self.den, self.num
-        lc = den.leading_coeff
-        if lc != 1:
-            inv = Fraction(1) / Fraction(lc)
-            num = num.scaled(inv)
-            den = den.scaled(inv)
-        return QRat._raw(num, den)
+        return QRat._raw(*_monic_den(self.den, self.num))
 
     def __rmul__(self, other) -> "QRat":
         return self * other
@@ -572,12 +566,17 @@ def _canonicalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
         if not g.is_one():
             num = num.exact_div(g)
             den = den.exact_div(g)
-        lc = den.leading_coeff
-        if lc != 1:
-            inv = Fraction(1) / Fraction(lc)
-            num = num.scaled(inv)
-            den = den.scaled(inv)
+        return _monic_den(num, den)
     return num, den
+
+
+def _monic_den(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
+    """num/den with both scaled so that den is monic."""
+    lc = den.leading_coeff
+    if lc == 1:
+        return num, den
+    inv = Fraction(1) / Fraction(lc)
+    return num.scaled(inv), den.scaled(inv)
 
 
 QRAT_ZERO = QRat._raw(_QP_ZERO, _QP_ONE)

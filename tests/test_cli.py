@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ctforge import qdyson
 from ctforge.cli import main
 from ctforge.qdyson import certificate_from_dict, validate_certificate
@@ -68,6 +70,19 @@ class TestVerifyCommand:
     def test_replay_method(self):
         r = run_cli("verify", "--a0", "1", "--a", "1,1", "--method", "replay")
         assert r.returncode == 0 and "certified" in r.stdout
+
+    def test_q1_with_another_method_exit_2(self, capsys):
+        # --q1 would ignore replay and both, and print the q = 1 value
+        for method in ("replay", "both"):
+            with pytest.raises(SystemExit) as e:
+                main(["verify", "--a0", "1", "--a", "1,1", "--q1",
+                      "--method", method])
+            assert e.value.code == 2
+            out = capsys.readouterr()
+            assert out.out == "" and "--method must be brute" in out.err
+        assert main(["verify", "--a0", "1", "--a", "1,1", "--q1",
+                     "--method", "brute"]) == 0
+        assert capsys.readouterr().out == "LHS = RHS = 6\n"
 
     def test_replay_unsound_witness_exit_1(self, monkeypatch, capsys):
         monkeypatch.setattr(qdyson, "find_vanishing_witness",
@@ -215,6 +230,23 @@ class TestCtCommand:
                       "qpoch(x2/x0,40)*qpoch(x0/x3,40)*qpoch(x3/x0,40)*"
                       "qpoch(x1/x2,40)*qpoch(x2/x1,40)")
 
+    def test_series_length_budget_exit_1(self):
+        # the series in x1/x2 would have trunc + 1 terms; it is refused
+        # before it is built
+        for trunc in ("100000000", "1000000"):
+            self._refused("1/(1-x1/x2)", "--var", "x0", "--trunc", trunc,
+                          timeout=10)
+
+    def test_method_with_all_vars_exit_2(self, capsys):
+        # --all-vars takes every constant term by series: a method would
+        # be ignored
+        with pytest.raises(SystemExit) as e:
+            main(["ct", "--expr", "1/(1-q*x0/x1)", "--all-vars",
+                  "--method", "pfrac"])
+        assert e.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--method applies to --var only" in out.err
+
     def test_negative_trunc_exit_2(self):
         # a negative window would drop the constant term (the value is 1)
         r = run_cli("ct", "--expr", "1/((1 - x0/x1)*(1 - x0/(q*x2)))",
@@ -297,6 +329,13 @@ class TestIdentitiesCommand:
         assert r.returncode == 0
         assert "FAIL" not in r.stdout
         assert r.stdout.count("PASS") == 6
+
+    def test_series_length_budget_exit_1(self):
+        # the suite's series would have 10^8 + 1 terms
+        r = run_bounded_cli("identities", "--trunc", "100000000", timeout=10)
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert "work budget" in r.stderr
 
     def test_negative_trunc_exit_2(self):
         r = run_cli("identities", "--trunc", "-1")

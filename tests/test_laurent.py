@@ -468,6 +468,19 @@ class TestWorkBudget:
         q = FactoredForm.monomial(1, {0: 1}, QRat.qpow(1).scaled(-1))
         assert (q ** (10 * _MAX_POWER)).scalar == QRat.qpow(10 * _MAX_POWER)
 
+    def test_series_length(self, monkeypatch):
+        # a series part is refused unbuilt when it would hold more terms
+        # than the accumulator may: 1/(1 - x0) to x0^t has t + 1 terms,
+        # 1/(1 - x1/x0)^2 to x0^t has t - 1 (it starts at index 2)
+        monkeypatch.setattr(laurent, "_MAX_PRODUCT_KEYS", 5)
+        small = FactoredForm(1, factors=(Factor(0, (1,), -1),))
+        large = FactoredForm(2, factors=(Factor.binomial(2, 0, 1, 0, -2),))
+        for ff, t in ((small, 4), (large, 6)):
+            window = {v: t for v in range(ff.nvars)}
+            assert len(ff.expand_within(window).terms) == 5
+            with pytest.raises(DomainError, match="series of 6 terms"):
+                ff.expand_within({v: t + 1 for v in range(ff.nvars)})
+
     def test_pochhammer_counts(self):
         # (q)_203 has degree 20706 and l1 norm up to 2^203: as a packed
         # product of binomials it would need 205 * 20707 bits
@@ -565,7 +578,7 @@ class TestFactoredFormAlgebra:
         assert out.factors == (Factor(1, (0, 0, 0)), Factor(1, (0, 0, 0)))
         # a polynomial prefix x0 - q x1 becomes q^2 x2 - q^2 x2 = 0
         x0, x1 = lp_mono(3, {0: 1}), lp_mono(3, {1: 1})
-        g = FactoredForm(3, poly=x0 - x1.scaled(QRat.qpow(1)))
+        g = FactoredForm(3, poly=x0 - lp_mono(3, {1: 1}, QRat.qpow(1)))
         assert g.substitute({0: 2, 1: 1}, 2).is_zero()
         # and x0 + x1 becomes (q^2 + q) x2
         h = FactoredForm(3, poly=x0 + x1).substitute({0: 2, 1: 1}, 2)

@@ -844,21 +844,66 @@ class TestVerify:
             r = verify_qdyson(a0, a, "replay")
             assert r.ok, (a0, a, r.detail)
 
-    def test_replay_checks_the_degree_lemma(self, monkeypatch):
-        # an extra (1 - x1/x0) in the a0-free part reaches x0^-4 below -3
+    def _lowered_at_rank(self, monkeypatch, rank):
+        # an extra (1 - x1/x0) in the a0-free part of the given rank
         build = qdyson.qdyson_lhs_product
 
         def lowered(a0, a):
             ff = build(a0, a)
-            if a0 == 0:
+            if a0 == 0 and len(a) == rank:
                 ff = ff.times_factor(Factor.binomial(ff.nvars, 0, 1, 0))
             return ff
         monkeypatch.setattr(qdyson, "qdyson_lhs_product", lowered)
+
+    def test_replay_checks_the_degree_lemma(self, monkeypatch):
+        # at rank 2 the extra factor reaches x0^-4 below -3
+        self._lowered_at_rank(monkeypatch, 2)
         r = verify_qdyson(2, (2, 1), "replay")
         assert not r.ok
         assert r.detail[-1] == ("rank 2: degree bound: a0-free part's lowest "
                                 "x0-degree -4, needs >= -3: FAILS; "
                                 "q-binomial theorem taken on trust")
+
+    def test_replay_checks_the_degree_lemma_at_rank_1(self, monkeypatch):
+        # rank 1 is checked like every other rank: x0^-2 below -1, and the
+        # replay stops before rank 2
+        self._lowered_at_rank(monkeypatch, 1)
+        r = verify_qdyson(2, (2, 1), "replay")
+        assert not r.ok
+        assert r.detail[-1] == ("rank 1: degree bound: a0-free part's lowest "
+                                "x0-degree -2, needs >= -1: FAILS; "
+                                "q-binomial theorem taken on trust")
+        assert not any(line.startswith("rank 2") for line in r.detail)
+
+    def test_rank_1_is_replayed_like_every_rank(self):
+        # no Gaussian-binomial shortcut: rank 1 certifies its a1 roots and
+        # rests on the empty product at rank 0
+        for a0, a1 in product(range(4), repeat=2):
+            r = verify_qdyson(a0, (a1,), "replay")
+            assert r.ok, (a0, a1, r.detail)
+            assert r.detail[0] == "rank 0: empty product, both sides 1"
+            roots = [line for line in r.detail if "root" in line]
+            assert roots == [f"rank 1: root t=q^-{b} certified "
+                             f"({b} case-1, 0 case-2 leaves)"
+                             for b in range(1, a1 + 1)]
+            assert not any("Gaussian binomial" in line for line in r.detail)
+            assert r.detail[-1] == (f"rank 1: value at t=q^{a0} pinned by "
+                                    f"{a1 + 1} points")
+
+    def test_each_closed_form_is_computed_once(self, monkeypatch):
+        # the closed form at (a0, a), then one base point per rank
+        calls = []
+        rhs = qdyson.qdyson_rhs
+        monkeypatch.setattr(qdyson, "qdyson_rhs",
+                            lambda a0, a: calls.append((a0, a)) or rhs(a0, a))
+        for a0, a in [(1, (1,)), (2, (2, 1)), (1, (1, 1, 1)), (0, (0, 2, 0))]:
+            for method, want in (("brute", 1), ("replay", len(a) + 1),
+                                 ("both", len(a) + 1)):
+                calls.clear()
+                assert verify_qdyson(a0, a, method).ok
+                assert len(calls) == want, (a0, a, method, calls)
+                assert calls[0] == (a0, a)
+                assert len(set(calls)) == len(calls)
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):
