@@ -479,28 +479,14 @@ class FactoredForm:
                             scale_exps(self.mono, n),
                             tuple(f.powered(n) for f in self.factors), poly)
 
-    def canonical(self) -> "FactoredForm":
-        """Merge identical factor bases, sort factors, drop exponent 0."""
-        if self.is_zero():
-            return self
-        merged: dict = {}
-        for f in self.factors:
-            key = (f.qexp, f.mono)
-            merged[key] = merged.get(key, 0) + f.exp
-        factors = tuple(sorted(
-            (Factor(q, m, e) for (q, m), e in merged.items() if e != 0),
-            key=Factor.sort_key))
-        return FactoredForm(self.nvars, self.scalar, self.mono, factors,
-                            self.poly)
-
     def __eq__(self, other) -> bool:
-        """Factors, collapsed ones too, compare structurally: equal forms
-        have equal values, but (1 - q) and -q(1 - q^-1) compare unequal."""
-        if not isinstance(other, FactoredForm) or self.nvars != other.nvars:
-            return False
-        a, b = self.canonical(), other.canonical()
-        return (a.scalar == b.scalar and a.mono == b.mono
-                and a.factors == b.factors and a.poly == b.poly)
+        """Scalar, monomial, polynomial prefix and the factor sequence, in
+        order: equal forms have equal values, but (1 - q) and
+        -q(1 - q^-1) compare unequal, and so do two orders of one
+        factor list."""
+        return (isinstance(other, FactoredForm) and self.nvars == other.nvars
+                and self.scalar == other.scalar and self.mono == other.mono
+                and self.poly == other.poly and self.factors == other.factors)
 
     # -- substitution ---------------------------------------------------------
 

@@ -279,7 +279,7 @@ def parse(src: str) -> Node:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def print_expr(node: Node, parent_prec: int = 0, right_side: bool = False) -> str:
+def print_expr(node: Node, parent_prec: int = 0) -> str:
     if isinstance(node, IntLit):
         s, prec = str(node.value), 4
     elif isinstance(node, QLit):

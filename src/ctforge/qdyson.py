@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial
 
 from .ctengine import (ct_all_bruteforce, ct_all_series,
@@ -45,7 +46,7 @@ from .tournament import Witness, scan_witness
 class DysonParams:
     """Parameters (a_1..a_n) plus the exponent slot b / a_0."""
     a: tuple[int, ...]
-    b: int | None = None
+    b: int
 
     def __post_init__(self):
         if any(x < 0 for x in self.a):
@@ -54,10 +55,6 @@ class DysonParams:
     @property
     def n(self) -> int:
         return len(self.a)
-
-    @property
-    def asum(self) -> int:
-        return sum(self.a)
 
 
 @dataclass(frozen=True)
@@ -152,11 +149,22 @@ def qdyson_kernel(b: int, a: tuple[int, ...]) -> FactoredForm:
 
     The product at a0 = -b.  Numerator: prod_j (x_j q/x_0)_{a_j} and the
     pair products; denominator: prod_j prod_{i=1..b} (1 - x_0/(x_j q^i)).
-    Proper in x0 of degree -n*b.
+    Proper in x0 of degree -n*b.  The last result is kept in one memo
+    slot keyed on (b, tuple(a)), so a certificate's walk and the oracle
+    run right after it share one build; qdyson_kernel.cache_clear()
+    empties the slot.
     """
+    return _kernel(b, tuple(a))
+
+
+@lru_cache(maxsize=1)
+def _kernel(b: int, a: tuple[int, ...]) -> FactoredForm:
     if b < 1:
         raise DomainError("kernel needs b >= 1")
     return qdyson_lhs_product(-b, a)
+
+
+qdyson_kernel.cache_clear = _kernel.cache_clear
 
 
 def collapse_path(path: ProofPath, f: FactoredForm) -> FactoredForm:
@@ -179,32 +187,25 @@ def transfer_var(f: FactoredForm, src: int, dst: int, k: int,
     return f.substitute({src: k - ks}, dst)
 
 
-def kernel_at_path(b: int, a: tuple[int, ...], path: ProofPath,
-                   root: FactoredForm | None = None) -> FactoredForm:
+def kernel_at_path(b: int, a: tuple[int, ...],
+                   path: ProofPath) -> FactoredForm:
     """K(b | r; k): the path's denominator factors are cancelled
     symbolically *before* the collapse, so no zero denominators arise.
 
-    root is K(b) = qdyson_kernel(b, a), built here when not given.  The
-    poles are found by position: qdyson_lhs_product puts the pole
-    1 - x_0/(x_r q^k) at (r-1)*b + a_1 + ... + a_{r-1} + k - 1.  Of a
-    given root only its length n(b + a), its first factor, the pole (1, 1),
-    and the path's poles at their positions are checked (ProofInvariantError
-    if one is wrong); the rest is trusted to be K(b) for this a, so a
-    root built for another order of a with the same b passes.
+    The poles are deleted from K(b) = qdyson_kernel(b, a) by position:
+    qdyson_lhs_product puts the pole 1 - x_0/(x_r q^k) at
+    (r-1)*b + a_1 + ... + a_{r-1} + k - 1, and a factor found elsewhere
+    raises ProofInvariantError.
     """
     n = len(a)
     if path.r and path.r[-1] > n:
         raise DomainError("path index exceeds the number of variables")
     if any(x > b for x in path.k):
         raise DomainError("path k entries must be at most b")
-    if root is None:
-        root = qdyson_kernel(b, a)
+    root = qdyson_kernel(b, a)
     if path.depth == 0:
         return root
     factors = list(root.factors)
-    if len(factors) != n * (b + sum(a)) or \
-            factors[0] != Factor.binomial(n + 1, -1, 0, 1, -1):
-        raise ProofInvariantError(f"root is not K({b}) at {path}")
     for r, k in zip(reversed(path.r), reversed(path.k)):   # highest first
         pos = (r - 1) * b + sum(a[:r - 1]) + k - 1
         if factors[pos] != Factor.binomial(n + 1, -k, 0, r, -1):
@@ -245,11 +246,10 @@ def witness_vanishing_value(a: tuple[int, ...], path: ProofPath,
 
 
 def expand_recursion(b: int, a: tuple[int, ...], path: ProofPath,
-                     ff: FactoredForm, root: FactoredForm | None = None
-                     ) -> list[tuple[ProofPath, FactoredForm]]:
+                     ff: FactoredForm) -> list[tuple[ProofPath, FactoredForm]]:
     """Children of a witness-free node whose kernel K(b | r; k) is ff, in
     lexicographic order, each paired with its own kernel, built by
-    kernel_at_path from root (K(b), built there when not given).
+    kernel_at_path.
 
     Verifies the properness degree of ff in the collapse variable equals
     (n - s)(a_{r_1}+...+a_{r_s} - b) and is negative, and that each
@@ -282,7 +282,7 @@ def expand_recursion(b: int, a: tuple[int, ...], path: ProofPath,
         for kn in range(1, b + 1):
             child = path.extended(rn, kn)
             got = summands.get((rn, kn))
-            want = kernel_at_path(b, a, child, root)
+            want = kernel_at_path(b, a, child)
             if got is None or not (got == want):
                 raise ProofInvariantError(
                     f"composition law fails at {path} -> {child}")
@@ -363,11 +363,10 @@ def certify_vanishing(a: tuple[int, ...], b: int) -> Certificate:
                     f"full-depth node without witness at {path}")
             last = (path, ff)
             first = first or last
-        children = expand_recursion(b, a, path, ff, kernel)
+        children = expand_recursion(b, a, path, ff)
         return CertNode(path, RECURSED, None, [build(*c) for c in children])
 
-    kernel = qdyson_kernel(b, a)
-    root = build(ProofPath(), kernel)
+    root = build(ProofPath(), qdyson_kernel(b, a))
     cert = Certificate(DysonParams(a, b), root)
     # the first and the last internal kernel, once when they coincide
     for path, ff in dict(p for p in (first, last) if p).items():
@@ -409,8 +408,8 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
-def certificate_to_json(cert: Certificate, indent: int | None = 2) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=indent)
+def certificate_to_json(cert: Certificate) -> str:
+    return json.dumps(certificate_to_dict(cert), indent=2)
 
 
 def _ints(*xs) -> tuple[int, ...]:

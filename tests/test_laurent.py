@@ -515,11 +515,6 @@ class TestDegree:
 
 
 class TestFactoredFormAlgebra:
-    def test_canonical_merges(self):
-        f1 = Factor.binomial(2, 1, 0, 1)
-        ff = FactoredForm(2, factors=(f1, f1, Factor.binomial(2, 1, 0, 1, -1)))
-        assert ff.canonical().factors == (Factor.binomial(2, 1, 0, 1),)
-
     def test_pow_inverts_factors(self):
         ff = FactoredForm(2, factors=(Factor.binomial(2, 1, 0, 1),)) ** -1
         assert ff.factors[0].exp == -1

@@ -119,6 +119,15 @@ class TestConstantTermSide:
                 assert lhs_value_at(a, b) == rhs_value_at(a, b)
 
 
+@pytest.fixture
+def kernel_memo():
+    """An empty K(b) memo, emptied again afterwards, so that no kernel a
+    test builds (through a patched builder too) outlives it."""
+    qdyson_kernel.cache_clear()
+    yield
+    qdyson_kernel.cache_clear()
+
+
 class TestKernel:
     def test_rank1_shape(self):
         # (1 - q x1/x0) / (1 - x0/(q x1))
@@ -131,6 +140,19 @@ class TestKernel:
     def test_degree_is_minus_nb(self):
         assert qdyson_kernel(2, (1, 1)).degree_in(0) == -4
         assert qdyson_kernel(3, (2, 0, 1)).degree_in(0) == -9
+
+    def test_parameters_as_a_list(self):
+        assert qdyson_kernel(2, [1, 1]) == qdyson_kernel(2, (1, 1))
+
+    def test_certify_then_oracle_builds_once(self, monkeypatch, kernel_memo):
+        # certify --oracle: the walk and the series oracle share one K(b)
+        calls = []
+        build = qdyson.qdyson_lhs_product
+        monkeypatch.setattr(qdyson, "qdyson_lhs_product",
+                            lambda a0, a: calls.append((a0, a)) or build(a0, a))
+        certify_vanishing((2, 1, 1), 3)
+        assert lhs_value_at((2, 1, 1), -3).is_zero()
+        assert [c for c in calls if c[0] == -3] == [(-3, (2, 1, 1))]
 
     def test_pole_monomials_distinct(self):
         ff = qdyson_kernel(3, (1, 2))
@@ -280,21 +302,46 @@ class TestKernelWalk:
         for a, b, root, paths in cases:
             for path in paths:
                 want = _chained_kernel(root, path)
-                got = kernel_at_path(b, a, path, root)
+                got = kernel_at_path(b, a, path)
                 assert got == want, (a, b, path)
-                assert got == kernel_at_path(b, a, path)
                 zeros += got.is_zero()
                 nonzeros += not got.is_zero()
         assert zeros and nonzeros
 
-    def test_wrong_root_is_refused(self, cases):
-        for a, b, root, paths in cases:
-            reversed_root = FactoredForm(root.nvars,
-                                         factors=root.factors[::-1])
-            for wrong in (qdyson_kernel(b + 1, a), reversed_root):
-                for path in paths:
-                    with pytest.raises(ProofInvariantError):
-                        kernel_at_path(b, a, path, wrong)
+    def test_pole_out_of_position_is_refused(self, monkeypatch, kernel_memo):
+        # K(b) built with its factors reversed: no pole is where the
+        # position formula looks for it
+        build = qdyson.qdyson_lhs_product
+
+        def reversed_kernel(a0, a):
+            ff = build(a0, a)
+            return FactoredForm(ff.nvars, factors=ff.factors[::-1])
+        monkeypatch.setattr(qdyson, "qdyson_lhs_product", reversed_kernel)
+        a, b = (2, 1, 1), 3
+        with pytest.raises(ProofInvariantError,
+                           match="missing denominator factors"):
+            kernel_at_path(b, a, ProofPath((1,), (3,)))
+        with pytest.raises(ProofInvariantError,
+                           match="missing denominator factors"):
+            certify_vanishing(a, b)
+
+    def test_reordered_summand_is_refused(self, monkeypatch):
+        # a summand with the child kernel's factors in another order is not
+        # the child kernel, factor by factor
+        pfrac = qdyson.ct_factored_pfrac_labeled
+
+        def reordered(ff, var):
+            out = pfrac(ff, var)
+            for i, (label, g) in enumerate(out):
+                if g.factors[::-1] != g.factors:
+                    out[i] = label, FactoredForm(g.nvars, g.scalar, g.mono,
+                                                 g.factors[::-1], g.poly)
+                    break
+            return out
+        monkeypatch.setattr(qdyson, "ct_factored_pfrac_labeled", reordered)
+        with pytest.raises(ProofInvariantError,
+                           match="composition law fails"):
+            certify_vanishing((2, 1, 1), 3)
 
     def test_nonzero_witnessed_kernel_is_refused(self, monkeypatch):
         # a witnessed leaf handed a kernel that is not zero fails the build
@@ -936,9 +983,9 @@ class TestClassicalDyson:
 class TestParamsAndPaths:
     def test_params_invariants(self):
         p = DysonParams((1, 2, 0), 3)
-        assert p.n == 3 and p.asum == 3
+        assert p.n == 3
         with pytest.raises(DomainError):
-            DysonParams((1, -1))
+            DysonParams((1, -1), 1)
 
     def test_path_invariants(self):
         with pytest.raises(DomainError):
