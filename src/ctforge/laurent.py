@@ -16,7 +16,10 @@ carries a positive exponent; each geometric series then ascends in that
 
 Two representations:
 
-  * LaurentPoly -- sparse terms {exponent tuple: QRat}, the expanded form;
+  * LaurentPoly -- the expanded form, over Z[q, 1/q]: integer maps
+    {exponent tuple: {q-exponent: int}} over one denominator shared by
+    every term, a multiset of integer maps that is never multiplied out
+    or reduced;
   * FactoredForm -- scalar * monomial * poly * prod (1 - q^s M)^e, the
     lossless symbolic form the proof engine manipulates (poly is an
     optional LaurentPoly prefix, 1 for all pipeline-built forms).
@@ -29,20 +32,24 @@ integer map {q-exponent: int} and a part of the product is
 {x-exponent tuple: {q-exponent: int}}.  Inside `_multiply_within` each
 such map is packed into one integer, its value at q = 2^w (Kronecker
 substitution), each x-key into another, one bit field per variable, and
-both are decoded back once at the end.  Q(q) enters only at the
-boundary: the scalar, folded with the variable-free factors by
-`_scalar_value` (and the common denominator of a poly prefix), multiplies
-each output coefficient once.
+both are decoded back once at the end.  The scalar's numerator and the
+collapsed numerator factors are parts with the one key 0; the scalar's
+denominator and the collapsed denominator factors become the result's
+denominator as they are, with no gcd.  Q(q) enters only where a
+coefficient is read or printed: `QRat.from_laurent` reduces it then,
+once, and the canonical form is unique, so the bytes printed are those
+of term-by-term Q(q) arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from math import comb, lcm
 
-from .errors import (DomainError, NotPolynomialError, ShapeError,
-                     TruncationError, UncancelledPoleError)
-from .qfield import (QRAT_ONE, QRAT_ZERO, QPoly, QRat, _check_packed,
-                     _check_packed_power, _power)
+from .errors import (DomainError, NotPolynomialError, ProofInvariantError,
+                     ShapeError, TruncationError, UncancelledPoleError)
+from .qfield import QRAT_ONE, QRAT_ZERO, QRat, _check_packed
 
 # Exponents are plain machine ints; anything this big is a bug upstream.
 _EXP_LIMIT = 10**9
@@ -55,8 +62,12 @@ _MAX_POWER = 10_000
 # and the bits its packed values hold.  The perfbench cases and `verify`
 # up to brute (1; 1^8), (3; 3,3,3,3,3) and replay (3; 3,3,3,3) need at
 # most 25,686 keys (brute (1; 1^8)) and 26.1M bits (brute (3; 3,3,3,3,3)).
+# And the products of terms a product with no window may form (a power or
+# a product of sums): (1+x0)^1000, as 1000 copies, forms 1.0M and takes
+# about 1 s, while (1+x0)^4000 would form 16M.
 _MAX_PRODUCT_KEYS = 1 << 18
 _MAX_PRODUCT_BITS = 1 << 28
+_MAX_PRODUCT_PAIRS = 1 << 22
 
 
 def _check_exp(e: int) -> int:
@@ -114,14 +125,25 @@ def _move(mono: tuple[int, ...], moves: tuple[tuple[int, int], ...],
     return (None if out is None else tuple(out)), qexp
 
 
-def _add_term(terms: dict, k, v: QRat) -> None:
-    """terms[k] += v in a sparse map, dropping the key when the sum is zero."""
-    c = terms.get(k)
-    c = v if c is None else c + v
-    if c.is_zero():
-        del terms[k]
+def _add_term(terms: dict, k, m: dict) -> None:
+    """terms[k] += m for integer maps {q-exponent: int}, dropping zero
+    coefficients and an empty map; terms[k] itself is never mutated, since
+    maps are shared between polynomials."""
+    prev = terms.get(k)
+    if prev is None:
+        terms[k] = m
+        return
+    s = dict(prev)
+    for e, c in m.items():
+        c += s.get(e, 0)
+        if c:
+            s[e] = c
+        else:
+            del s[e]
+    if s:
+        terms[k] = s
     else:
-        terms[k] = c
+        del terms[k]
 
 
 def _mono_str(mono: tuple[int, ...]) -> str:
@@ -140,23 +162,112 @@ def _exp_tuple(nvars: int, exps: dict[int, int] | tuple) -> tuple[int, ...]:
     return tuple(key)
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial: {exponent tuple: nonzero QRat}."""
+_ONE = {0: 1}
+_NO_DEN: Counter = Counter()    # never mutated: + and | make new Counters
 
-    __slots__ = ("nvars", "terms")
+
+def _integer_pair(c: QRat) -> tuple[dict, dict]:
+    """(N, D), integer maps {q-exponent: int} with N / D = c: both sides of
+    c times the lcm of their coefficients' denominators.  A monomial
+    denominator q^m is moved into N, so D is then a positive integer."""
+    scale = lcm(*(v.denominator for p in (c.num, c.den) for v in p.c.values()
+                  if not isinstance(v, int)))
+    num = {e: int(v * scale) for e, v in c.num.c.items()}
+    if len(c.den.c) == 1:           # monic: q^m
+        (m, _), = c.den.c.items()
+        return {e - m: v for e, v in num.items()}, {0: scale}
+    return num, {e: int(v * scale) for e, v in c.den.c.items()}
+
+
+def _den_times(den: Counter, m: dict, k: int = 1) -> Counter:
+    """The factored denominator den, a multiset of integer maps kept as
+    sorted item tuples, times the map m to the k."""
+    if m == _ONE:
+        return den
+    return den + Counter({tuple(sorted(m.items())): k})
+
+
+def _factor_maps(den: Counter) -> list[dict]:
+    """The factors of a factored denominator, one map per multiplicity."""
+    return [dict(f) for f in den.elements()]
+
+
+def _qprod(maps: list[dict]) -> dict:
+    """The product of nonzero integer maps {q-exponent: int}: one packed
+    product, its slot width set from the product of the maps' l1 norms and
+    held to the packed budget, as `_multiply_within` sets and holds it."""
+    if len(maps) < 2:
+        return maps[0] if maps else _ONE
+    bound, span = 1, 0
+    for m in maps:
+        bound *= sum(map(abs, m.values()))
+        span += max(m) - min(m)
+    w = bound.bit_length() + 1
+    _check_packed(w, span)
+    offset, value = 0, 1
+    for m in maps:
+        o, v = _pack(m, w)
+        offset += o
+        value *= v
+    return _unpack(offset, value, w)
+
+
+class _Terms(Mapping):
+    """A LaurentPoly's terms {exponent tuple: QRat}.  A coefficient is
+    reduced to its canonical QRat when it is read; the length, the keys
+    and membership cost no reduction."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: "LaurentPoly"):
+        self._p = p
+
+    def __getitem__(self, k) -> QRat:
+        return QRat.from_laurent(self._p.maps[k], self._p._den_map())
+
+    def __iter__(self):
+        return iter(self._p.maps)
+
+    def __len__(self) -> int:
+        return len(self._p.maps)
+
+    def __contains__(self, k) -> bool:
+        return k in self._p.maps
+
+
+class LaurentPoly:
+    """Sparse Laurent polynomial over Q(q), held over Z[q, 1/q]:
+
+        sum_k maps[k](q) X^k / (f_1(q)^k_1 ... f_r(q)^k_r),
+
+    maps {exponent tuple: {q-exponent: int}} with nonzero maps and no zero
+    coefficients, and den the Counter {f_i: k_i}: the one denominator
+    every term shares, a product of integer maps f_i (as sorted item
+    tuples) that is never multiplied out or reduced.  + - * ** and == are
+    integer map arithmetic: products go through `_multiply_within` with an
+    empty window and add the factor counts; a sum or a comparison brings
+    both sides to the least common multiple of their factor lists, so
+    summands over shared factors (the partial-fraction summands of one
+    kernel) keep a small denominator.  A coefficient becomes a canonical
+    QRat only where it is read (`terms`, `coeff_of`, `constant_coeff`,
+    `str`), by `QRat.from_laurent` over the product of the factors.
+    """
+
+    __slots__ = ("nvars", "maps", "den")
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
-        if terms:
-            self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-        else:
-            self.terms = {}
+        """From terms {exponent tuple: QRat}; zero coefficients drop out."""
+        p = LaurentPoly._raw(nvars, {})
+        for k, c in (terms or {}).items():
+            p = p + LaurentPoly.monomial(nvars, k, c)
+        self.nvars, self.maps, self.den = nvars, p.maps, p.den
 
     @staticmethod
-    def _raw(nvars: int, terms: dict) -> "LaurentPoly":
+    def _raw(nvars: int, maps: dict, den: Counter = _NO_DEN) -> "LaurentPoly":
         p = LaurentPoly.__new__(LaurentPoly)
         p.nvars = nvars
-        p.terms = terms
+        p.maps = maps
+        p.den = den
         return p
 
     @classmethod
@@ -165,108 +276,140 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
-        return cls._raw(nvars, {(0,) * nvars: QRAT_ONE})
+        return cls._raw(nvars, {(0,) * nvars: _ONE})
 
     @classmethod
     def monomial(cls, nvars: int, exps: dict[int, int] | tuple,
                  coeff: QRat = QRAT_ONE) -> "LaurentPoly":
         if coeff.is_zero():
             return cls.zero(nvars)
-        return cls._raw(nvars, {_exp_tuple(nvars, exps): coeff})
+        num, den = _integer_pair(coeff)
+        return cls._raw(nvars, {_exp_tuple(nvars, exps): num},
+                        _den_times(_NO_DEN, den))
+
+    @property
+    def terms(self) -> Mapping:
+        return _Terms(self)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.maps
 
     def _require_same(self, other: "LaurentPoly"):
         if self.nvars != other.nvars:
             raise DomainError("mixed variable orders")
 
+    def _den_map(self) -> dict:
+        return _qprod(_factor_maps(self.den))
+
+    def _over(self, den: Counter) -> dict:
+        """The maps over den, a multiple of self.den: each times the
+        factors den has beyond self.den."""
+        extra = _factor_maps(den - self.den)
+        if not extra:
+            return self.maps
+        return {k: _qprod([m] + extra) for k, m in self.maps.items()}
+
+    def _common(self, other: "LaurentPoly") -> tuple[dict, dict, Counter]:
+        """(a, b, den): both sides' maps over den, the lcm of their factor
+        lists."""
+        if self.den == other.den:
+            return self.maps, other.maps, self.den
+        den = self.den | other.den
+        return self._over(den), other._over(den), den
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._require_same(other)
-        if not self.terms:
+        if not self.maps:
             return other
-        if not other.terms:
+        if not other.maps:
             return self
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            _add_term(t, k, v)
-        return LaurentPoly._raw(self.nvars, t)
+        a, b, den = self._common(other)
+        out = dict(a)
+        for k, m in b.items():
+            _add_term(out, k, m)
+        return LaurentPoly._raw(self.nvars, out, den)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self.nvars,
-                                {k: -v for k, v in self.terms.items()})
+        return LaurentPoly._raw(self.nvars, {k: {e: -c for e, c in m.items()}
+                                             for k, m in self.maps.items()},
+                                self.den)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._require_same(other)
-        if not self.terms or not other.terms:
+        if not self.maps or not other.maps:
             return LaurentPoly.zero(self.nvars)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                _add_term(out, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
-        return LaurentPoly._raw(self.nvars, out)
+        return LaurentPoly._raw(
+            self.nvars,
+            _multiply_within(self.nvars, [self.maps, other.maps], {}, None),
+            self.den + other.den)
 
     def __pow__(self, n: int) -> "LaurentPoly":
+        """The product of n copies, one `_multiply_within` call, so the
+        power is refused before anything is multiplied when the product
+        of the copies would pass the packed-width budget."""
         if n < 0:
             raise DomainError("negative power of a LaurentPoly")
         _check_power(n)
-        if n > 1 and self.terms:
-            terms, den = _integer_terms(self)
-            _check_packed_power(list(terms.values()), n)
-            _check_packed_power([den.num._cleared()], n)
-        return _power(self, n) if n else LaurentPoly.one(self.nvars)
+        if n == 0:
+            return LaurentPoly.one(self.nvars)
+        if not self.maps:
+            return self
+        return LaurentPoly._raw(
+            self.nvars, _multiply_within(self.nvars, [self.maps] * n, {}, None),
+            Counter({f: k * n for f, k in self.den.items()}))
 
     def coeff_of(self, exps: tuple[int, ...]) -> QRat:
-        return self.terms.get(exps, QRAT_ZERO)
+        m = self.maps.get(exps)
+        return QRAT_ZERO if m is None else QRat.from_laurent(m, self._den_map())
 
     def constant_coeff(self) -> QRat:
-        return self.terms.get((0,) * self.nvars, QRAT_ZERO)
+        return self.coeff_of((0,) * self.nvars)
 
     def free_of(self, var: int) -> "LaurentPoly":
         """Terms with zero exponent of x_var (the constant term in x_var)."""
         return LaurentPoly._raw(
-            self.nvars,
-            {k: v for k, v in self.terms.items() if k[var] == 0})
+            self.nvars, {k: m for k, m in self.maps.items() if k[var] == 0},
+            self.den)
 
     def var_range(self, var: int) -> tuple[int, int]:
         """(min, max) exponent of x_var over the terms; (0, 0) if empty."""
-        if not self.terms:
+        if not self.maps:
             return 0, 0
-        es = [k[var] for k in self.terms]
+        es = [k[var] for k in self.maps]
         return min(es), max(es)
 
     def restrict(self, hi: dict[int, int] | None = None,
                  lo: dict[int, int] | None = None) -> "LaurentPoly":
         """Drop terms with exponents above hi / below lo."""
         out = {}
-        for k, v in self.terms.items():
+        for k, m in self.maps.items():
             if hi and any(k[x] > b for x, b in hi.items()):
                 continue
             if lo and any(k[x] < b for x, b in lo.items()):
                 continue
-            out[k] = v
-        return LaurentPoly._raw(self.nvars, out)
+            out[k] = m
+        return LaurentPoly._raw(self.nvars, out, self.den)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, LaurentPoly)
-                and self.nvars == other.nvars and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        """Equal values: both sides' maps over a common denominator,
+        compared as integer maps, with no reduction."""
+        if not (isinstance(other, LaurentPoly) and self.nvars == other.nvars
+                and self.maps.keys() == other.maps.keys()):
+            return False
+        a, b, _ = self._common(other)
+        return a == b
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.maps:
             return "0"
+        den = self._den_map()
         bits = []
-        for k in sorted(self.terms):
+        for k in sorted(self.maps):
             mono = _mono_str(k)
-            vs = str(self.terms[k])
+            vs = str(QRat.from_laurent(self.maps[k], den))
             if mono and (" " in vs or "/" in vs):
                 vs = f"({vs})"
             bits.append(f"{vs}*{mono}" if mono else vs)
@@ -355,12 +498,15 @@ class Factor:
     # -- expansion ----------------------------------------------------------
 
     def expand_exact(self) -> dict:
-        """Finite expansion {x-exponents: {q-exponent: int}}; requires exp > 0."""
+        """Finite expansion {x-exponents: {q-exponent: int}}; requires
+        exp > 0.  A collapsed factor (1 - q^qexp)^exp has one key, 0."""
         if self.exp < 0:
             raise NotPolynomialError("denominator factor has no finite expansion")
         e = _check_power(self.exp)
-        return {scale_exps(self.mono, t): {self.qexp * t: (-1) ** t * comb(e, t)}
-                for t in range(e + 1)}
+        coeffs = [(t, (-1) ** t * comb(e, t)) for t in range(e + 1)]
+        if not any(self.mono):
+            return {self.mono: {self.qexp * t: c for t, c in coeffs}}
+        return {scale_exps(self.mono, t): {self.qexp * t: c} for t, c in coeffs}
 
     def series_terms(self, tmax: int) -> dict:
         """Truncated geometric expansion of a denominator factor, as
@@ -405,7 +551,7 @@ class FactoredForm:
         self.nvars = nvars
         self.scalar = scalar
         self.mono = mono if mono is not None else (0,) * nvars
-        if poly is not None and poly.terms == {(0,) * nvars: QRAT_ONE}:
+        if poly is not None and poly.maps == {(0,) * nvars: poly._den_map()}:
             poly = None
         self.poly = poly
         if scalar.is_zero():
@@ -541,17 +687,17 @@ class FactoredForm:
             scalar = scalar.times_qpow(qexp)
         poly = None
         if self.poly is not None:
-            terms = {}
-            for k, v in self.poly.terms.items():
+            maps = {}
+            for k, m in self.poly.maps.items():
                 k2, qexp = _move(k, moves, dst)
                 if k2 is None:
                     k2 = k
-                else:
-                    v = v.times_qpow(qexp)
-                _add_term(terms, k2, v)
-            poly = LaurentPoly._raw(self.nvars, terms)
-            if poly.is_zero():
+                elif qexp:
+                    m = {e + qexp: c for e, c in m.items()}
+                _add_term(maps, k2, m)
+            if not maps:
                 return FactoredForm.zero(self.nvars)
+            poly = LaurentPoly._raw(self.nvars, maps, self.poly.den)
         return FactoredForm(self.nvars, scalar, mono, tuple(factors), poly)
 
     # -- degrees --------------------------------------------------------------
@@ -607,15 +753,22 @@ class FactoredForm:
         if self.is_zero():
             return LaurentPoly.zero(nv)
 
-        scalar = _scalar_value(self)
+        # the scalar's numerator and the collapsed numerator factors are
+        # parts of the product with the one key 0; its denominator, the
+        # collapsed denominator factors and a poly prefix's den multiply
+        # into the result's den
+        num, den = _integer_pair(self.scalar)
         if self.poly is None:
-            head = {self.mono: {0: 1}}
+            parts, den = [{self.mono: num}], _den_times(_NO_DEN, den)
         else:
-            poly, den = _integer_terms(self.poly)
-            head = {add_exps(self.mono, k): m for k, m in poly.items()}
-            scalar = scalar / den
-        parts = [head] + [f.expand_exact() for f in self.factors
-                          if f.exp > 0 and any(f.mono)]
+            parts = [{add_exps(self.mono, k): m
+                      for k, m in self.poly.maps.items()}, {(0,) * nv: num}]
+            den = _den_times(self.poly.den, den)
+        for f in self.factors:
+            if f.exp > 0:
+                parts.append(f.expand_exact())
+            elif not any(f.mono):
+                den = _den_times(den, {0: 1, f.qexp: -1}, -f.exp)
         dens = self.denominator_factors()
 
         if dens:
@@ -630,11 +783,7 @@ class FactoredForm:
                                       f"{_MAX_PRODUCT_KEYS} terms")
                 parts.append(f.series_terms(tmax))
 
-        terms = {k: QRat.from_laurent(m)
-                 for k, m in _multiply_within(nv, parts, hi, lo).items()}
-        if not scalar.is_one():
-            terms = {k: c * scalar for k, c in terms.items()}
-        return LaurentPoly._raw(nv, terms)
+        return LaurentPoly._raw(nv, _multiply_within(nv, parts, hi, lo), den)
 
     def _series_bounds(self, fixed_parts: list[dict],
                        dens: list[Factor],
@@ -703,33 +852,16 @@ class FactoredForm:
 
 
 def _scalar_value(ff: FactoredForm) -> QRat:
-    """ff.scalar times ff's variable-free factors (1 - q^e)^m.  Numerator and
-    denominator factors multiply apart, over the engine's q-power
-    denominators with no gcd; one division makes the one reduction."""
-    num, den = ff.scalar, QRAT_ONE
+    """ff.scalar times ff's variable-free factors (1 - q^e)^m, for printing.
+    Numerator and denominator multiply apart as integer maps, packed; one
+    `QRat.from_laurent` makes the one reduction."""
+    num, den = _integer_pair(ff.scalar)
+    nums, dens = [num], [den]
     for f in ff.factors:
         if not any(f.mono):
-            if f.exp > 0:
-                num = num * QRat.one_minus_qpow(f.qexp) ** f.exp
-            else:
-                den = den * QRat.one_minus_qpow(f.qexp) ** -f.exp
-    return num if den.is_one() else num / den
-
-
-def _integer_terms(poly: LaurentPoly) -> tuple[dict, QRat]:
-    """(terms, D) with poly = terms / D, terms integer maps
-    {x-exponents: {q-exponent: int}} and D the lcm of the coefficients'
-    denominators times the integer lcm of the rational coefficients left."""
-    den = QPoly.const(1)
-    for c in poly.terms.values():
-        if not c.den.is_one():
-            den = den * c.den.exact_div(QPoly.gcd(den, c.den))
-    nums = {k: c.num * den.exact_div(c.den) for k, c in poly.terms.items()}
-    scale = lcm(*(v.denominator for n in nums.values() for v in n.c.values()
-                  if not isinstance(v, int)))
-    terms = {k: {e: int(v * scale) for e, v in n.c.items()}
-             for k, n in nums.items()}
-    return terms, QRat(den.scaled(scale))
+            side = nums if f.exp > 0 else dens
+            side += [{0: 1, f.qexp: -1}] * abs(f.exp)
+    return QRat.from_laurent(_qprod(nums), _qprod(dens))
 
 
 def _multiply_within(nvars: int, parts: list[dict],
@@ -799,7 +931,11 @@ def _multiply_within(nvars: int, parts: list[dict],
     the accumulator, so a part cannot run far past either.  A row adds at
     most len(part) keys, each of at most w (S_i + 1) bits, S_i the q-ranges
     of the parts so far, so the keys and bits are counted only when that
-    many rows could have passed the budget.
+    many rows could have passed the budget.  A product with no window
+    forms every pair of terms, so before each part it is held to
+    _MAX_PRODUCT_PAIRS of them, counted as len(acc) * len(part): a power
+    dense in the variables is refused in bounded time however few keys
+    it has.
     """
     if not all(parts):
         return {}
@@ -844,6 +980,7 @@ def _multiply_within(nvars: int, parts: list[dict],
 
     acc = {0: (0, 1)}
     span = 0
+    pairs = _MAX_PRODUCT_PAIRS if not (hi or lo) else None
     for part, pmin, pmax, pspan in zip(parts, mins, maxs, spans):
         span += pspan
         for v in range(nvars):
@@ -855,6 +992,12 @@ def _multiply_within(nvars: int, parts: list[dict],
              if any(floors.values()) else None)
         items = [(sum((e - m) << s for e, m, s in zip(k, pmin, sh)),
                   _pack(qm, w)) for k, qm in part.items()]
+        if pairs is not None:
+            pairs -= len(acc) * len(items)
+            if pairs < 0:
+                raise DomainError(
+                    f"expansion too large: more than {_MAX_PRODUCT_PAIRS} "
+                    f"products of terms exceed the work budget")
         row_bits = len(items) * w * (span + 1)
         out: dict = {}
         rows = _rows_within_budget(out, len(items), row_bits)
@@ -944,17 +1087,31 @@ def qpochhammer(nvars: int, mono: dict[int, int] | tuple[int, ...],
     return FactoredForm(nvars, factors=tuple(factors))
 
 
+def _pack_qpoch(lo: int, hi: int, w: int) -> tuple[int, int]:
+    """(offset, value at q = 2^w) of the product of 1 - q^e for e from lo
+    to hi, none of them 0: each factor is one shift and one subtraction.
+    The value is exact whatever w; it decodes when w covers the product's
+    coefficients."""
+    offset, value = 0, 1
+    for e in range(lo, hi + 1):
+        if e > 0:
+            value -= value << w * e
+        else:                       # 1 - q^e = q^e (q^-e - 1)
+            offset += e
+            value = (value << w * -e) - value
+    return offset, value
+
+
 def qpoch_qrat(qexp: int, count: int) -> QRat:
     """(z)_count for the scalar base z = q^qexp, as an exact QRat.
 
     Its factors are 1 - q^e for e from lo to hi, inverted when count < 0.
     They multiply as one packed integer, the product's value at q = 2^w
-    (as in `_multiply_within`): each factor is one shift and one
-    subtraction.  A partial product's coefficients are at most its l1
-    norm, 2^|count| < 2^(w-1) for w = |count| + 2, so the product decodes
-    exactly; it is built as one QRat and inverted once.  It is held to
-    the budget `_multiply_within` would apply to it: slot width w and
-    q-degree the sum of |e|.
+    (as in `_multiply_within`).  A partial product's coefficients are at
+    most its l1 norm, 2^|count| < 2^(w-1) for w = |count| + 2, so the
+    product decodes exactly; it is built as one QRat and inverted once.
+    It is held to the budget `_multiply_within` would apply to it: slot
+    width w and q-degree the sum of |e|.
     """
     lo, hi = (qexp, qexp + count - 1) if count >= 0 else (qexp + count, qexp - 1)
     if lo <= 0 <= hi:
@@ -963,15 +1120,61 @@ def qpoch_qrat(qexp: int, count: int) -> QRat:
         raise DomainError("negative Pochhammer hits a zero factor")
     w = abs(count) + 2
     _check_packed(w, abs(lo + hi) * abs(count) // 2)
-    offset, value = 0, 1
-    for e in range(lo, hi + 1):
-        if e > 0:
-            value -= value << w * e
-        else:                       # 1 - q^e = q^e (q^-e - 1)
-            offset += e
-            value = (value << w * -e) - value
-    out = QRat.from_laurent(_unpack(offset, value, w))
+    out = QRat.from_laurent(_unpack(*_pack_qpoch(lo, hi, w), w))
     return out if count >= 0 else out.inverse()
+
+
+def qpoch_quotient(qexp: int, parts: tuple[int, ...]) -> QRat:
+    """(q^qexp)_A / ((q)_{p_1} ... (q)_{p_k}), A = p_1 + ... + p_k, for
+    counts p_i >= 0, as an exact QRat computed with no gcd.
+
+    The numerator N has the factors 1 - q^e for e from qexp to
+    qexp + A - 1.  When they include e = 0 the value is 0.  When they are
+    all positive the quotient is the q-multinomial [c + A; c, p_1, ...,
+    p_k] for c = qexp - 1; when they are all negative each 1 - q^e is
+    -q^e (1 - q^-e), and the quotient is +-q^E times that multinomial for
+    c = -qexp - A.  Either way it is a Laurent polynomial whose
+    coefficients share one sign, so none exceeds its value at q = 1 in
+    absolute value: M = (c + A)! / (c! p_1! ... p_k!).
+
+    The quotient is one exact division of packed values, N(2^w) // D(2^w)
+    for w = M.bit_length() + 1, decoded with balanced digits.  It is then
+    checked: D Q = N, both sides packed at a width that covers both (N's
+    coefficients are at most 2^A, D Q's at most 2^A times Q's largest); a
+    mismatch raises ProofInvariantError.  Both widths are held to the
+    packed budget over N's q-degree.
+    """
+    if any(p < 0 for p in parts):
+        raise DomainError("Pochhammer counts must be nonnegative")
+    count = sum(parts)
+    lo, hi = qexp, qexp + count - 1
+    if lo <= 0 <= hi:
+        return QRAT_ZERO            # the factor 1 - q^0
+    c = qexp - 1 if lo > 0 else -qexp - count
+    bound, rest = comb(c + count, count), count
+    for p in parts:
+        bound *= comb(rest, p)
+        rest -= p
+    degree = abs(lo + hi) * count // 2
+
+    def packed(w):
+        _check_packed(w, degree)
+        offset, num = _pack_qpoch(lo, hi, w)
+        den = 1
+        for p in parts:
+            den *= _pack_qpoch(1, p, w)[1]
+        return offset, num, den
+
+    w = bound.bit_length() + 1
+    offset, num, den = packed(w)
+    quotient = _unpack(offset, num // den, w)
+    w = count + max(map(abs, quotient.values())).bit_length() + 1
+    offset, num, den = packed(w)
+    low, value = _pack(quotient, w)
+    if low != offset or den * value != num:
+        raise ProofInvariantError(
+            f"(q^{qexp})_{count} / (q)_{parts} is not a Laurent polynomial")
+    return QRat.from_laurent(quotient)
 
 
 def qfactorial(m: int) -> QRat:
@@ -985,8 +1188,9 @@ def qbinomial(n: int, m: int) -> QRat:
     """Gaussian binomial [n, m] = (q^{n-m+1})_m / (q)_m, any integer n, m >= 0.
 
     For 0 <= m <= n this equals (q)_n / ((q)_m (q)_{n-m}); for general n it
-    is a Laurent polynomial in q (denominator a power of q).
+    is a Laurent polynomial in q (denominator a power of q), computed by
+    `qpoch_quotient` with no gcd.
     """
     if m < 0:
         raise DomainError("q-binomial needs m >= 0")
-    return qpoch_qrat(n - m + 1, m) / qfactorial(m)
+    return qpoch_quotient(n - m + 1, (m,))

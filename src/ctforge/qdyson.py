@@ -36,7 +36,7 @@ from math import factorial
 from .ctengine import (ct_all_bruteforce, ct_all_series,
                        ct_factored_pfrac_labeled)
 from .errors import CertificationError, DomainError, ProofInvariantError
-from .laurent import (Factor, FactoredForm, qfactorial, qpoch_qrat,
+from .laurent import (Factor, FactoredForm, qpoch_qrat, qpoch_quotient,
                       qpochhammer)
 from .qfield import QRAT_ONE, QRAT_ZERO, QRat
 from .tournament import Witness, scan_witness
@@ -118,11 +118,10 @@ def qdyson_rhs(a0: int, a: tuple[int, ...]) -> QRat:
 
 def rhs_value_at(a: tuple[int, ...], b: int) -> QRat:
     """The closed-form side as a function of b:
-    (1-q^{b+a})(1-q^{b+a-1})...(1-q^{b+1}) / ((q)_{a_1} ... (q)_{a_n})."""
-    num = qpoch_qrat(b + 1, sum(a))
-    for x in a:
-        num = num / qfactorial(x)
-    return num
+    (1-q^{b+a})(1-q^{b+a-1})...(1-q^{b+1}) / ((q)_{a_1} ... (q)_{a_n}),
+    a Laurent polynomial for every integer b, by one packed exact
+    quotient."""
+    return qpoch_quotient(b + 1, tuple(a))
 
 
 def lhs_value_at(a: tuple[int, ...], b: int) -> QRat:

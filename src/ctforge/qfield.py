@@ -371,17 +371,30 @@ class QRat:
         return cls._raw(_QP_ONE, QPoly.qpow(-e))
 
     @classmethod
-    def from_laurent(cls, terms: dict[int, int]) -> "QRat":
-        """sum c q^e for {e: c} with nonzero int c and any integer e.
+    def from_laurent(cls, terms: dict[int, int],
+                     den: dict[int, int] | None = None) -> "QRat":
+        """sum c q^e for {e: c} with nonzero int c and any integer e,
+        divided by the same kind of map den when one is given.
 
-        Canonical with no gcd: after shifting by the lowest exponent m the
-        numerator has a nonzero constant term, so it is coprime to q^-m.
+        Canonical with no gcd when den is absent or {0: 1}: after shifting
+        by the lowest exponent m the numerator has a nonzero constant term,
+        so it is coprime to q^-m.  Any other den is reduced by
+        `_canonicalize`, with no gcd when it is a monomial.
         """
         m = min(terms)
-        if m >= 0:
-            return cls._raw(QPoly._raw(dict(terms)), _QP_ONE)
-        return cls._raw(QPoly._raw({e - m: c for e, c in terms.items()}),
-                        QPoly.qpow(-m))
+        if den is None or den == {0: 1}:
+            if m >= 0:
+                return cls._raw(QPoly._raw(dict(terms)), _QP_ONE)
+            return cls._raw(QPoly._raw({e - m: c for e, c in terms.items()}),
+                            QPoly.qpow(-m))
+        d = min(den)
+        num = QPoly._raw({e - m: c for e, c in terms.items()})
+        dpoly = QPoly._raw({e - d: c for e, c in den.items()})
+        if m > d:
+            num = num.shifted(m - d)
+        else:
+            dpoly = dpoly.shifted(d - m)
+        return cls(num, dpoly)
 
     @classmethod
     def one_minus_qpow(cls, e: int) -> "QRat":
@@ -461,10 +474,19 @@ class QRat:
     def __pow__(self, n: int) -> "QRat":
         if n < 0:
             return self.inverse() ** (-n)
+        if n == 0:
+            return QRAT_ONE
         if n > 1 and self.num.c:
-            _check_packed_power([self.num._cleared()], n)
-            _check_packed_power([self.den._cleared()], n)
-        return _power(self, n) if n else QRAT_ONE
+            _check_packed_power(self.num._cleared(), n)
+            _check_packed_power(self.den._cleared(), n)
+        # square from the top bit of n down: start from self and multiply
+        # only by self, so no square runs past the top bit
+        r = self
+        for bit in bin(n)[3:]:
+            r = r * r
+            if bit == "1":
+                r = r * self
+        return r
 
     def times_qpow(self, e: int) -> "QRat":
         """self * q^e with a fast path for polynomial values."""
@@ -512,8 +534,8 @@ class QRat:
 
 # Work budget of a product over Z[q]: the bits one packed q-map of
 # `laurent._multiply_within` may need (slot width times slots), and the same
-# measure for `laurent.qpoch_qrat` and for powers.  The perfbench kernels
-# need at most 79,040.
+# measure for the q-Pochhammer products of `laurent` and for QRat powers.
+# The perfbench kernels need at most 79,040.
 _MAX_PACKED_BITS = 1 << 22
 
 
@@ -524,30 +546,17 @@ def _check_packed(w: int, span: int) -> None:
             f"powers of q exceed the {_MAX_PACKED_BITS}-bit work budget")
 
 
-def _check_packed_power(maps: list[dict[int, int]], n: int) -> None:
-    """Refuse x**n, n >= 2, for x the integer maps {q-exponent: int}, when
-    `_multiply_within` would refuse the product of n copies of x: slot
-    width (l1^n).bit_length() + 1, l1 the maps' l1 norm, over n times
-    their q-span plus 1 slots.  l1^n is formed only after the width's
-    lower bound n * (l1.bit_length() - 1) + 2 has passed, so a refused
-    power costs no big integer."""
-    l1 = sum(abs(c) for m in maps for c in m.values())
-    qs = [e for m in maps for e in m]
-    span = n * (max(qs) - min(qs))
+def _check_packed_power(m: dict[int, int], n: int) -> None:
+    """Refuse x**n, n >= 2, for x the integer map {q-exponent: int} of a
+    QRat's numerator or denominator, when `_multiply_within` would refuse
+    the product of n copies of x: slot width (l1^n).bit_length() + 1, l1
+    the map's l1 norm, over n times its q-span plus 1 slots.  l1^n is
+    formed only after the width's lower bound n * (l1.bit_length() - 1)
+    + 2 has passed, so a refused power costs no big integer."""
+    l1 = sum(map(abs, m.values()))
+    span = n * (max(m) - min(m))
     _check_packed(n * (l1.bit_length() - 1) + 2, span)
     _check_packed((l1 ** n).bit_length() + 1, span)
-
-
-def _power(x, n: int):
-    """x**n for n >= 1, by squaring from the top bit of n down: starts from
-    x itself and multiplies only by x, so it never squares past the top bit.
-    Shared by QRat and LaurentPoly."""
-    r = x
-    for bit in bin(n)[3:]:
-        r = r * r
-        if bit == "1":
-            r = r * x
-    return r
 
 
 def _canonicalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:

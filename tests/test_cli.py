@@ -10,12 +10,20 @@ from pathlib import Path
 
 import pytest
 
-from ctforge import qdyson
+from ctforge import cli, qdyson
 from ctforge.cli import main
+from ctforge.qfield import QPoly
 from ctforge.qdyson import certificate_from_dict, validate_certificate
 from ctforge.tournament import Witness
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# perfbench/cases.kernel_expr((3, 3), 7) and kernel_expr((2, 2, 2), 9)
+K33_7 = ("qpoch(q*x1/x0,3)*qpoch(q*x2/x0,3)*qpoch(x1/x2,3)*qpoch(q*x2/x1,3)*"
+         "qpoch(x0/x1,-7)*qpoch(x0/x2,-7)")
+K222_9 = ("qpoch(q*x1/x0,2)*qpoch(q*x2/x0,2)*qpoch(q*x3/x0,2)*qpoch(x1/x2,2)*"
+          "qpoch(q*x2/x1,2)*qpoch(x1/x3,2)*qpoch(q*x3/x1,2)*qpoch(x2/x3,2)*"
+          "qpoch(q*x3/x2,2)*qpoch(x0/x1,-9)*qpoch(x0/x2,-9)*qpoch(x0/x3,-9)")
 
 
 def run_cli(*args, **kw):
@@ -214,10 +222,30 @@ class TestCtCommand:
                 ("(1+q)^1000", "e680264d54b74e7fe9350a3db19bb83e"
                                "0fdf37572798c751bfe41d4dae6ac99b"),
                 ("qpoch(q,3)^300", "a34b401d0ff826f5c7ca996d0c91c318"
-                                   "6ef4eaee827664e20eaae32d4061617c")):
+                                   "6ef4eaee827664e20eaae32d4061617c"),
+                ("(1+x0)^300", "4355a46b19d348dc2f57c046f8ef63d4"
+                               "538ebb936000f3c9ee954a27460dd865")):
             r = run_bounded_cli("ct", "--expr", expr, "--all-vars")
             assert r.returncode == 0, expr
             assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+    def test_dense_x_power_budget_exit_1(self):
+        # (1+x0)^4000, the product of 4000 copies, would form 16M products
+        # of terms; it stops at the budget of 2^22
+        self._refused("(1+x0)^4000", timeout=10)
+
+    def test_both_comparison_makes_no_gcd(self, monkeypatch):
+        # the series and the partial-fraction total are compared as
+        # integer maps over a common denominator: until a summand is
+        # printed, nothing is reduced in Q(q)
+        calls, printed = [], []
+        gcd = QPoly.gcd
+        monkeypatch.setattr(QPoly, "gcd", staticmethod(
+            lambda a, b: calls.append(1) or gcd(a, b)))
+        monkeypatch.setattr(cli, "_print_summands", printed.append)
+        assert main(["ct", "--expr", K33_7, "--var", "x0", "--method", "both",
+                     "--trunc", "6"]) == 0
+        assert len(printed) == 1 and calls == []
 
     def test_packed_width_budget_exit_1(self):
         # 1 and q^100000000 both land on the constant x-key
@@ -302,6 +330,32 @@ class TestCtCommand:
         r = run_cli("ct", "--expr", "(1 - x0/x1)", "--var", "x0",
                     "--method", "pfrac")
         assert r.returncode == 1 and "degree in x0 is 1" in r.stderr
+
+
+class TestByteIdentity:
+    """stdout digests taken before LaurentPoly held integer maps over one
+    unreduced denominator: reducing a coefficient only where it is read
+    prints the same canonical values."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["ct", "--expr", K33_7, "--var", "x0", "--method", "series",
+          "--trunc", "6"],
+         "1e1ffe60405523e0246aa9ce69d6938775d3ca7174b4e8090d1d61f4edd21140"),
+        (["ct", "--expr", K33_7, "--var", "x0", "--method", "pfrac",
+          "--trunc", "6"],
+         "2dedd72091bbc965e90848023da5b198b531a603bb2554b76df632293022191d"),
+        (["ct", "--expr", K33_7, "--var", "x0", "--method", "both",
+          "--trunc", "6"],
+         "2dedd72091bbc965e90848023da5b198b531a603bb2554b76df632293022191d"),
+        (["ct", "--expr", K222_9, "--all-vars"],
+         "9401e88c9fc2aaf6afb62e2df8d046e6c99e34276fdf39352457359c01f19f6c"),
+        (["identities", "--trunc", "8"],
+         "b83ab8c12f2d8269d5ba76a4f3483d5aa75e6f2d97f55b52eeec921f0a33e54d"),
+    ])
+    def test_stdout_digest(self, capsys, argv, digest):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTournamentCommand:

@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from ctforge import laurent
 from ctforge.ctengine import ct_all_series, ct_factored_pfrac_labeled
-from ctforge.errors import (DomainError, NotPolynomialError, ShapeError,
-                            TruncationError)
+from ctforge.errors import (DomainError, NotPolynomialError,
+                            ProofInvariantError, ShapeError, TruncationError)
 from ctforge.identities import (finite_qbinomial_check,
                                 pochhammer_additivity_check,
                                 product_identity_check,
                                 qbinomial_theorem_check)
 from ctforge.laurent import (_MAX_POWER, Factor, FactoredForm, LaurentPoly,
-                             _multiply_within, qbinomial, qfactorial,
-                             qpoch_qrat, qpochhammer)
-from ctforge.qfield import _MAX_PACKED_BITS, QPoly, QRat, QRAT_ONE
+                             _move, _multiply_within, qbinomial, qfactorial,
+                             qpoch_qrat, qpoch_quotient, qpochhammer)
+from ctforge.qfield import _MAX_PACKED_BITS, QPoly, QRat, QRAT_ONE, QRAT_ZERO
 
 
 def lp_mono(nvars, exps, coeff=QRAT_ONE):
@@ -58,6 +58,131 @@ class TestLaurentPolyRing:
         for n in range(7):
             assert a ** n == acc
             acc = acc * a
+
+
+class _Ref:
+    """The term-by-term QRat arithmetic LaurentPoly used before it held
+    integer maps over one unreduced denominator: {exponent tuple: nonzero
+    QRat}, every sum and product reduced in Q(q) as it is formed."""
+
+    def __init__(self, terms):
+        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+
+    def __add__(self, other):
+        t = dict(self.terms)
+        for k, v in other.terms.items():
+            t[k] = t.get(k, QRAT_ZERO) + v
+        return _Ref(t)
+
+    def __neg__(self):
+        return _Ref({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = _Ref({})
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                out = out + _Ref({tuple(x + y for x, y in zip(k1, k2)): v1 * v2})
+        return out
+
+    def __pow__(self, n):
+        out = _Ref({(0,) * 3: QRAT_ONE})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def free_of(self, var):
+        return _Ref({k: v for k, v in self.terms.items() if k[var] == 0})
+
+    def substitute(self, shifts, dst):
+        out = _Ref({})
+        for k, v in self.terms.items():
+            k2, qexp = _move(k, tuple(shifts.items()), dst)
+            if k2 is not None:
+                k, v = k2, v.times_qpow(qexp)
+            out = out + _Ref({k: v})
+        return out
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for k in sorted(self.terms):
+            mono = laurent._mono_str(k)
+            vs = str(self.terms[k])
+            if mono and (" " in vs or "/" in vs):
+                vs = f"({vs})"
+            bits.append(f"{vs}*{mono}" if mono else vs)
+        return " + ".join(bits)
+
+
+# coefficients c q^e / (1 - q^k) and (c + q^j) q^e, c a small fraction:
+# outside Z[q, 1/q], with monomial and non-monomial denominators
+_coeff = st.builds(
+    lambda c, e, k, j: (QRat.from_scalar(c) + (QRat.qpow(j) if j else 0))
+    .times_qpow(e) * (QRat.one_minus_qpow(k).inverse() if k else QRAT_ONE),
+    st.fractions(-3, 3, max_denominator=3), st.integers(-2, 2),
+    st.integers(-3, 3), st.integers(-1, 2))
+_terms = st.dictionaries(st.tuples(*[st.integers(-1, 1)] * 3), _coeff,
+                         max_size=4)
+
+
+class TestAgainstQRatReference:
+    """LaurentPoly's integer map arithmetic against `_Ref`: equal
+    canonical coefficients and the same printed bytes."""
+
+    @staticmethod
+    def _same(lp, ref):
+        assert lp.terms == ref.terms
+        assert str(lp) == str(ref)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_terms, _terms)
+    def test_ring_operations(self, f, g):
+        a, b = LaurentPoly(3, f), LaurentPoly(3, g)
+        ra, rb = _Ref(f), _Ref(g)
+        self._same(a, ra)
+        self._same(a + b, ra + rb)
+        self._same(a - b, ra - rb)
+        self._same(-a, -ra)
+        self._same(a * b, ra * rb)
+        for n in range(4):
+            self._same(a ** n, ra ** n)
+        for v in range(3):
+            self._same(a.free_of(v), ra.free_of(v))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_terms, _terms)
+    def test_equality(self, f, g):
+        a, b = LaurentPoly(3, f), LaurentPoly(3, g)
+        assert (a == b) == (_Ref(f).terms == _Ref(g).terms)
+        # the same values over other denominators compare equal
+        assert (a + b) - b == a and a * b == b * a
+        assert (a + b) * (a - b) == a * a - b * b
+
+    @settings(max_examples=80, deadline=None)
+    @given(_terms, st.integers(-2, 2), st.integers(-2, 2))
+    def test_substitute(self, f, s0, s1):
+        got = FactoredForm(3, poly=LaurentPoly(3, f)).substitute(
+            {0: s0, 1: s1}, 2)
+        want = _Ref(f).substitute({0: s0, 1: s1}, 2)
+        if got.is_zero():
+            assert want.terms == {}
+        else:
+            assert got.expand_exact().terms == want.terms
+
+    def test_reading_the_length_reduces_nothing(self, monkeypatch):
+        # a traced run counts len(terms) after every expansion; it must not
+        # count reductions an untraced run never makes
+        ff = FactoredForm(2, factors=(Factor.binomial(2, 1, 0, 1, -1),
+                                      Factor(2, (0, 0), -1)))
+        lp = ff.expand_within({0: 3})
+        made = []
+        monkeypatch.setattr(QRat, "__init__", lambda *a: made.append(a))
+        assert len(lp.terms) == 4 and made == []
+        assert (lp == lp + LaurentPoly.zero(2)) and made == []
 
 
 class TestPochhammer:
@@ -134,6 +259,37 @@ class TestQBinomial:
                 assert qbinomial(n, m) == qbinomial(n, n - m)
                 assert qbinomial(n, m) == qfactorial(n) / (
                     qfactorial(m) * qfactorial(n - m))
+
+
+class TestPochhammerQuotient:
+    """(q^s)_A / ((q)_{p_1} ... (q)_{p_k}) as one packed exact division."""
+
+    def test_matches_division_in_qrat(self):
+        for parts in ((), (1,), (2, 1), (3, 3), (2, 2, 2), (1, 0, 4)):
+            count = sum(parts)
+            for s in range(-count - 5, 6):
+                want = qpoch_qrat(s, count)
+                for p in parts:
+                    want = want / qfactorial(p)
+                got = qpoch_quotient(s, parts)
+                assert got == want and str(got) == str(want), (s, parts)
+
+    def test_negative_top_is_laurent(self):
+        # [-1, 2] = q^-3 and [-3, 2] = q^-7 [4, 2]
+        assert qbinomial(-1, 2) == QRat.qpow(-3)
+        assert qbinomial(-3, 2) == qbinomial(4, 2) * QRat.qpow(-7)
+
+    def test_too_narrow_slots_are_caught(self, monkeypatch):
+        # with every coefficient bounded by 1, [6, 3] (which has a 3)
+        # decodes wrongly, and the check D Q = N refuses it
+        monkeypatch.setattr(laurent, "comb", lambda n, k: 1)
+        assert qbinomial(3, 1) == QRat(QPoly({0: 1, 1: 1, 2: 1}))
+        with pytest.raises(ProofInvariantError):
+            qbinomial(6, 3)
+
+    def test_counts_are_nonnegative(self):
+        with pytest.raises(DomainError):
+            qpoch_quotient(1, (2, -1))
 
 
 class TestMonomialClass:
@@ -424,6 +580,21 @@ class TestPackedProduct:
         monkeypatch.setattr(laurent, "_MAX_PRODUCT_BITS", 7)
         with pytest.raises(DomainError, match="work budget"):
             _multiply_within(3, parts, {}, None)
+
+    def test_term_product_budget(self, monkeypatch):
+        # (1 + x0)^3 as three parts with no window forms 2 + 4 + 6 = 12
+        # products of terms; the count is checked before each part.  A
+        # window bounds the result, and the budget does not apply
+        parts = [{(0,): {0: 1}, (1,): {0: 1}}] * 3
+        monkeypatch.setattr(laurent, "_MAX_PRODUCT_PAIRS", 12)
+        assert _multiply_within(1, parts, {}, None)[(3,)] == {0: 1}
+        monkeypatch.setattr(laurent, "_MAX_PRODUCT_PAIRS", 11)
+        with pytest.raises(DomainError, match="products of terms"):
+            _multiply_within(1, parts, {}, None)
+        with pytest.raises(DomainError, match="products of terms"):
+            LaurentPoly._raw(1, parts[0]) ** 3
+        assert _multiply_within(1, parts, {0: 1}, None) == \
+            {(0,): {0: 1}, (1,): {0: 3}}
 
     def test_cancelling_keys_are_dropped(self):
         # (1 - q x0)(1 + q x0) = 1 - q^2 x0^2: the x0 key cancels
