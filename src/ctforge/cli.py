@@ -181,8 +181,7 @@ def _print_summands(parts: list) -> None:
     if not parts:
         print("0")
         return
-    monos = [m for p in parts for m in (p.mono, *(f.mono for f in p.factors))]
-    if not any(map(any, monos)) and all(p.poly is None for p in parts):
+    if all(p.is_scalar() for p in parts):
         print(sum(map(ct_all_series, parts[1:]), ct_all_series(parts[0])))
         return
     print("  +  ".join(str(p) for p in parts))

@@ -85,8 +85,6 @@ def ct_factored_pfrac_labeled(
     for idx, pole in poles:
         if var > pole[0]:
             continue  # large pole: no contribution
-        rest = FactoredForm(
-            f.nvars, f.scalar, f.mono,
-            f.factors[:idx] + f.factors[idx + 1:], f.poly)
-        out.append((pole, rest.substitute({var: pole[1]}, pole[0])))
+        out.append((pole, f.drop_factors((idx,)).substitute(
+            {var: pole[1]}, pole[0])))
     return out

@@ -16,13 +16,16 @@ carries a positive exponent; each geometric series then ascends in that
 
 Two representations:
 
-  * LaurentPoly -- the expanded form, over Z[q, 1/q]: integer maps
-    {exponent tuple: {q-exponent: int}} over one denominator shared by
-    every term, a multiset of integer maps that is never multiplied out
-    or reduced;
-  * FactoredForm -- scalar * monomial * poly * prod (1 - q^s M)^e, the
-    lossless symbolic form the proof engine manipulates (poly is an
-    optional LaurentPoly prefix, 1 for all pipeline-built forms).
+  * FactoredForm -- scalar * monomial * prod (sums) * prod (1 - q^s M)^e,
+    the lossless symbolic form the proof engine manipulates; its sums
+    (parsed expressions such as 1 + x1) are parts of the product just as
+    its factors are, and pipeline-built forms have none;
+  * LaurentPoly -- the expanded form, what an expansion of a FactoredForm
+    returns, over Z[q, 1/q]: integer maps {exponent tuple: {q-exponent:
+    int}} over one denominator shared by every term, a multiset of
+    integer maps that is never multiplied out or reduced.
+
+Every product is one windowed expansion, `FactoredForm.expand_within`.
 
 A substitution that collapses a binomial to 1 - q^e keeps it as a factor
 with an all-zero monomial, so the proof engine does no Q(q) arithmetic.
@@ -33,8 +36,9 @@ integer map {q-exponent: int} and a part of the product is
 such map is packed into one integer, its value at q = 2^w (Kronecker
 substitution), each x-key into another, one bit field per variable, and
 both are decoded back once at the end.  The scalar's numerator and the
-collapsed numerator factors are parts with the one key 0; the scalar's
-denominator and the collapsed denominator factors become the result's
+collapsed numerator factors are parts with the one key 0, and each sum
+is a part with its own keys; the scalar's denominator, the collapsed
+denominator factors and the sums' denominators become the result's
 denominator as they are, with no gcd.  Q(q) enters only where a
 coefficient is read or printed: `QRat.from_laurent` reduces it then,
 once, and the canonical form is unique, so the bytes printed are those
@@ -54,17 +58,18 @@ from .qfield import QRAT_ONE, QRAT_ZERO, QRat, _check_packed
 # Exponents are plain machine ints; anything this big is a bug upstream.
 _EXP_LIMIT = 10**9
 
-# Work budget of powers, binomial expansions and Pochhammer factor lists:
-# the largest exponent or count.
+# Work budget of powers, binomial expansions, Pochhammer factor lists and
+# the sums a form holds: the largest exponent or count.
 _MAX_POWER = 10_000
 
 # Work budget of the accumulator of `_multiply_within`: its number of keys
 # and the bits its packed values hold.  The perfbench cases and `verify`
 # up to brute (1; 1^8), (3; 3,3,3,3,3) and replay (3; 3,3,3,3) need at
 # most 25,686 keys (brute (1; 1^8)) and 26.1M bits (brute (3; 3,3,3,3,3)).
-# And the products of terms a product with no window may form (a power or
-# a product of sums): (1+x0)^1000, as 1000 copies, forms 1.0M and takes
-# about 1 s, while (1+x0)^4000 would form 16M.
+# And the products of terms a product with no window may form (the sums
+# of a form multiplied out, as a sum inside a sum needs them):
+# (1+x0)^1000 + 1, its 1000 copies multiplied out, forms 1.0M and takes
+# about 1 s, while (1+x0)^4000 + 1 would form 16M.
 _MAX_PRODUCT_KEYS = 1 << 18
 _MAX_PRODUCT_BITS = 1 << 28
 _MAX_PRODUCT_PAIRS = 1 << 22
@@ -103,6 +108,13 @@ def add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def scale_exps(a: tuple[int, ...], c: int) -> tuple[int, ...]:
     return tuple(_check_exp(x * c) for x in a)
+
+
+def _powers(mono: tuple[int, ...], t0: int, t1: int) -> list:
+    """(t, mono * t) for t from t0 to t1, 0 <= t0, with one overflow
+    check: the largest |mono_v| times t1 bounds every element."""
+    _check_exp(max(map(abs, mono)) * t1)
+    return [(t, tuple([x * t for x in mono])) for t in range(t0, t1 + 1)]
 
 
 def _move(mono: tuple[int, ...], moves: tuple[tuple[int, int], ...],
@@ -243,12 +255,12 @@ class LaurentPoly:
     maps {exponent tuple: {q-exponent: int}} with nonzero maps and no zero
     coefficients, and den the Counter {f_i: k_i}: the one denominator
     every term shares, a product of integer maps f_i (as sorted item
-    tuples) that is never multiplied out or reduced.  + - * ** and == are
-    integer map arithmetic: products go through `_multiply_within` with an
-    empty window and add the factor counts; a sum or a comparison brings
-    both sides to the least common multiple of their factor lists, so
-    summands over shared factors (the partial-fraction summands of one
-    kernel) keep a small denominator.  A coefficient becomes a canonical
+    tuples) that is never multiplied out or reduced.  It is what an
+    expansion returns: products are made by `FactoredForm.expand_within`,
+    and + - and == are integer map arithmetic that bring both sides to
+    the least common multiple of their factor lists, so summands over
+    shared factors (the partial-fraction summands of one kernel) keep a
+    small denominator.  A coefficient becomes a canonical
     QRat only where it is read (`terms`, `coeff_of`, `constant_coeff`,
     `str`), by `QRat.from_laurent` over the product of the factors.
     """
@@ -294,10 +306,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.maps
 
-    def _require_same(self, other: "LaurentPoly"):
-        if self.nvars != other.nvars:
-            raise DomainError("mixed variable orders")
-
     def _den_map(self) -> dict:
         return _qprod(_factor_maps(self.den))
 
@@ -318,7 +326,8 @@ class LaurentPoly:
         return self._over(den), other._over(den), den
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._require_same(other)
+        if self.nvars != other.nvars:
+            raise DomainError("mixed variable orders")
         if not self.maps:
             return other
         if not other.maps:
@@ -337,30 +346,6 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._require_same(other)
-        if not self.maps or not other.maps:
-            return LaurentPoly.zero(self.nvars)
-        return LaurentPoly._raw(
-            self.nvars,
-            _multiply_within(self.nvars, [self.maps, other.maps], {}, None),
-            self.den + other.den)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        """The product of n copies, one `_multiply_within` call, so the
-        power is refused before anything is multiplied when the product
-        of the copies would pass the packed-width budget."""
-        if n < 0:
-            raise DomainError("negative power of a LaurentPoly")
-        _check_power(n)
-        if n == 0:
-            return LaurentPoly.one(self.nvars)
-        if not self.maps:
-            return self
-        return LaurentPoly._raw(
-            self.nvars, _multiply_within(self.nvars, [self.maps] * n, {}, None),
-            Counter({f: k * n for f, k in self.den.items()}))
-
     def coeff_of(self, exps: tuple[int, ...]) -> QRat:
         m = self.maps.get(exps)
         return QRAT_ZERO if m is None else QRat.from_laurent(m, self._den_map())
@@ -373,13 +358,6 @@ class LaurentPoly:
         return LaurentPoly._raw(
             self.nvars, {k: m for k, m in self.maps.items() if k[var] == 0},
             self.den)
-
-    def var_range(self, var: int) -> tuple[int, int]:
-        """(min, max) exponent of x_var over the terms; (0, 0) if empty."""
-        if not self.maps:
-            return 0, 0
-        es = [k[var] for k in self.maps]
-        return min(es), max(es)
 
     def restrict(self, hi: dict[int, int] | None = None,
                  lo: dict[int, int] | None = None) -> "LaurentPoly":
@@ -503,10 +481,11 @@ class Factor:
         if self.exp < 0:
             raise NotPolynomialError("denominator factor has no finite expansion")
         e = _check_power(self.exp)
-        coeffs = [(t, (-1) ** t * comb(e, t)) for t in range(e + 1)]
         if not any(self.mono):
-            return {self.mono: {self.qexp * t: c for t, c in coeffs}}
-        return {scale_exps(self.mono, t): {self.qexp * t: c} for t, c in coeffs}
+            return {self.mono: {self.qexp * t: (-1) ** t * comb(e, t)
+                                for t in range(e + 1)}}
+        return {k: {self.qexp * t: (-1) ** t * comb(e, t)}
+                for t, k in _powers(self.mono, 0, e)}
 
     def series_terms(self, tmax: int) -> dict:
         """Truncated geometric expansion of a denominator factor, as
@@ -522,11 +501,11 @@ class Factor:
         p = -self.exp
         s = self.qexp
         if self.is_small():
-            return {scale_exps(self.mono, t): {s * t: comb(t + p - 1, p - 1)}
-                    for t in range(tmax + 1)}
+            return {k: {s * t: comb(t + p - 1, p - 1)}
+                    for t, k in _powers(self.mono, 0, tmax)}
         sign = (-1) ** p
-        return {scale_exps(self.mono, -t): {-s * t: sign * comb(t - 1, p - 1)}
-                for t in range(p, tmax + 1)}
+        return {k: {-s * t: sign * comb(t - 1, p - 1)}
+                for t, k in _powers(tuple(-x for x in self.mono), p, tmax)}
 
     def series_start(self) -> int:
         """First series index with a term (0 for small, multiplicity for large)."""
@@ -534,32 +513,32 @@ class Factor:
 
 
 class FactoredForm:
-    """scalar * X^mono * poly * prod_i (1 - q^{s_i} M_i)^{e_i}, held exactly.
+    """scalar * X^mono * prod(polys) * prod_i (1 - q^{s_i} M_i)^{e_i}, held
+    exactly.
 
     The proof engine's working representation: products are never expanded
-    until a constant term actually has to be read off.  `poly` is an
-    optional Laurent-polynomial prefix (1 when absent); pipeline-built
-    forms keep it trivial so the factor bookkeeping stays visible.
+    until a constant term actually has to be read off.  `polys` holds the
+    sums a parsed expression multiplies in, each a LaurentPoly, as parts of
+    the product just like the factors: `*` joins the lists, `**` repeats
+    them, and `expand_within` multiplies them in under its window.  A zero
+    sum makes the form zero.  Pipeline-built forms hold no sums.
     """
 
-    __slots__ = ("nvars", "scalar", "mono", "poly", "factors")
+    __slots__ = ("nvars", "scalar", "mono", "factors", "polys")
 
     def __init__(self, nvars: int, scalar: QRat = QRAT_ONE,
                  mono: tuple[int, ...] | None = None,
                  factors: tuple[Factor, ...] = (),
-                 poly: LaurentPoly | None = None):
+                 polys: tuple[LaurentPoly, ...] = ()):
         self.nvars = nvars
-        self.scalar = scalar
-        self.mono = mono if mono is not None else (0,) * nvars
-        if poly is not None and poly.maps == {(0,) * nvars: poly._den_map()}:
-            poly = None
-        self.poly = poly
-        if scalar.is_zero():
-            self.mono = (0,) * nvars
-            self.poly = None
-            self.factors = ()
+        if scalar.is_zero() or polys and not all(p.maps for p in polys):
+            self.scalar, self.mono = QRAT_ZERO, (0,) * nvars
+            self.factors = self.polys = ()
         else:
+            self.scalar = scalar
+            self.mono = mono if mono is not None else (0,) * nvars
             self.factors = tuple(factors)
+            self.polys = tuple(polys)
 
     @classmethod
     def one(cls, nvars: int) -> "FactoredForm":
@@ -581,6 +560,10 @@ class FactoredForm:
     def is_zero(self) -> bool:
         return self.scalar.is_zero()
 
+    def is_scalar(self) -> bool:
+        """Whether the form prints as its scalar alone."""
+        return not self._bits()
+
     def denominator_factors(self) -> list[Factor]:
         """The denominator factors that contain a variable."""
         return [f for f in self.factors if f.exp < 0 and any(f.mono)]
@@ -591,48 +574,54 @@ class FactoredForm:
         if self.is_zero():
             return self
         return FactoredForm(self.nvars, self.scalar, self.mono,
-                            self.factors + (f,), self.poly)
+                            self.factors + (f,), self.polys)
+
+    def drop_factors(self, positions) -> "FactoredForm":
+        """The form without the factors at the given distinct positions."""
+        factors = list(self.factors)
+        for i in sorted(positions, reverse=True):
+            del factors[i]
+        return FactoredForm(self.nvars, self.scalar, self.mono, factors,
+                            self.polys)
 
     def __mul__(self, other: "FactoredForm") -> "FactoredForm":
         if self.nvars != other.nvars:
             raise DomainError("mixed variable orders")
         if self.is_zero() or other.is_zero():
             return FactoredForm.zero(self.nvars)
-        if self.poly is not None and other.poly is not None:
-            poly = self.poly * other.poly
-        else:
-            poly = self.poly if self.poly is not None else other.poly
+        polys = self.polys + other.polys
+        _check_power(len(polys))
         return FactoredForm(self.nvars, self.scalar * other.scalar,
                             add_exps(self.mono, other.mono),
-                            self.factors + other.factors, poly)
+                            self.factors + other.factors, polys)
 
     def __pow__(self, n: int) -> "FactoredForm":
+        """Factors take the power in their exponents and sums as n copies,
+        so a form holds at most _MAX_POWER sums."""
         if self.is_zero():
             if n <= 0:
                 raise DomainError("0 to a nonpositive power")
             return self
         if n == 0:
             return FactoredForm.one(self.nvars)
-        if self.poly is not None and n < 0:
-            raise DomainError("cannot invert a polynomial prefix symbolically")
+        if self.polys and n < 0:
+            raise DomainError("cannot invert a sum symbolically")
         s = self.scalar
         if len(s.num.c) + len(s.den.c) > 2 or abs(s.num.leading_coeff) != 1:
             _check_power(abs(n))        # only a power of +-q^k costs nothing
-        poly = None
-        if self.poly is not None:
-            poly = self.poly ** n
+        _check_power(len(self.polys) * n)
         return FactoredForm(self.nvars, self.scalar ** n,
                             scale_exps(self.mono, n),
-                            tuple(f.powered(n) for f in self.factors), poly)
+                            tuple(f.powered(n) for f in self.factors),
+                            self.polys * n)
 
     def __eq__(self, other) -> bool:
-        """Scalar, monomial, polynomial prefix and the factor sequence, in
-        order: equal forms have equal values, but (1 - q) and
-        -q(1 - q^-1) compare unequal, and so do two orders of one
-        factor list."""
+        """Scalar, monomial, the sums and the factor sequence, in order:
+        equal forms have equal values, but (1 - q) and -q(1 - q^-1)
+        compare unequal, and so do two orders of one factor list."""
         return (isinstance(other, FactoredForm) and self.nvars == other.nvars
                 and self.scalar == other.scalar and self.mono == other.mono
-                and self.poly == other.poly and self.factors == other.factors)
+                and self.polys == other.polys and self.factors == other.factors)
 
     # -- substitution ---------------------------------------------------------
 
@@ -645,7 +634,8 @@ class FactoredForm:
         all-zero monomial, so no Q(q) arithmetic is done.  Whatever the
         factor order, a denominator factor that collapses to 1 - q^0
         raises UncancelledPoleError; otherwise a numerator factor that
-        collapses to it makes the form zero.
+        collapses to it makes the form zero, and so does a sum whose
+        terms cancel.
         """
         if dst in shifts:
             raise DomainError("substitute onto the same variable")
@@ -685,20 +675,16 @@ class FactoredForm:
             mono = self.mono
         elif qexp:
             scalar = scalar.times_qpow(qexp)
-        poly = None
-        if self.poly is not None:
+        polys = []
+        for p in self.polys:                # terms that meet add up
             maps = {}
-            for k, m in self.poly.maps.items():
+            for k, m in p.maps.items():
                 k2, qexp = _move(k, moves, dst)
-                if k2 is None:
-                    k2 = k
-                elif qexp:
+                if qexp:
                     m = {e + qexp: c for e, c in m.items()}
-                _add_term(maps, k2, m)
-            if not maps:
-                return FactoredForm.zero(self.nvars)
-            poly = LaurentPoly._raw(self.nvars, maps, self.poly.den)
-        return FactoredForm(self.nvars, scalar, mono, tuple(factors), poly)
+                _add_term(maps, k if k2 is None else k2, m)
+            polys.append(LaurentPoly._raw(self.nvars, maps, p.den))
+        return FactoredForm(self.nvars, scalar, mono, tuple(factors), polys)
 
     # -- degrees --------------------------------------------------------------
 
@@ -710,8 +696,8 @@ class FactoredForm:
         in x_i and 1 in x_j.
         """
         d = self.mono[var]
-        if self.poly is not None and not self.poly.is_zero():
-            d += self.poly.var_range(var)[1]
+        for p in self.polys:
+            d += max(k[var] for k in p.maps)
         for f in self.factors:
             d += f.exp * max(0, f.mono[var])
         return d
@@ -739,8 +725,8 @@ class FactoredForm:
         exponents vanish on all variables below its control variable.
         Fix a product term whose final exponents lie in the window and
         process variables in expansion order.  On variable v, negative
-        contributions can come only from the fixed parts (monomial, poly
-        prefix, numerator factors: all finite, minima known exactly) and
+        contributions can come only from the fixed parts (monomial, sums,
+        numerator factors: all finite, minima known exactly) and
         from factors controlled by earlier variables, whose indices are
         already capped, so their most-negative contribution to v is known.
         Everything else contributes >= its t = t0 minimum.  The remaining
@@ -754,16 +740,12 @@ class FactoredForm:
             return LaurentPoly.zero(nv)
 
         # the scalar's numerator and the collapsed numerator factors are
-        # parts of the product with the one key 0; its denominator, the
-        # collapsed denominator factors and a poly prefix's den multiply
-        # into the result's den
+        # parts of the product with the one key 0, and each sum is a part;
+        # the scalar's denominator, the collapsed denominator factors and
+        # the sums' denominators multiply into the result's den
         num, den = _integer_pair(self.scalar)
-        if self.poly is None:
-            parts, den = [{self.mono: num}], _den_times(_NO_DEN, den)
-        else:
-            parts = [{add_exps(self.mono, k): m
-                      for k, m in self.poly.maps.items()}, {(0,) * nv: num}]
-            den = _den_times(self.poly.den, den)
+        parts = [{self.mono: num}, *(p.maps for p in self.polys)]
+        den = sum((p.den for p in self.polys), _den_times(_NO_DEN, den))
         for f in self.factors:
             if f.exp > 0:
                 parts.append(f.expand_exact())
@@ -832,20 +814,26 @@ class FactoredForm:
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
-        bits = []
+        bits = self._bits()
         scalar = _scalar_value(self)
-        factors = [f for f in self.factors if any(f.mono)]
-        if not scalar.is_one() or (not any(self.mono) and not factors
-                                   and self.poly is None):
-            bits.append(str(scalar))
-        mono = _mono_str(self.mono)
-        if mono:
-            bits.append(mono)
-        if self.poly is not None:
-            bits.append(f"({self.poly})")
-        for f in sorted(factors, key=Factor.sort_key):
-            bits.append(repr(f))
+        if not scalar.is_one() or not bits:
+            s = str(scalar)
+            if bits and scalar.den.is_one() and len(scalar.num.c) > 1:
+                s = f"({s})"        # 1 - q * x1 would read as 1 - (q * x1)
+            bits.insert(0, s)
         return " * ".join(bits)
+
+    def _bits(self) -> list[str]:
+        """What str prints after the scalar: the monomial, the product of
+        the sums multiplied out unless it is 1, the factors with a
+        variable."""
+        bits = [_mono_str(self.mono)] if any(self.mono) else []
+        if self.polys:
+            sums = FactoredForm(self.nvars, polys=self.polys).expand_exact()
+            if sums != LaurentPoly.one(self.nvars):
+                bits.append(f"({sums})")
+        return bits + [repr(f) for f in sorted(
+            (f for f in self.factors if any(f.mono)), key=Factor.sort_key)]
 
     def __repr__(self) -> str:
         return f"FactoredForm({self})"

@@ -334,17 +334,15 @@ def _qpower_exponent(c: QRat) -> int | None:
 
 
 def _recognize_factor(nvars: int, lp: LaurentPoly) -> FactoredForm | None:
-    """1 - q^s * monomial, spotted inside an expanded sum."""
-    if len(lp.terms) != 2:
+    """1 - q^s * monomial, spotted inside an expanded sum; with the
+    all-zero monomial and s != 0 it is the collapsed factor 1 - q^s, as
+    `FactoredForm.substitute` makes it."""
+    rest = (LaurentPoly.one(nvars) - lp).terms
+    if len(rest) != 1:
         return None
-    zero = (0,) * nvars
-    if zero not in lp.terms or not lp.terms[zero].is_one():
-        return None
-    (mono, coeff), = [(k, v) for k, v in lp.terms.items() if k != zero]
-    if not any(mono):
-        return None
-    e = _qpower_exponent(-coeff)
-    if e is None:
+    (mono, coeff), = rest.items()
+    e = _qpower_exponent(coeff)
+    if e is None or not (e or any(mono)):
         return None
     return FactoredForm(nvars, factors=(Factor(e, mono),))
 
@@ -377,7 +375,7 @@ def _lower(node: Node, nvars: int) -> FactoredForm:
         return _pow(base, node.exponent, node)
     if isinstance(node, QPoch):
         base = _lower(node.base, nvars)
-        if base.poly is not None or base.factors:
+        if base.polys or base.factors:
             raise LoweringError(
                 f"at {node.span[0]}:{node.span[1]}: qpoch base must be a "
                 "monomial times a power of q")
@@ -402,12 +400,12 @@ def _lower(node: Node, nvars: int) -> FactoredForm:
         factor = _recognize_factor(nvars, total)
         if factor is not None:
             return factor
-        return FactoredForm(nvars, poly=total)
+        return FactoredForm(nvars, polys=(total,))
     raise TypeError(f"not an AST node: {node!r}")
 
 
 def _pow(ff: FactoredForm, e: int, node: Node) -> FactoredForm:
-    if e < 0 and ff.poly is not None:
+    if e < 0 and ff.polys:
         raise LoweringError(
             f"at {node.span[0]}:{node.span[1]}: division by something that "
             "is not a product of binomial factors, monomials and scalars")

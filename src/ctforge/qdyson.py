@@ -204,15 +204,12 @@ def kernel_at_path(b: int, a: tuple[int, ...],
     root = qdyson_kernel(b, a)
     if path.depth == 0:
         return root
-    factors = list(root.factors)
-    for r, k in zip(reversed(path.r), reversed(path.k)):   # highest first
-        pos = (r - 1) * b + sum(a[:r - 1]) + k - 1
-        if factors[pos] != Factor.binomial(n + 1, -k, 0, r, -1):
+    positions = [(r - 1) * b + sum(a[:r - 1]) + k - 1
+                 for r, k in zip(path.r, path.k)]
+    for pos, r, k in zip(positions, path.r, path.k):
+        if root.factors[pos] != Factor.binomial(n + 1, -k, 0, r, -1):
             raise ProofInvariantError(f"missing denominator factors at {path}")
-        del factors[pos]
-    ff = FactoredForm(root.nvars, root.scalar, root.mono, tuple(factors),
-                      root.poly)
-    return collapse_path(path, ff)
+    return collapse_path(path, root.drop_factors(positions))
 
 
 def find_vanishing_witness(a: tuple[int, ...],

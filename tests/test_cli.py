@@ -12,6 +12,8 @@ import pytest
 
 from ctforge import cli, qdyson
 from ctforge.cli import main
+from ctforge.ctengine import ct_factored_pfrac_labeled
+from ctforge.parser import lower, parse
 from ctforge.qfield import QPoly
 from ctforge.qdyson import certificate_from_dict, validate_certificate
 from ctforge.tournament import Witness
@@ -230,9 +232,42 @@ class TestCtCommand:
             assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
     def test_dense_x_power_budget_exit_1(self):
-        # (1+x0)^4000, the product of 4000 copies, would form 16M products
-        # of terms; it stops at the budget of 2^22
-        self._refused("(1+x0)^4000", timeout=10)
+        # a sum inside a sum is multiplied out with no window: the 4000
+        # copies of (1+x0) would form 16M products of terms; it stops at
+        # the budget of 2^22
+        self._refused("(1+x0)^4000+1", timeout=10)
+
+    def test_sum_powers_are_parts_of_the_windowed_product(self):
+        # the copies of (1+x0) are parts of the all-zero window's product,
+        # one key each: no budget is near
+        r = run_bounded_cli("ct", "--expr", "(1+x0)^4000", "--all-vars",
+                            timeout=10)
+        assert r.returncode == 0 and r.stdout == "1\n"
+
+    def test_zero_sum_makes_the_form_zero(self, capsys):
+        # x0 - x0 is the zero sum, so the form is zero, not of degree 0
+        assert main(["ct", "--expr", "x0-x0", "--var", "x0",
+                     "--method", "pfrac"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
+    def test_multi_term_scalar_prints_in_parentheses(self, capsys):
+        # the printed summand reads back as the same function
+        expr = "qpoch(q,2)*x1/(1-x0/x1)"
+        assert main(["ct", "--expr", expr, "--var", "x0",
+                     "--method", "pfrac"]) == 0
+        out = capsys.readouterr().out
+        assert out == "(1 - q - q^2 + q^3) * x1\n"
+        summand, = ct_factored_pfrac_labeled(lower(parse(expr)), 0)
+        assert lower(parse(out), 2).expand_exact() == \
+            summand[1].expand_exact()
+
+    def test_one_minus_q_divides_like_its_pochhammer(self, capsys):
+        for flags in (["--all-vars"], ["--var", "x0"]):
+            outs = []
+            for expr in ("1/(1-q)", "1/qpoch(q,1)"):
+                assert main(["ct", "--expr", expr, *flags]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1] == "-1/(-1 + q)\n"
 
     def test_both_comparison_makes_no_gcd(self, monkeypatch):
         # the series and the partial-fraction total are compared as
@@ -351,6 +386,13 @@ class TestByteIdentity:
          "9401e88c9fc2aaf6afb62e2df8d046e6c99e34276fdf39352457359c01f19f6c"),
         (["identities", "--trunc", "8"],
          "b83ab8c12f2d8269d5ba76a4f3483d5aa75e6f2d97f55b52eeec921f0a33e54d"),
+        # summands that print a product of sums
+        (["ct", "--expr", "(1+x1)^3/((1-x0/x1)*(1-x0/x2)*(1-x0/x3)*(1-x0/x4))",
+          "--var", "x0", "--trunc", "3"],
+         "4c5345fb760b2b251adb934b3be1c5a1fc4b251419eed33d6df7e88555b9007b"),
+        (["ct", "--expr", "(1+x1)*(1+x2)/((1-x0/x1)*(1-x0/x2)*(1-x0/x3))",
+          "--var", "x0", "--trunc", "3"],
+         "43ed6845f508c5fc65850e8e7d28f94a1a1e89bcc310f9a873667a6088d24e5b"),
     ])
     def test_stdout_digest(self, capsys, argv, digest):
         assert main(argv) == 0

@@ -83,7 +83,7 @@ def proper_rat(var: int, num: LaurentPoly, dpow: int,
     mono = [0] * nv
     mono[var] = -dpow
     factors = tuple(Factor.binomial(nv, -s, var, t, -1) for t, s in poles)
-    return var, FactoredForm(nv, mono=tuple(mono), factors=factors, poly=num)
+    return var, FactoredForm(nv, mono=tuple(mono), factors=factors, polys=(num,))
 
 
 def pfrac(r: tuple[int, FactoredForm]) -> list[FactoredForm]:

@@ -24,12 +24,17 @@ def lp_mono(nvars, exps, coeff=QRAT_ONE):
     return LaurentPoly.monomial(nvars, exps, coeff)
 
 
+def product(nvars, *polys):
+    """The product of LaurentPolys: a form holding them as sums, expanded."""
+    return FactoredForm(nvars, polys=polys).expand_exact()
+
+
 class TestLaurentPolyRing:
     def test_product_example(self):
         # (1 - x0/x1)(1 - q x1/x0) = 1 + q - x0/x1 - q x1/x0
         a = FactoredForm(2, factors=(Factor.binomial(2, 0, 0, 1),)).expand_exact()
         b = FactoredForm(2, factors=(Factor.binomial(2, 1, 1, 0),)).expand_exact()
-        prod = a * b
+        prod = product(2, a, b)
         assert prod.coeff_of((0, 0)) == QRat(QPoly({0: 1, 1: 1}))
         assert prod.coeff_of((1, -1)) == QRat.from_int(-1)
         assert prod.coeff_of((-1, 1)) == QRat.qpow(1).scaled(-1)
@@ -41,7 +46,7 @@ class TestLaurentPolyRing:
 
     def test_one_is_identity(self):
         a = lp_mono(3, {0: 1, 2: -2}, QRat.from_int(5))
-        assert a * LaurentPoly.one(3) == a
+        assert product(3, a, LaurentPoly.one(3)) == a
 
     def test_mixed_orders_rejected(self):
         with pytest.raises(DomainError):
@@ -54,10 +59,12 @@ class TestLaurentPolyRing:
     def test_pow_is_repeated_product(self):
         a = (lp_mono(2, {0: 1, 1: -1}, QRat(QPoly({0: 1}), QPoly({0: 1, 1: -1})))
              + lp_mono(2, {1: 2}, QRat.qpow(-1)) + LaurentPoly.one(2))
+        # a form's power repeats its sums: n copies, one expansion
+        ff = FactoredForm(2, polys=(a,))
         acc = LaurentPoly.one(2)
         for n in range(7):
-            assert a ** n == acc
-            acc = acc * a
+            assert (ff ** n).expand_exact() == acc
+            acc = product(2, acc, a)
 
 
 class _Ref:
@@ -81,11 +88,12 @@ class _Ref:
         return self + (-other)
 
     def __mul__(self, other):
-        out = _Ref({})
+        t = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                out = out + _Ref({tuple(x + y for x, y in zip(k1, k2)): v1 * v2})
-        return out
+                k = tuple(x + y for x, y in zip(k1, k2))
+                t[k] = t.get(k, QRAT_ZERO) + v1 * v2
+        return _Ref(t)
 
     def __pow__(self, n):
         out = _Ref({(0,) * 3: QRAT_ONE})
@@ -147,9 +155,9 @@ class TestAgainstQRatReference:
         self._same(a + b, ra + rb)
         self._same(a - b, ra - rb)
         self._same(-a, -ra)
-        self._same(a * b, ra * rb)
+        self._same(product(3, a, b), ra * rb)
         for n in range(4):
-            self._same(a ** n, ra ** n)
+            self._same(product(3, *[a] * n), ra ** n)
         for v in range(3):
             self._same(a.free_of(v), ra.free_of(v))
 
@@ -159,13 +167,14 @@ class TestAgainstQRatReference:
         a, b = LaurentPoly(3, f), LaurentPoly(3, g)
         assert (a == b) == (_Ref(f).terms == _Ref(g).terms)
         # the same values over other denominators compare equal
-        assert (a + b) - b == a and a * b == b * a
-        assert (a + b) * (a - b) == a * a - b * b
+        assert (a + b) - b == a and product(3, a, b) == product(3, b, a)
+        assert product(3, a + b, a - b) == \
+            product(3, a, a) - product(3, b, b)
 
     @settings(max_examples=80, deadline=None)
     @given(_terms, st.integers(-2, 2), st.integers(-2, 2))
     def test_substitute(self, f, s0, s1):
-        got = FactoredForm(3, poly=LaurentPoly(3, f)).substitute(
+        got = FactoredForm(3, polys=(LaurentPoly(3, f),)).substitute(
             {0: s0, 1: s1}, 2)
         want = _Ref(f).substitute({0: s0, 1: s1}, 2)
         if got.is_zero():
@@ -391,8 +400,8 @@ class TestExpansion:
             direct = (f * g).expand_within(window)
             for pad in (8, 12):
                 wide = {v: b + pad for v, b in window.items()}
-                split = (f.expand_within(wide) * g.expand_within(wide)) \
-                    .restrict(hi=window)
+                split = product(nv, f.expand_within(wide),
+                                g.expand_within(wide)).restrict(hi=window)
                 assert split == direct
 
 
@@ -400,23 +409,24 @@ class TestIntegerRing:
     """expand_within multiplies integer maps over Z[q, 1/q]; these check the
     boundary to Q(q) against references built from QRat LaurentPolys."""
 
-    def test_poly_prefix_with_rational_coefficients(self):
-        # 1/(1 - q) and 1/6 are not in Z[q, 1/q]: the prefix is expanded as
-        # integer terms over a common denominator folded into the scalar
+    def test_sums_with_rational_coefficients(self):
+        # 1/(1 - q) and 1/6 are not in Z[q, 1/q]: a sum holds integer maps
+        # over its denominator, which joins the product's; the product of
+        # the sums is checked against term-by-term QRat products
         from ctforge.parser import lower, parse
 
         def side(src):
-            # a sum lowers to its poly prefix, summed term by term in Q(q)
-            f = lower(parse(src), 2)
-            return f.poly if f.poly is not None else f.expand_exact()
+            return _Ref(dict(lower(parse(src), 2).expand_exact().terms))
 
         for left, right in (("x0/qpoch(q,1) + x1", "1/x0 + 1/x1"),
                             ("x0/2 + q^-1*x1/3", "(1 - q*x0/x1)^2"),
                             ("x0/qpoch(q,2) + x1/qpoch(q^-1,1)",
                              "1/x0 + q*x1")):
             ff = lower(parse(f"({left})*({right})"))
-            assert ff.poly is not None
-            assert ff.expand_exact() == side(left) * side(right)
+            assert ff.polys
+            got = ff.expand_exact()
+            want = side(left) * side(right)
+            assert got.terms == want.terms and str(got) == str(want)
 
     def test_scalar_with_non_monomial_denominator(self):
         from ctforge.qdyson import qdyson_kernel
@@ -427,7 +437,7 @@ class TestIntegerRing:
             s.nvars, s.scalar, factors=[f for f in s.factors if not any(f.mono)]))
         assert len(value.den.c) > 1  # 1/(q^3 - q^2)
         bare = FactoredForm(s.nvars, QRAT_ONE, s.mono,
-                            [f for f in s.factors if any(f.mono)], s.poly)
+                            [f for f in s.factors if any(f.mono)], s.polys)
         window = {0: 0, 1: 2, 2: 2}
         lp = s.expand_within(window)
         assert not lp.is_zero()
@@ -437,23 +447,23 @@ class TestIntegerRing:
     @staticmethod
     def _reference(ff, hi, lo, cap):
         """ff expanded by hand: each denominator factor is a geometric
-        series truncated at index cap, multiplied as QRat LaurentPolys."""
+        series truncated at index cap, the parts multiplied by plain
+        integer arithmetic and the scalar multiplied in as a QRat."""
         nv = ff.nvars
-        out = LaurentPoly.monomial(nv, ff.mono, ff.scalar)
+        parts = [{ff.mono: {0: 1}}]
         for f in ff.factors:
-            c = QRat.qpow(f.qexp)
             if f.exp > 0:
-                base = LaurentPoly.one(nv) - LaurentPoly.monomial(nv, f.mono, c)
-                out = out * base ** f.exp
+                parts += [{(0,) * nv: {0: 1}, f.mono: {f.qexp: -1}}] * f.exp
                 continue
             small = next(e for e in f.mono if e) > 0
-            geo = LaurentPoly.zero(nv)
-            for t in range(cap + 1) if small else range(-1, -cap - 1, -1):
-                geo = geo + LaurentPoly.monomial(
-                    nv, tuple(t * e for e in f.mono), c ** t)
             # 1/(1 - cM) = -(cM)^-1 / (1 - (cM)^-1) when cM is large
-            out = out * (geo if small else -geo) ** -f.exp
-        return out.restrict(hi=hi, lo=lo)
+            geo = {tuple(t * e for e in f.mono): {f.qexp * t: 1 if small else -1}
+                   for t in (range(cap + 1) if small
+                             else range(-1, -cap - 1, -1))}
+            parts += [geo] * -f.exp
+        return LaurentPoly(nv, {
+            k: QRat.from_laurent(m) * ff.scalar
+            for k, m in _reference_product(nv, parts, hi, lo).items()})
 
     def test_random_forms_against_qrat_reference(self):
         rng = random.Random(2025)
@@ -592,7 +602,7 @@ class TestPackedProduct:
         with pytest.raises(DomainError, match="products of terms"):
             _multiply_within(1, parts, {}, None)
         with pytest.raises(DomainError, match="products of terms"):
-            LaurentPoly._raw(1, parts[0]) ** 3
+            product(1, *[LaurentPoly._raw(1, parts[0])] * 3)
         assert _multiply_within(1, parts, {0: 1}, None) == \
             {(0,): {0: 1}, (1,): {0: 3}}
 
@@ -628,16 +638,35 @@ class TestWorkBudget:
         assert len(Factor(0, (1, -1), 3).expand_exact()) == 4
 
     def test_powers(self):
-        poly = FactoredForm(1, poly=lp_mono(1, {0: 1}) + LaurentPoly.one(1))
+        poly = FactoredForm(1, polys=(lp_mono(1, {0: 1}) + LaurentPoly.one(1),))
         scalar = FactoredForm.from_scalar(1, QRat(QPoly({0: 1, 1: 1})))
         for ff in (poly, scalar):
             with pytest.raises(DomainError, match="work budget"):
                 ff ** (_MAX_POWER + 1)
+        # a form holds at most _MAX_POWER sums, however they were joined
+        half = poly ** (_MAX_POWER // 2)
+        assert len(half.polys) == _MAX_POWER // 2
+        assert len((half * half).polys) == _MAX_POWER
         with pytest.raises(DomainError, match="work budget"):
-            poly.poly ** (_MAX_POWER + 1)
+            half * half * poly
+        with pytest.raises(DomainError, match="work budget"):
+            half ** 3
+        with pytest.raises(DomainError, match="invert a sum"):
+            poly ** -1
         # powers of monomials and of +-q^k cost nothing and are not limited
         q = FactoredForm.monomial(1, {0: 1}, QRat.qpow(1).scaled(-1))
         assert (q ** (10 * _MAX_POWER)).scalar == QRat.qpow(10 * _MAX_POWER)
+
+    def test_exponent_overflow_of_a_series(self):
+        # the largest key of the series of 1/(1 - x0 x1^-10^8) to x0^t is
+        # (t, -t * 10^8): one check of it refuses t = 10
+        ff = FactoredForm(2, factors=(Factor(0, (1, -10**8), -1),))
+        assert len(ff.expand_within({0: 9}).terms) == 10
+        with pytest.raises(DomainError, match="exponent overflow"):
+            ff.expand_within({0: 10})
+        with pytest.raises(DomainError, match="exponent overflow"):
+            Factor(0, (1, -10**8), 10).expand_exact()
+        assert len(Factor(0, (1, -10**8), 9).expand_exact()) == 10
 
     def test_series_length(self, monkeypatch):
         # a series part is refused unbuilt when it would hold more terms
@@ -678,11 +707,14 @@ class TestDegree:
         assert qdyson_kernel(3, (1, 1)).degree_in(0) == -6
         assert qdyson_kernel(2, (2, 1, 2)).degree_in(0) == -6
 
-    def test_monomial_and_poly_prefix(self):
+    def test_monomial_and_sums(self):
         f = FactoredForm.monomial(2, {0: -2})
         assert f.degree_in(0) == -2
-        g = FactoredForm(2, poly=lp_mono(2, {0: 3}) + LaurentPoly.one(2))
+        g = FactoredForm(2, polys=(lp_mono(2, {0: 3}) + LaurentPoly.one(2),))
         assert g.degree_in(0) == 3
+        # the sums' top degrees add up
+        h = g * g * FactoredForm(2, polys=(lp_mono(2, {0: -1, 1: 4}),))
+        assert h.degree_in(0) == 5 and h.degree_in(1) == 4
 
 
 class TestFactoredFormAlgebra:
@@ -742,13 +774,15 @@ class TestFactoredFormAlgebra:
         out = ff.substitute({0: 2, 1: 1}, 2)
         assert out.mono == (0, 0, 0) and out.scalar == QRat.qpow(1)
         assert out.factors == (Factor(1, (0, 0, 0)), Factor(1, (0, 0, 0)))
-        # a polynomial prefix x0 - q x1 becomes q^2 x2 - q^2 x2 = 0
+        # a sum x0 - q x1 becomes q^2 x2 - q^2 x2 = 0, and the form is 0
         x0, x1 = lp_mono(3, {0: 1}), lp_mono(3, {1: 1})
-        g = FactoredForm(3, poly=x0 - lp_mono(3, {1: 1}, QRat.qpow(1)))
+        zero = x0 - lp_mono(3, {1: 1}, QRat.qpow(1))
+        g = FactoredForm(3, polys=(x0 + x1, zero))
         assert g.substitute({0: 2, 1: 1}, 2).is_zero()
-        # and x0 + x1 becomes (q^2 + q) x2
-        h = FactoredForm(3, poly=x0 + x1).substitute({0: 2, 1: 1}, 2)
-        assert h.poly == lp_mono(3, {2: 1}, QRat(QPoly({1: 1, 2: 1})))
+        # and x0 + x1 becomes (q^2 + q) x2, each sum moved on its own
+        h = FactoredForm(3, polys=(x0 + x1, x0)).substitute({0: 2, 1: 1}, 2)
+        assert h.polys == (lp_mono(3, {2: 1}, QRat(QPoly({1: 1, 2: 1}))),
+                           lp_mono(3, {2: 1}, QRat.qpow(2)))
         with pytest.raises(DomainError):
             ff.substitute({0: 1, 2: 1}, 2)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctforge.ctengine import ct_all_bruteforce
-from ctforge.laurent import LaurentPoly
+from ctforge.laurent import Factor, LaurentPoly
 from ctforge.parser import (MAX_DEPTH, MAX_VARS, BinOp, IntLit,
                             LoweringError, ParseError, Pow, QLit, QPoch, Var,
                             free_vars, lower, parse, print_expr)
@@ -83,8 +83,8 @@ class TestNestingLimit:
         ff = lower(parse(cases.kernel_expr((2, 2, 2), 9)))
         kernel = qdyson_kernel(9, (2, 2, 2))
         # the same factors, in the order the expression lists them
-        assert (ff.nvars, ff.scalar, ff.mono, ff.poly) == \
-            (kernel.nvars, kernel.scalar, kernel.mono, kernel.poly)
+        assert (ff.nvars, ff.scalar, ff.mono, ff.polys) == \
+            (kernel.nvars, kernel.scalar, kernel.mono, kernel.polys)
         assert Counter(ff.factors) == Counter(kernel.factors)
 
 
@@ -156,16 +156,34 @@ class TestLowering:
 
     def test_general_polynomial_lowers_to_poly(self):
         ff = lower(parse("1 + x0 + x0*x1"))
-        assert ff.poly is not None and len(ff.poly.terms) == 3
+        assert len(ff.polys) == 1 and len(ff.polys[0].terms) == 3
 
     def test_scalar_arithmetic(self):
         ff = lower(parse("2^3 - q"))
-        assert ff.poly == LaurentPoly.monomial(1, {}, QRat(QPoly({0: 8, 1: -1})))
+        assert ff.polys == (
+            LaurentPoly.monomial(1, {}, QRat(QPoly({0: 8, 1: -1}))),)
 
     def test_qpoch_scalar_base(self):
         ff = lower(parse("qpoch(q, 2)"))
-        assert ff.factors == () and ff.poly is None
+        assert ff.factors == () and ff.polys == ()
         assert ff.scalar == QRat.one_minus_qpow(1) * QRat.one_minus_qpow(2)
+
+    def test_one_minus_q_power_is_a_collapsed_factor(self):
+        # 1 - q^s, s != 0, is the factor substitute makes when a binomial
+        # collapses, so it may divide; 1 - q^0 is the zero sum
+        for src, s in (("1 - q", 1), ("(1 - q^-3)", -3), ("1 - q^2*x0/x0", 2)):
+            ff = lower(parse(src), 2)
+            assert ff.factors == (Factor(s, (0, 0)),) and ff.polys == ()
+            inv = lower(parse(f"1/({src})"), 2)
+            assert inv.factors == (Factor(s, (0, 0), -1),)
+        assert lower(parse("1 - q^0")).is_zero()
+        with pytest.raises(LoweringError, match="division by zero"):
+            lower(parse("1/(1 - q^0)"))
+        # other constant sums stay sums, and may not divide
+        for src in ("2 - q", "1 + q", "q - 1", "1 - 2*q"):
+            assert lower(parse(src)).polys, src
+            with pytest.raises(LoweringError, match="not a product"):
+                lower(parse(f"1/({src})"))
 
     def test_qpoch_bad_base(self):
         with pytest.raises(LoweringError):

@@ -335,7 +335,7 @@ class TestKernelWalk:
             for i, (label, g) in enumerate(out):
                 if g.factors[::-1] != g.factors:
                     out[i] = label, FactoredForm(g.nvars, g.scalar, g.mono,
-                                                 g.factors[::-1], g.poly)
+                                                 g.factors[::-1], g.polys)
                     break
             return out
         monkeypatch.setattr(qdyson, "ct_factored_pfrac_labeled", reordered)
