@@ -181,8 +181,9 @@ def _print_summands(parts: list) -> None:
     if not parts:
         print("0")
         return
-    if all(p.is_scalar() for p in parts):
-        print(sum(map(ct_all_series, parts[1:]), ct_all_series(parts[0])))
+    if all(p.is_scalar() for p in parts):       # one reduction, in str
+        print(sum((p.expand_within({}) for p in parts),
+                  LaurentPoly.zero(parts[0].nvars)))
         return
     print("  +  ".join(str(p) for p in parts))
 

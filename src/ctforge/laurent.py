@@ -34,15 +34,16 @@ coefficients +-C(n, k) q^e, so inside `expand_within` a coefficient is an
 integer map {q-exponent: int} and a part of the product is
 {x-exponent tuple: {q-exponent: int}}.  Inside `_multiply_within` each
 such map is packed into one integer, its value at q = 2^w (Kronecker
-substitution), each x-key into another, one bit field per variable, and
-both are decoded back once at the end.  The scalar's numerator and the
-collapsed numerator factors are parts with the one key 0, and each sum
-is a part with its own keys; the scalar's denominator, the collapsed
-denominator factors and the sums' denominators become the result's
-denominator as they are, with no gcd.  Q(q) enters only where a
-coefficient is read or printed: `QRat.from_laurent` reduces it then,
-once, and the canonical form is unique, so the bytes printed are those
-of term-by-term Q(q) arithmetic.
+substitution; the packing and its width rule live in `qfield`), each
+x-key into another, one bit field per variable, and both are decoded
+back once at the end.  The scalar's numerator and the collapsed
+numerator factors are parts with the one key 0, and each sum is a part
+with its own keys; the scalar's denominator, the collapsed denominator
+factors and the sums' denominators become the result's denominator as
+they are, with no gcd.  Q(q) enters only where a coefficient is read or
+printed: `QRat.from_laurent` reduces it then, once, and the canonical
+form is unique, so the bytes printed are those of term-by-term Q(q)
+arithmetic.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ from math import comb, lcm
 
 from .errors import (DomainError, NotPolynomialError, ProofInvariantError,
                      ShapeError, TruncationError, UncancelledPoleError)
-from .qfield import QRAT_ONE, QRAT_ZERO, QRat, _check_packed
+from .qfield import (QRAT_ONE, QRAT_ZERO, QRat, _check_packed, _pack,
+                     _qprod, _unpack, _width)
 
 # Exponents are plain machine ints; anything this big is a bug upstream.
 _EXP_LIMIT = 10**9
@@ -199,31 +201,6 @@ def _den_times(den: Counter, m: dict, k: int = 1) -> Counter:
     return den + Counter({tuple(sorted(m.items())): k})
 
 
-def _factor_maps(den: Counter) -> list[dict]:
-    """The factors of a factored denominator, one map per multiplicity."""
-    return [dict(f) for f in den.elements()]
-
-
-def _qprod(maps: list[dict]) -> dict:
-    """The product of nonzero integer maps {q-exponent: int}: one packed
-    product, its slot width set from the product of the maps' l1 norms and
-    held to the packed budget, as `_multiply_within` sets and holds it."""
-    if len(maps) < 2:
-        return maps[0] if maps else _ONE
-    bound, span = 1, 0
-    for m in maps:
-        bound *= sum(map(abs, m.values()))
-        span += max(m) - min(m)
-    w = bound.bit_length() + 1
-    _check_packed(w, span)
-    offset, value = 0, 1
-    for m in maps:
-        o, v = _pack(m, w)
-        offset += o
-        value *= v
-    return _unpack(offset, value, w)
-
-
 class _Terms(Mapping):
     """A LaurentPoly's terms {exponent tuple: QRat}.  A coefficient is
     reduced to its canonical QRat when it is read; the length, the keys
@@ -307,15 +284,15 @@ class LaurentPoly:
         return not self.maps
 
     def _den_map(self) -> dict:
-        return _qprod(_factor_maps(self.den))
+        return _qprod([(dict(f), k) for f, k in self.den.items()])
 
     def _over(self, den: Counter) -> dict:
         """The maps over den, a multiple of self.den: each times the
-        factors den has beyond self.den."""
-        extra = _factor_maps(den - self.den)
+        factors den has beyond self.den, each to its multiplicity."""
+        extra = [(dict(f), k) for f, k in (den - self.den).items()]
         if not extra:
             return self.maps
-        return {k: _qprod([m] + extra) for k, m in self.maps.items()}
+        return {k: _qprod([(m, 1), *extra]) for k, m in self.maps.items()}
 
     def _common(self, other: "LaurentPoly") -> tuple[dict, dict, Counter]:
         """(a, b, den): both sides' maps over den, the lcm of their factor
@@ -844,11 +821,11 @@ def _scalar_value(ff: FactoredForm) -> QRat:
     Numerator and denominator multiply apart as integer maps, packed; one
     `QRat.from_laurent` makes the one reduction."""
     num, den = _integer_pair(ff.scalar)
-    nums, dens = [num], [den]
+    nums, dens = [(num, 1)], [(den, 1)]
     for f in ff.factors:
         if not any(f.mono):
-            side = nums if f.exp > 0 else dens
-            side += [{0: 1, f.qexp: -1}] * abs(f.exp)
+            (nums if f.exp > 0 else dens).append(({0: 1, f.qexp: -1},
+                                                  abs(f.exp)))
     return QRat.from_laurent(_qprod(nums), _qprod(dens))
 
 
@@ -896,11 +873,12 @@ def _multiply_within(nvars: int, parts: list[dict],
     Kronecker substitution: inside the loop each x-key's q-map is a pair
     (offset, value at q = 2^w), offset at or below the key's lowest
     q-exponent, so value = sum c_e 2^(w (e - offset)).  The slot width is
-    set once per product: w = P.bit_length() + 1, P the product over the
-    parts of each part's l1 norm.  A pair product is one integer multiply
-    plus an offset add; accumulating into a key is one add, after a shift
-    of w times the offset difference; a key whose value is 0 is dropped;
-    the surviving keys are decoded once, with balanced digits.
+    set once per product by `qfield._width`: w = P.bit_length() + 1, P the
+    product over the parts of each part's l1 norm, equal norms raised as
+    one power.  A pair product is one integer multiply plus an offset add;
+    accumulating into a key is one add, after a shift of w times the
+    offset difference; a key whose value is 0 is dropped; the surviving
+    keys are decoded once, with balanced digits.
 
     Why this is exact.  Evaluation at 2^w is a ring homomorphism from
     Z[q] to Z, so each value is the evaluation of the map a product of
@@ -913,7 +891,8 @@ def _multiply_within(nvars: int, parts: list[dict],
 
     Work budget.  Every value spans at most S + 1 slots, S the sum of the
     parts' q-exponent ranges, so w (S + 1) bounds its bits; a product that
-    could exceed _MAX_PACKED_BITS is refused before anything is packed.
+    could exceed _MAX_PACKED_BITS is refused before anything is packed,
+    and before P is formed when a lower bound of w is past it already.
     The accumulator is held to _MAX_PRODUCT_KEYS keys and
     _MAX_PRODUCT_BITS bits of packed values, checked after each row of
     the accumulator, so a part cannot run far past either.  A row adds at
@@ -939,13 +918,10 @@ def _multiply_within(nvars: int, parts: list[dict],
     mins = [mins[i] for i in order]
     maxs = [maxs[i] for i in order]
 
-    bound, spans = 1, []
-    for part in parts:
-        bound *= sum(abs(c) for m in part.values() for c in m.values())
-        spans.append(max(e for m in part.values() for e in m)
-                     - min(e for m in part.values() for e in m))
-    w = bound.bit_length() + 1
-    _check_packed(w, sum(spans))
+    spans = [max(e for m in part.values() for e in m)
+             - min(e for m in part.values() for e in m) for part in parts]
+    w = _width(list(Counter(sum(abs(c) for m in p.values() for c in m.values())
+                            for p in parts).items()), sum(spans))
 
     # field v: shift sh[v], guard bit g[v], values 0..R[v]
     base = [sum(col) for col in zip(*mins)]
@@ -1020,35 +996,6 @@ def _multiply_within(nvars: int, parts: list[dict],
             for k, (o, v) in acc.items()}
 
 
-def _pack(m: dict[int, int], w: int) -> tuple[int, int]:
-    """(offset, value at q = 2^w) of the q-map m, offset its lowest exponent."""
-    o = min(m)
-    return o, sum(c << w * (e - o) for e, c in m.items())
-
-
-def _unpack(offset: int, value: int, w: int) -> dict[int, int]:
-    """{q-exponent: int} from the balanced base-2^w digits of value, the
-    lowest at offset; zero digits are left out.  Splitting the digits in
-    halves keeps the work near-linear in value's size and skips zero runs."""
-    out = {}
-    todo = [(value, offset, abs(value).bit_length() // w + 1)]
-    while todo:
-        v, e, n = todo.pop()
-        if not v:
-            continue
-        if n == 1:
-            out[e] = v
-            continue
-        k = n // 2
-        s = w * k
-        low = v & ((1 << s) - 1)
-        if low >> (s - 1):             # the balanced low half is negative
-            low -= 1 << s
-        todo.append(((v - low) >> s, e + k, n - k))
-        todo.append((low, e, k))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # q-Pochhammer and q-binomial constructors
 # ---------------------------------------------------------------------------
@@ -1098,16 +1045,15 @@ def qpoch_qrat(qexp: int, count: int) -> QRat:
     (as in `_multiply_within`).  A partial product's coefficients are at
     most its l1 norm, 2^|count| < 2^(w-1) for w = |count| + 2, so the
     product decodes exactly; it is built as one QRat and inverted once.
-    It is held to the budget `_multiply_within` would apply to it: slot
-    width w and q-degree the sum of |e|.
+    w is `qfield._width`'s for |count| maps of l1 norm 2 over the q-degree
+    the sum of |e|, so it is held to the budget of any packed product.
     """
     lo, hi = (qexp, qexp + count - 1) if count >= 0 else (qexp + count, qexp - 1)
     if lo <= 0 <= hi:
         if count >= 0:
             return QRAT_ZERO        # the factor 1 - q^0
         raise DomainError("negative Pochhammer hits a zero factor")
-    w = abs(count) + 2
-    _check_packed(w, abs(lo + hi) * abs(count) // 2)
+    w = _width([(2, abs(count))], abs(lo + hi) * abs(count) // 2)
     out = QRat.from_laurent(_unpack(*_pack_qpoch(lo, hi, w), w))
     return out if count >= 0 else out.inverse()
 

@@ -15,12 +15,19 @@ Conventions:
     canonical representations is equality in the field.  `_canonicalize`
     (through `QRat.__init__`) is the only place a quotient is reduced:
     products multiply numerators and denominators and reduce once there.
+    A power is never reduced: raised, a canonical pair stays canonical.
+
+The one product over Z[q], `_qprod`, packs each integer map {q-exponent:
+int} into its value at q = 2^w (Kronecker substitution; Harvey, J.
+Symbolic Comput. 44, 2009) and raises a map of multiplicity k as one
+integer power; `_width`, the one width rule, sets w for it and for
+`laurent`, and refuses a product past the budget before forming it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm
+from math import gcd as _int_gcd, lcm, prod
 
 from .errors import DomainError, PoleError
 
@@ -247,16 +254,24 @@ class QPoly:
             raise DomainError("exact_div with nonzero remainder")
         return QPoly._raw(quo)
 
-    def _cleared(self) -> dict[int, int]:
-        """The coefficients times the lcm of their denominators, as ints."""
+    def _cleared(self) -> tuple[dict[int, int], int]:
+        """(the coefficients times scale, as ints; scale), scale the lcm of
+        the coefficients' denominators."""
         scale = lcm(*(v.denominator for v in self.c.values()
                       if isinstance(v, Fraction)))
-        return {e: int(v * scale) for e, v in self.c.items()}
+        return {e: int(v * scale) for e, v in self.c.items()}, scale
 
     def _dense_int(self) -> list[int]:
         """Dense integer coefficient list, the denominators cleared."""
-        c = self._cleared()
+        c = self._cleared()[0]
         return [c.get(e, 0) for e in range(self.degree + 1)]
+
+    def _power(self, n: int) -> "QPoly":
+        """self ** n, n >= 1, self nonzero: map and scale as packed powers."""
+        m, scale = self._cleared()
+        m, scale = _qprod([(m, n)]), _qprod([({0: scale}, n)])[0]
+        return QPoly._raw({e: as_scalar(Fraction(c, scale))
+                           for e, c in m.items()} if scale > 1 else m)
 
     @staticmethod
     def gcd(a: "QPoly", b: "QPoly") -> "QPoly":
@@ -450,6 +465,8 @@ class QRat:
             other = QRat.from_scalar(other)
         if self.num.is_zero() or other.num.is_zero():
             return QRAT_ZERO
+        if self.is_one() or other.is_one():     # the other is canonical
+            return other if self.is_one() else self
         if self.den.is_one() and other.den.is_one():
             return QRat._raw(self.num * other.num, _QP_ONE)
         return QRat(self.num * other.num, self.den * other.den)
@@ -472,21 +489,14 @@ class QRat:
         return QRat.from_scalar(other) * self.inverse()
 
     def __pow__(self, n: int) -> "QRat":
+        # a canonical pair stays canonical when both sides are raised: no gcd
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
             return QRAT_ONE
-        if n > 1 and self.num.c:
-            _check_packed_power(self.num._cleared(), n)
-            _check_packed_power(self.den._cleared(), n)
-        # square from the top bit of n down: start from self and multiply
-        # only by self, so no square runs past the top bit
-        r = self
-        for bit in bin(n)[3:]:
-            r = r * r
-            if bit == "1":
-                r = r * self
-        return r
+        if n == 1 or self.num.is_zero():
+            return self
+        return QRat._raw(self.num._power(n), self.den._power(n))
 
     def times_qpow(self, e: int) -> "QRat":
         """self * q^e with a fast path for polynomial values."""
@@ -532,31 +542,74 @@ class QRat:
         return f"QRat({self})"
 
 
-# Work budget of a product over Z[q]: the bits one packed q-map of
-# `laurent._multiply_within` may need (slot width times slots), and the same
-# measure for the q-Pochhammer products of `laurent` and for QRat powers.
-# The perfbench kernels need at most 79,040.
+# Work budget of a product over Z[q]: the bits (slot width times slots) one
+# packed q-map of `_qprod`, `laurent._multiply_within` or a q-Pochhammer
+# product may need.  The perfbench kernels need at most 79,040.
 _MAX_PACKED_BITS = 1 << 22
 
 
-def _check_packed(w: int, span: int) -> None:
+def _check_packed(w: int, span: int, at: str = "") -> None:
     if w * (span + 1) > _MAX_PACKED_BITS:
         raise DomainError(
-            f"expansion too large: {w}-bit coefficients over {span + 1} "
+            f"expansion too large: {at}{w}-bit coefficients over {span + 1} "
             f"powers of q exceed the {_MAX_PACKED_BITS}-bit work budget")
 
 
-def _check_packed_power(m: dict[int, int], n: int) -> None:
-    """Refuse x**n, n >= 2, for x the integer map {q-exponent: int} of a
-    QRat's numerator or denominator, when `_multiply_within` would refuse
-    the product of n copies of x: slot width (l1^n).bit_length() + 1, l1
-    the map's l1 norm, over n times its q-span plus 1 slots.  l1^n is
-    formed only after the width's lower bound n * (l1.bit_length() - 1)
-    + 2 has passed, so a refused power costs no big integer."""
-    l1 = sum(map(abs, m.values()))
-    span = n * (max(m) - min(m))
-    _check_packed(n * (l1.bit_length() - 1) + 2, span)
-    _check_packed((l1 ** n).bit_length() + 1, span)
+def _width(norms: list[tuple[int, int]], span: int) -> int:
+    """The slot width w = P.bit_length() + 1 of a packed product of maps m^k
+    over span + 1 powers of q, P = prod l1^k for norms the pairs (l1 norm of
+    m, k), held to the budget.  Its lower bound sum k (l1.bit_length() - 1)
+    + 2 is checked first, so a refused width costs no big integer."""
+    _check_packed(sum(k * (l1.bit_length() - 1) for l1, k in norms) + 2,
+                  span, "at least ")
+    w = prod(l1 ** k for l1, k in norms).bit_length() + 1
+    _check_packed(w, span)
+    return w
+
+
+def _pack(m: dict[int, int], w: int) -> tuple[int, int]:
+    """(offset, value at q = 2^w) of the q-map m, offset its lowest exponent."""
+    o = min(m)
+    return o, sum(c << w * (e - o) for e, c in m.items())
+
+
+def _unpack(offset: int, value: int, w: int) -> dict[int, int]:
+    """{q-exponent: int} from the balanced base-2^w digits of value, the
+    lowest at offset; zero digits are left out.  Splitting the digits in
+    halves keeps the work near-linear in value's size and skips zero runs."""
+    out = {}
+    todo = [(value, offset, abs(value).bit_length() // w + 1)]
+    while todo:
+        v, e, n = todo.pop()
+        if not v:
+            continue
+        if n == 1:
+            out[e] = v
+            continue
+        k = n // 2
+        s = w * k
+        low = v & ((1 << s) - 1)
+        if low >> (s - 1):             # the balanced low half is negative
+            low -= 1 << s
+        todo.append(((v - low) >> s, e + k, n - k))
+        todo.append((low, e, k))
+    return out
+
+
+def _qprod(pairs: list[tuple[dict[int, int], int]]) -> dict[int, int]:
+    """The product of m^k over the pairs (m, k), m a nonzero integer map
+    {q-exponent: int} and k >= 1: each map is packed once, at the width of
+    `_width`, and raised to k as one integer power."""
+    if len(pairs) == 1 and pairs[0][1] == 1:
+        return pairs[0][0]
+    w = _width([(sum(map(abs, m.values())), k) for m, k in pairs],
+               sum(k * (max(m) - min(m)) for m, k in pairs))
+    offset, value = 0, 1
+    for m, k in pairs:
+        o, v = _pack(m, w)
+        offset += k * o
+        value *= v ** k
+    return _unpack(offset, value, w)
 
 
 def _canonicalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:

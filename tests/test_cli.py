@@ -244,6 +244,42 @@ class TestCtCommand:
                             timeout=10)
         assert r.returncode == 0 and r.stdout == "1\n"
 
+    def test_width_lower_bound_refuses_before_the_product(self):
+        # the 1000 copies of N + x0, N a 4000-digit literal, need slots of
+        # at least 13M bits: refused before N^1000 is formed
+        self._refused(f"({'9' * 4000}+x0)^1000", timeout=5)
+
+    def test_scalar_power_is_one_packed_power(self):
+        # (1 - q)^2000 is raised once, not squared through Q(q) products
+        r = run_bounded_cli("ct", "--expr", "1/(1-q)^2000", "--all-vars",
+                            timeout=3)
+        assert r.returncode == 0
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+            "9ad96dc06b4e5c05b6d0449121bdab4b42a66f635e55eabc1dc2822a311d61ee")
+
+    def test_times_one_costs_nothing(self):
+        # the scalar of x0 is 1: the product keeps the big scalar as it is
+        r = run_bounded_cli("ct", "--expr",
+                            "(qpoch(q^5,-3)*qpoch(q^7,3))^150*x0",
+                            "--var", "x0", timeout=5)
+        assert r.returncode == 0 and r.stdout == "0\n"
+
+    def test_all_scalar_summands_reduce_once(self, monkeypatch, capsys):
+        # the summands are added as integer maps and reduced once, to print
+        calls = []
+        gcd = QPoly.gcd
+        monkeypatch.setattr(QPoly, "gcd", staticmethod(
+            lambda a, b: calls.append(1) or gcd(a, b)))
+        for expr, out in (
+                ("1/((1-x0/x1)*(1-q*x0/x1))", "1"),
+                ("1/((1-x0/x1)*(1-q*x0/x1)*(1-q^3*x0/x1))", "1"),
+                ("x1/(x0*(1-x0/x1)*(1-q*x0/x1)*(1-q^3*x0/x1))",
+                 "1 + q + q^3")):
+            calls.clear()
+            assert main(["ct", "--expr", expr, "--var", "x0"]) == 0
+            assert capsys.readouterr().out == out + "\n"
+            assert len(calls) <= 1
+
     def test_zero_sum_makes_the_form_zero(self, capsys):
         # x0 - x0 is the zero sum, so the form is zero, not of degree 0
         assert main(["ct", "--expr", "x0-x0", "--var", "x0",
@@ -369,8 +405,9 @@ class TestCtCommand:
 
 class TestByteIdentity:
     """stdout digests taken before LaurentPoly held integer maps over one
-    unreduced denominator: reducing a coefficient only where it is read
-    prints the same canonical values."""
+    unreduced denominator, and (the last three) before powers were packed
+    and all-scalar summands added as integer maps: reducing a coefficient
+    only where it is read prints the same canonical values."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["ct", "--expr", K33_7, "--var", "x0", "--method", "series",
@@ -393,6 +430,15 @@ class TestByteIdentity:
         (["ct", "--expr", "(1+x1)*(1+x2)/((1-x0/x1)*(1-x0/x2)*(1-x0/x3))",
           "--var", "x0", "--trunc", "3"],
          "43ed6845f508c5fc65850e8e7d28f94a1a1e89bcc310f9a873667a6088d24e5b"),
+        (["ct", "--expr", "(qpoch(q^5,-3)*qpoch(q^7,3))^60", "--all-vars"],
+         "b97b7340f66a81456aac97c8f3951e12ddb153910e56cddaa7f6846537580535"),
+        # fractional coefficients
+        (["ct", "--expr", "(qpoch(q^3,-2)*2/3)^-25", "--all-vars"],
+         "ae9cc55697689d289c28efef4d642a732c7ded85f4dc59e93475fb3c6043568b"),
+        # all-scalar summands
+        (["ct", "--expr", "2/3*x1^2/(x0^2*(1-x0/x1)*(1-q*x0/x1)*(1-q^3*x0/x1))",
+          "--var", "x0"],
+         "a9eedfe7e131d7b4fae976b47c10755b66949b74ad45c4303a592c80f9ad8388"),
     ])
     def test_stdout_digest(self, capsys, argv, digest):
         assert main(argv) == 0

@@ -1,12 +1,13 @@
 """Laurent polynomials, factored forms, and the windowed expansion engine."""
 
 import random
+from fractions import Fraction
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctforge import laurent
+from ctforge import laurent, qfield
 from ctforge.ctengine import ct_all_series, ct_factored_pfrac_labeled
 from ctforge.errors import (DomainError, NotPolynomialError,
                             ProofInvariantError, ShapeError, TruncationError)
@@ -17,7 +18,8 @@ from ctforge.identities import (finite_qbinomial_check,
 from ctforge.laurent import (_MAX_POWER, Factor, FactoredForm, LaurentPoly,
                              _move, _multiply_within, qbinomial, qfactorial,
                              qpoch_qrat, qpoch_quotient, qpochhammer)
-from ctforge.qfield import _MAX_PACKED_BITS, QPoly, QRat, QRAT_ONE, QRAT_ZERO
+from ctforge.qfield import (_MAX_PACKED_BITS, QPoly, QRat, QRAT_ONE, QRAT_ZERO,
+                            _qprod, _width)
 
 
 def lp_mono(nvars, exps, coeff=QRAT_ONE):
@@ -628,6 +630,79 @@ class TestPackedProduct:
         assert 3 * (10**7 + 1) > _MAX_PACKED_BITS
         with pytest.raises(DomainError, match="work budget"):
             _multiply_within(1, parts, {}, None)
+
+
+class TestPackedPowers:
+    """One product over Z[q]: `qfield._qprod` raises a map of multiplicity
+    k as one packed power, `QRat ** n` raises a canonical pair's two sides
+    through it with no reduction, and `qfield._width` refuses a product
+    before it is formed."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_coeff, _coeff, st.integers(-6, 12))
+    def test_power_is_repeated_product(self, a, b, n):
+        # fractional coefficients, monomial and non-monomial denominators
+        x = a * b
+        if x.is_zero() and n <= 0:
+            return
+        acc = QRAT_ONE
+        for _ in range(abs(n)):
+            acc = acc * x
+        assert x ** n == (acc if n >= 0 else acc.inverse())
+
+    def test_power_makes_no_gcd(self, monkeypatch):
+        xs = [QRat(QPoly({0: Fraction(2, 3), 1: -1, 3: 5})),
+              QRat(QPoly({0: Fraction(1, 2), 2: 1}), QPoly({0: 1, 3: -1})),
+              QRat.qpow(-2).scaled(Fraction(-3, 4)) + QRat.qpow(1)]
+        want = {(i, n): x ** n for i, x in enumerate(xs) for n in range(-6, 13)}
+        calls = []
+        gcd = QPoly.gcd
+        monkeypatch.setattr(QPoly, "gcd", staticmethod(
+            lambda a, b: calls.append(1) or gcd(a, b)))
+        monkeypatch.setattr(qfield, "_canonicalize",
+                            lambda *a: calls.append(1))
+        monkeypatch.setattr(QRat, "__mul__", lambda *a: calls.append(1))
+        for (i, n), w in want.items():
+            assert xs[i] ** n == w
+        assert calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.dictionaries(st.integers(-4, 6), st.integers(-9, 9).filter(bool),
+                        min_size=1, max_size=4),
+        st.integers(1, 5)), max_size=4))
+    def test_pairs_equal_copies(self, pairs):
+        copies = [(m, 1) for m, k in pairs for _ in range(k)]
+        ref = {0: 1}
+        for m, _ in copies:
+            out = {}
+            for e1, c1 in ref.items():
+                for e2, c2 in m.items():
+                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+            ref = {e: c for e, c in out.items() if c}
+        assert _qprod(pairs) == _qprod(copies) == ref
+
+    def test_width_lower_bound_is_checked_first(self, monkeypatch):
+        # w = (3^k).bit_length() + 1 against a budget of 100 bits over one
+        # slot: k = 62 fits, k = 63 is refused by its exact width, and
+        # k = 99 by the lower bound k + 2 alone, which says so
+        monkeypatch.setattr(qfield, "_MAX_PACKED_BITS", 100)
+        assert _width([(3, 62)], 0) == (3 ** 62).bit_length() + 1 == 100
+        with pytest.raises(DomainError, match="too large: 101-bit"):
+            _width([(3, 63)], 0)
+        with pytest.raises(DomainError, match="at least 101-bit"):
+            _width([(3, 99)], 0)
+        # 3^(10^9) would never finish: it is refused unformed
+        monkeypatch.undo()
+        with pytest.raises(DomainError, match="at least 1000000002-bit"):
+            _width([(3, 10 ** 9)], 0)
+
+    def test_factored_denominator_is_one_power(self):
+        # 1/(1 - q)^300 reads back through one packed power of 1 - q
+        ff = FactoredForm(1, factors=(Factor(1, (0,), -300),))
+        want = QRat(QPoly({0: 1, 1: -1})) ** -300
+        assert ff.expand_within({0: 0}).constant_coeff() == want
+        assert str(ff) == str(want)
 
 
 class TestWorkBudget:
