@@ -29,21 +29,24 @@ Every product is one windowed expansion, `FactoredForm.expand_within`.
 
 A substitution that collapses a binomial to 1 - q^e keeps it as a factor
 with an all-zero monomial, so the proof engine does no Q(q) arithmetic.
-Expansion works over Z[q, 1/q]: every binomial factor expands with
-coefficients +-C(n, k) q^e, so inside `expand_within` a coefficient is an
-integer map {q-exponent: int} and a part of the product is
-{x-exponent tuple: {q-exponent: int}}.  Inside `_multiply_within` each
-such map is packed into one integer, its value at q = 2^w (Kronecker
-substitution; the packing and its width rule live in `qfield`), each
-x-key into another, one bit field per variable, and both are decoded
-back once at the end.  The scalar's numerator and the collapsed
-numerator factors are parts with the one key 0, and each sum is a part
-with its own keys; the scalar's denominator, the collapsed denominator
-factors and the sums' denominators become the result's denominator as
-they are, with no gcd.  Q(q) enters only where a coefficient is read or
-printed: `QRat.from_laurent` reduces it then, once, and the canonical
-form is unique, so the bytes printed are those of term-by-term Q(q)
-arithmetic.
+Expansion works over Z[q, 1/q], one part of the product per run: the
+factors that share one monomial M, as a q-Pochhammer symbol's do, expand
+together, the numerator ones as one polynomial in M and the denominator
+ones as one series in M or 1/M kept to one cap, by a one-dimensional
+product of their binomial series, whose coefficients are +-C(n, k) q^e.
+Inside `expand_within` a coefficient is an integer map {q-exponent: int}
+and a part of the product is {x-exponent tuple: {q-exponent: int}}.
+Inside `_multiply_within` each such map is packed into one integer, its
+value at q = 2^w (Kronecker substitution; the packing and its width rule
+live in `qfield`), each x-key into another, one bit field per variable,
+and both are decoded back once at the end.  The scalar's numerator is a
+part with the one key 0, the collapsed numerator factors are the run of
+the all-zero monomial, and each sum is a part with its own keys; the
+scalar's denominator, the collapsed denominator factors and the sums'
+denominators become the result's denominator as they are, with no gcd.
+Q(q) enters only where a coefficient is read or printed:
+`QRat.from_laurent` reduces it then, once, and the canonical form is
+unique, so the bytes printed are those of term-by-term Q(q) arithmetic.
 """
 
 from __future__ import annotations
@@ -110,13 +113,6 @@ def add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def scale_exps(a: tuple[int, ...], c: int) -> tuple[int, ...]:
     return tuple(_check_exp(x * c) for x in a)
-
-
-def _powers(mono: tuple[int, ...], t0: int, t1: int) -> list:
-    """(t, mono * t) for t from t0 to t1, 0 <= t0, with one overflow
-    check: the largest |mono_v| times t1 bounds every element."""
-    _check_exp(max(map(abs, mono)) * t1)
-    return [(t, tuple([x * t for x in mono])) for t in range(t0, t1 + 1)]
 
 
 def _move(mono: tuple[int, ...], moves: tuple[tuple[int, int], ...],
@@ -453,40 +449,12 @@ class Factor:
     # -- expansion ----------------------------------------------------------
 
     def expand_exact(self) -> dict:
-        """Finite expansion {x-exponents: {q-exponent: int}}; requires
-        exp > 0.  A collapsed factor (1 - q^qexp)^exp has one key, 0."""
+        """Finite expansion {x-exponents: {q-exponent: int}}, the run of
+        this factor alone; requires exp > 0.  A collapsed factor
+        (1 - q^qexp)^exp has one key, 0."""
         if self.exp < 0:
             raise NotPolynomialError("denominator factor has no finite expansion")
-        e = _check_power(self.exp)
-        if not any(self.mono):
-            return {self.mono: {self.qexp * t: (-1) ** t * comb(e, t)
-                                for t in range(e + 1)}}
-        return {k: {self.qexp * t: (-1) ** t * comb(e, t)}
-                for t, k in _powers(self.mono, 0, e)}
-
-    def series_terms(self, tmax: int) -> dict:
-        """Truncated geometric expansion of a denominator factor, as
-        {x-exponents: {q-exponent: int}}.
-
-        Keeps series terms with index t <= tmax, where the series runs over
-        Y^t for Y the small direction of the monomial:
-          small, exp = -p:  sum_{t>=0} C(t+p-1, p-1) q^{s t} M^t
-          large, exp = -p:  (-1)^p sum_{t>=p} C(t-1, p-1) q^{-s t} M^{-t}
-        """
-        if self.exp >= 0:
-            raise DomainError("series_terms is for denominator factors")
-        p = -self.exp
-        s = self.qexp
-        if self.is_small():
-            return {k: {s * t: comb(t + p - 1, p - 1)}
-                    for t, k in _powers(self.mono, 0, tmax)}
-        sign = (-1) ** p
-        return {k: {-s * t: sign * comb(t - 1, p - 1)}
-                for t, k in _powers(tuple(-x for x in self.mono), p, tmax)}
-
-    def series_start(self) -> int:
-        """First series index with a term (0 for small, multiplicity for large)."""
-        return 0 if self.is_small() else -self.exp
+        return _run_part([self], self.exp)
 
 
 class FactoredForm:
@@ -696,87 +664,116 @@ class FactoredForm:
         from below.  Raises TruncationError if a denominator factor's
         control variable has no hi bound.
 
-        Why per-factor caps are exact.  Write each denominator factor's
-        series over its small direction Y (first nonzero variable exponent
-        positive), so every series term is c_t Y^t with t >= 0, and Y's
-        exponents vanish on all variables below its control variable.
-        Fix a product term whose final exponents lie in the window and
-        process variables in expansion order.  On variable v, negative
-        contributions can come only from the fixed parts (monomial, sums,
-        numerator factors: all finite, minima known exactly) and
-        from factors controlled by earlier variables, whose indices are
-        already capped, so their most-negative contribution to v is known.
-        Everything else contributes >= its t = t0 minimum.  The remaining
-        headroom under hi[v] therefore bounds t for every factor
-        controlled by v, and induction up the variable order bounds them
-        all.  In particular, for the negative-exponent q-Dyson kernel the
-        computed x0 cap equals the parameter sum, the classical bound.
+        The factors that share one monomial M form a run, as a
+        Pochhammer's factors do, and each run is one part of the product
+        (`_run_part`): one for its numerator factors, a polynomial in M,
+        and one for its denominator factors, one series in the small
+        direction Y of M.  A factor alone is a run of one.  Each run is
+        kept to one cap on its index (`_series_bounds`).
+
+        Why one cap per run is exact.  A run is one series c_t Y^t, t >= t0
+        the sum of its members' first indices, Y = M for a numerator run;
+        a denominator run's Y has zero exponents on all variables below
+        its control variable.  Fix a product term whose final exponents
+        lie in the window and process variables in expansion order.  On
+        variable v, negative contributions can come only from the fixed
+        parts (monomial, sums: finite, minima known exactly), from
+        numerator runs (finite, minima known) and from denominator runs
+        controlled by earlier variables, whose indices are already capped,
+        so their most-negative contribution to v is known.  Everything
+        else contributes >= its t = t0 minimum.  The remaining headroom
+        under hi[v] therefore bounds t for every run controlled by v, and
+        induction up the variable order bounds them all.  Then every bound
+        of the window on a variable of Y, given the least or the most that
+        everything else adds to it, bounds t again.  A term of a run at
+        index t is a sum of its members' terms whose indices add up to t,
+        so the cap bounds each member too: none needs a term past it.  In
+        particular, for the negative-exponent q-Dyson kernel the computed
+        x0 cap is at most the parameter sum, the classical bound.
+
+        Why the slot width stays valid.  `_multiply_within` sets its width
+        from the l1 norms of the parts it is given.  A run's l1 norm is at
+        most the product of its members' (the norm is submultiplicative,
+        and truncation only drops terms), so a run needs no wider slots
+        than its members did as parts of their own.
         """
         nv = self.nvars
         if self.is_zero():
             return LaurentPoly.zero(nv)
 
-        # the scalar's numerator and the collapsed numerator factors are
-        # parts of the product with the one key 0, and each sum is a part;
-        # the scalar's denominator, the collapsed denominator factors and
-        # the sums' denominators multiply into the result's den
+        # the scalar's numerator is a part with the one key 0, each sum is a
+        # part, and so is each run, numerator runs first; the scalar's
+        # denominator, the collapsed denominator factors and the sums'
+        # denominators multiply into the result's den.  The collapsed
+        # numerator factors are the run of the all-zero monomial
         num, den = _integer_pair(self.scalar)
         parts = [{self.mono: num}, *(p.maps for p in self.polys)]
         den = sum((p.den for p in self.polys), _den_times(_NO_DEN, den))
+        nums: dict = {}
+        dens: dict = {}
         for f in self.factors:
             if f.exp > 0:
-                parts.append(f.expand_exact())
-            elif not any(f.mono):
+                nums.setdefault(f.mono, []).append(f)
+            elif any(f.mono):
+                dens.setdefault(f.mono, []).append(f)
+            else:
                 den = _den_times(den, {0: 1, f.qexp: -1}, -f.exp)
-        dens = self.denominator_factors()
-
-        if dens:
-            bounds = self._series_bounds(parts, dens, hi)
-            if bounds is None:
-                return LaurentPoly.zero(nv)
-            for f, tmax in zip(dens, bounds):
-                size = tmax - f.series_start() + 1   # before any lo pruning
-                if size > _MAX_PRODUCT_KEYS:
-                    raise DomainError(f"expansion too large: a series of {size} "
-                                      f"terms exceeds the work budget of "
-                                      f"{_MAX_PRODUCT_KEYS} terms")
-                parts.append(f.series_terms(tmax))
-
+        runs = [*nums.values(), *dens.values()]
+        caps = self._series_bounds(parts, runs, hi, lo)
+        if caps is None:
+            return LaurentPoly.zero(nv)
+        parts += [_run_part(run, cap) for run, cap in zip(runs, caps)]
         return LaurentPoly._raw(nv, _multiply_within(nv, parts, hi, lo), den)
 
     def _series_bounds(self, fixed_parts: list[dict],
-                       dens: list[Factor],
-                       hi: dict[int, int]) -> list[int] | None:
-        """Series index cap per denominator factor, or None if the window
-        admits no terms at all."""
-        nv = self.nvars
-        fixed_min = [0] * nv
-        for p in fixed_parts:
-            for v, m in enumerate(map(min, zip(*p))):
-                fixed_min[v] += m
+                       runs: list[list[Factor]], hi: dict[int, int],
+                       lo: dict[int, int] | None) -> list[int] | None:
+        """Index cap per run, or None if the window admits no terms at all.
 
-        # small-direction monomial and first index per factor
-        ymono = [f.mono if f.is_small() else scale_exps(f.mono, -1)
-                 for f in dens]
-        t0 = [f.series_start() for f in dens]
-        tmax: list[int | None] = [None] * len(dens)
+        Each run counts as one series over Y (`_direction`) that starts at
+        the sum of its members' first indices, so the induction of
+        `expand_within` runs over runs in place of factors; a numerator run
+        is capped at first by its degree.  A denominator run's cap leaves
+        every member the headroom the member alone would get: with
+        members' first indices s_i, the run's cap less its start is each
+        member's own cap less s_i.  Where Y's exponent in x_v is negative,
+        the run's index contributes at most cap times it, at least as much
+        as its members capped apart, so later caps are no larger.
+
+        A second pass tightens every cap by each bound of the window on a
+        variable of Y, hi where Y's exponent is positive and lo where it is
+        negative, given the least or the most that the fixed parts and the
+        other runs, at their first indices or caps, add to that variable.
+        A product term in the window meets every such bound, so the caps
+        stay exact, and a run is no longer than the window can use, as
+        `_multiply_within` would prune its members one by one.
+        """
+        if not runs:
+            return []
+        nv = self.nvars
+        fixed_min, fixed_max = [0] * nv, [0] * nv
+        for p in fixed_parts:
+            for v, col in enumerate(zip(*p)):
+                fixed_min[v] += min(col)
+                fixed_max[v] += max(col)
+
+        ymono, t0 = zip(*map(_direction, runs))
+        tmax = [sum(f.exp for f in run) if run[0].exp > 0 else None
+                for run in runs]
 
         for v in range(nv):
-            owned = [i for i, f in enumerate(dens) if f.control_var == v]
+            owned = [i for i, run in enumerate(runs)
+                     if tmax[i] is None and run[0].control_var == v]
             if not owned:
                 continue
             if v not in hi:
                 raise TruncationError(
                     f"denominator factor controlled by x{v} needs a bound on x{v}")
-            # minimal possible contribution of every series factor to x_v
-            mins = []
-            for i in range(len(dens)):
-                ev = ymono[i][v]
-                if ev >= 0:
-                    mins.append(t0[i] * ev)
-                else:
-                    # control var of factor i is < v, so tmax[i] is known
-                    mins.append(tmax[i] * ev)
+            # minimal possible contribution of every run to x_v; where it is
+            # negative, the run is a numerator run or its control variable
+            # is below v, so its cap is known
+            mins = [(t0[i] if y[v] >= 0 else tmax[i]) * y[v]
+                    for i, y in enumerate(ymono)]
             total_min = sum(mins)
             for i in owned:
                 step = ymono[i][v]
@@ -785,8 +782,29 @@ class FactoredForm:
                 if cap < t0[i]:
                     return None
                 tmax[i] = cap
-        # every factor has a variable, so its control variable owned a pass
-        return tmax  # type: ignore[return-value]
+        # every denominator run has a variable, so its control variable
+        # owned a pass
+
+        def adds(j, v, most):       # the least or the most run j adds to x_v
+            return (tmax[j] if (ymono[j][v] > 0) == most else t0[j]) * ymono[j][v]
+
+        least = [fixed_min[v] + sum(adds(j, v, False) for j in range(len(runs)))
+                 for v in range(nv)]
+        most = [fixed_max[v] + sum(adds(j, v, True) for j in range(len(runs)))
+                for v in range(nv)]
+        lo = lo or {}
+        caps = []
+        for i, y in enumerate(ymono):
+            cap = tmax[i]
+            for v, ev in enumerate(y):
+                if ev > 0 and v in hi:
+                    cap = min(cap, (hi[v] - least[v] + adds(i, v, False)) // ev)
+                elif ev < 0 and v in lo:
+                    cap = min(cap, (most[v] - adds(i, v, True) - lo[v]) // -ev)
+            if cap < t0[i]:
+                return None
+            caps.append(cap)
+        return caps
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -827,6 +845,105 @@ def _scalar_value(ff: FactoredForm) -> QRat:
             (nums if f.exp > 0 else dens).append(({0: 1, f.qexp: -1},
                                                   abs(f.exp)))
     return QRat.from_laurent(_qprod(nums), _qprod(dens))
+
+
+def _direction(run: list[Factor]) -> tuple[tuple[int, ...], int]:
+    """(Y, t0) of a run: the monomial its terms are powers of, and its
+    first index.  A numerator run is a polynomial in M from index 0.  A
+    denominator run is a series in its small direction: M from index 0
+    when M is small, 1/M from the run's multiplicity when M is large."""
+    f = run[0]
+    if f.exp > 0 or f.is_small():
+        return f.mono, 0
+    return scale_exps(f.mono, -1), -sum(g.exp for g in run)
+
+
+def _run_part(run: list[Factor], cap: int) -> dict:
+    """One part of the windowed product: the product of the factors of
+    run, which share one monomial M, as {x-exponents: {q-exponent: int}},
+    kept to the terms Y^t with t <= cap (Y and the first index T0 from
+    `_direction`).
+
+    Each member (1 - q^s M)^e is a series sum_u c_u q^(r (t0 + u))
+    Y^(t0 + u) from its first index t0, with p = -e:
+
+      e > 0:            Y = M,   r = s,  t0 = 0, c_u = (-1)^u C(e, u), u <= e;
+      e = -p, M small:  Y = M,   r = s,  t0 = 0, c_u = C(u + p - 1, p - 1);
+      e = -p, M large:  Y = 1/M, r = -s, t0 = p, c_u = (-1)^p C(u + p - 1, p - 1),
+
+    the last since 1/(1 - q^s M)^p = (-q^-s/M)^p / (1 - q^-s/M)^p.  All
+    three follow c_(u+1) = c_u (u + p) / (u + 1).  The run is their
+    product, one-dimensional in the index u of Y^(T0 + u), kept to u <=
+    cap - T0.  Each coefficient is held packed as in `_multiply_within`,
+    a pair (offset, value at q = 2^w): a member's term is one slot, so a
+    term product is one multiply and an offset add, and accumulating is
+    one add after a shift.  Evaluation at 2^w is a ring homomorphism, so
+    every value is exact; the final coefficients are coefficients of the
+    product of the members' truncated series, at most the product P of
+    their l1 norms, and w = `qfield._width`'s, P.bit_length() + 1, decodes
+    them.  A coefficient's q-exponents span at most S, the sum of the
+    members' spans |r| (number of terms - 1), the measure the width rule
+    holds to the packed budget, as it would hold the members as parts.
+
+    Refusals, before any term is built: a numerator member's exponent is
+    held to _MAX_POWER, a denominator run to cap - T0 + 1 <=
+    _MAX_PRODUCT_KEYS terms, and the largest key is checked for
+    overflow, which bounds every key.  The run's own products of terms
+    count against _MAX_PRODUCT_PAIRS, member by member, so a run of many
+    long series is refused in bounded time.
+    """
+    y, start = _direction(run)
+    last = cap - start
+    if run[0].exp > 0:
+        for f in run:
+            _check_power(f.exp)
+    elif last + 1 > _MAX_PRODUCT_KEYS:      # before any lo pruning
+        raise DomainError(f"expansion too large: a series of {last + 1} "
+                          f"terms exceeds the work budget of "
+                          f"{_MAX_PRODUCT_KEYS} terms")
+    _check_exp(max(map(abs, y)) * cap)
+    small = not start               # Y = M: a numerator or a small series
+    members = []                    # (r, t0, [c_0, c_1, ...])
+    for f in run:
+        p = -f.exp
+        cs = [1 if small or p % 2 == 0 else -1]
+        for u in range(min(-p, last) if p < 0 else last):
+            cs.append(cs[-1] * (u + p) // (u + 1))
+        members.append((f.qexp, 0, cs) if small else (-f.qexp, p, cs))
+
+    w = _width(list(Counter(sum(map(abs, cs)) for _, _, cs in members).items()),
+               sum(abs(r) * (len(cs) - 1) for r, _, cs in members))
+    acc = [(0, 1)]                  # (offset, value) of each Y^(T0 + u)
+    pairs = _MAX_PRODUCT_PAIRS
+    for r, t0, cs in members:
+        pairs -= sum(min(len(cs), last + 1 - i) for i in range(len(acc)))
+        if pairs < 0:
+            raise DomainError(
+                f"expansion too large: more than {_MAX_PRODUCT_PAIRS} "
+                f"products of terms exceed the work budget")
+        out: list = [None] * min(len(acc) + len(cs) - 1, last + 1)
+        for i, (o1, v1) in enumerate(acc):
+            for j, c in enumerate(cs[:last + 1 - i], i):
+                o = o1 + r * (t0 + j - i)
+                v = v1 * c
+                prev = out[j]
+                if prev is not None:
+                    po, pv = prev
+                    if po == o:
+                        v += pv
+                    elif po < o:
+                        v = pv + (v << w * (o - po))
+                        o = po
+                    else:
+                        v += pv << w * (po - o)
+                out[j] = (o, v)
+        acc = out
+    part: dict = {}
+    for u, (o, v) in enumerate(acc):
+        if v:       # a collapsed run's keys are all 0, and add up
+            _add_term(part, tuple([x * (start + u) for x in y]),
+                      _unpack(o, v, w))
+    return part
 
 
 def _multiply_within(nvars: int, parts: list[dict],

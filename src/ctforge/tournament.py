@@ -17,7 +17,7 @@ bounded, which forces the hypothesis to fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 from .errors import DomainError, LemmaViolationError
 
@@ -139,11 +139,42 @@ class ExhaustiveReport:
         return self.failures == 0
 
 
+# Work budget of `exhaustive_check`: the instances it may enumerate.  The
+# default s_max = 4, a_max = 3 has 634,542 of them and takes a few
+# seconds; s_max = 5 would have 56M, and s_max = a_max = 8 about 1.4e20.
+_MAX_INSTANCES = 1 << 22
+
+
+def instance_count(s_max: int, a_max: int, limit: int) -> int:
+    """How many instances exhaustive_check(s_max, a_max) enumerates: the
+    sum over s <= s_max and A in [0, a_max]^s of (A_1 + ... + A_s)^s,
+    counted from the number of A with each sum, not by enumeration.  Past
+    limit it stops and returns limit + 1.  A length s is counted only when
+    its largest term, A all a_max, leaves the count within limit, so huge
+    arguments cost nothing."""
+    total, ways = 0, [1]        # ways[t]: the A of length s - 1 with sum t
+    for s in range(1, s_max + 1):
+        if total + (s * a_max) ** s > limit:
+            return limit + 1
+        pre = list(accumulate(ways, initial=0))
+        ways = [pre[min(t + 1, len(ways))] - pre[max(t - a_max, 0)]
+                for t in range(s * a_max + 1)]
+        total += sum(c * t ** s for t, c in enumerate(ways))
+        if total > limit:
+            return limit + 1
+    return total
+
+
 def exhaustive_check(s_max: int = 4, a_max: int = 3) -> ExhaustiveReport:
     """Check every instance with s <= s_max, A_i <= a_max, all admissible k.
 
     Asserts a sound witness exists for each; failure raises (never expected).
+    More than _MAX_INSTANCES instances are refused before any is checked.
     """
+    if instance_count(s_max, a_max, _MAX_INSTANCES) > _MAX_INSTANCES:
+        raise DomainError(
+            f"s_max {s_max}, a_max {a_max}: more than {_MAX_INSTANCES} "
+            f"instances exceed the work budget")
     n_inst = c1 = c2 = 0
     for s in range(1, s_max + 1):
         for A in product(range(a_max + 1), repeat=s):

@@ -464,6 +464,21 @@ class TestTournamentCommand:
         assert r.returncode == 2 and r.stdout == ""
         assert "--a-max must be at least 1" in r.stderr
 
+    def test_default_within_budget(self):
+        r = run_bounded_cli("tournament", timeout=10)
+        assert r.returncode == 0
+        assert "instances checked: 634542" in r.stdout
+
+    def test_instance_budget_exit_1(self):
+        # 56M instances, about 1.4e20, and far more: each is counted, not
+        # enumerated, and refused before any is checked
+        for flags in (("--s-max", "5"), ("--s-max", "8", "--a-max", "8"),
+                      ("--s-max", "1000000000", "--a-max", "1000000000")):
+            r = run_bounded_cli("tournament", *flags, timeout=10)
+            assert r.returncode == 1 and r.stdout == "", flags
+            assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+            assert "work budget" in r.stderr
+
 
 class TestIdentitiesCommand:
     def test_suite_passes(self):

@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import comb
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctforge import laurent, qfield
-from ctforge.ctengine import ct_all_series, ct_factored_pfrac_labeled
+from ctforge.ctengine import (ct_all_bruteforce, ct_all_series,
+                              ct_factored_pfrac_labeled)
 from ctforge.errors import (DomainError, NotPolynomialError,
                             ProofInvariantError, ShapeError, TruncationError)
 from ctforge.identities import (finite_qbinomial_check,
@@ -630,6 +632,164 @@ class TestPackedProduct:
         assert 3 * (10**7 + 1) > _MAX_PACKED_BITS
         with pytest.raises(DomainError, match="work budget"):
             _multiply_within(1, parts, {}, None)
+
+
+def _per_factor_expansion(ff, hi, lo):
+    """ff.expand_within(hi, lo).maps by the rule of one part per factor:
+    each numerator factor multiplied out alone, each denominator factor
+    its own geometric series with its own cap from hi alone, every one of
+    them a part of one `_multiply_within`.  ff has scalar 1 and no
+    collapsed denominator factor."""
+    nv = ff.nvars
+    parts, dens = [{ff.mono: {0: 1}}], []
+    for f in ff.factors:
+        if f.exp < 0:
+            dens.append(f)
+            continue
+        part = {}                   # a collapsed factor's keys are all 0
+        for t in range(f.exp + 1):
+            m = part.setdefault(tuple(x * t for x in f.mono), {})
+            m[f.qexp * t] = (-1) ** t * comb(f.exp, t)
+        parts.append(part)
+    fixed_min = [sum(min(k[v] for k in p) for p in parts) for v in range(nv)]
+    small = [next(e for e in f.mono if e) > 0 for f in dens]
+    ymono = [f.mono if sm else tuple(-e for e in f.mono)
+             for f, sm in zip(dens, small)]
+    t0 = [0 if sm else -f.exp for f, sm in zip(dens, small)]
+    control = [next(v for v, e in enumerate(f.mono) if e) for f in dens]
+    tmax = [None] * len(dens)
+    for v in range(nv):
+        owned = [i for i, c in enumerate(control) if c == v]
+        if not owned:
+            continue
+        if v not in hi:
+            raise TruncationError(f"x{v} has no bound")
+        mins = [(t0[i] if y[v] >= 0 else tmax[i]) * y[v]
+                for i, y in enumerate(ymono)]
+        for i in owned:
+            tmax[i] = (hi[v] - fixed_min[v] - sum(mins) + mins[i]) // ymono[i][v]
+            if tmax[i] < t0[i]:
+                return {}
+    for f, sm, cap in zip(dens, small, tmax):
+        p, s = -f.exp, f.qexp
+        if sm:
+            parts.append({tuple(x * t for x in f.mono): {s * t: comb(t + p - 1, p - 1)}
+                          for t in range(cap + 1)})
+        else:
+            parts.append({tuple(-x * t for x in f.mono):
+                          {-s * t: (-1) ** p * comb(t - 1, p - 1)}
+                          for t in range(p, cap + 1)})
+    return _multiply_within(nv, parts, hi, lo)
+
+
+@st.composite
+def _forms_with_runs(draw):
+    """A form whose factors share a few monomials, so they fall into runs:
+    numerator and denominator runs of small and large monomials, some not
+    primitive (x0^2/x1^2), multiplicities 1 to 3 and q-exponents of both
+    signs, perhaps a run of collapsed numerator factors; and a window with
+    hi alone, hi and lo, or none (numerator factors only)."""
+    nv = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(("hi", "hilo", "none")))
+
+    @st.composite
+    def monomial(draw):
+        i, j = draw(st.lists(st.integers(0, nv - 1), min_size=2, max_size=2,
+                             unique=True))
+        d = draw(st.sampled_from((1, 1, 2)))
+        m = [0] * nv
+        m[i] = d
+        if draw(st.booleans()):
+            m[j] = -d
+        return tuple(m)
+
+    monos = draw(st.lists(monomial(), min_size=1, max_size=3))
+    exps = (1, 2, 3) if kind == "none" else (1, 2, 3, -1, -2, -3)
+    factors = draw(st.lists(st.builds(
+        Factor, st.integers(-3, 3), st.sampled_from(monos),
+        st.sampled_from(exps)), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        factors += draw(st.lists(st.builds(
+            Factor, st.integers(-3, 3).filter(bool), st.just((0,) * nv),
+            st.integers(1, 3)), min_size=1, max_size=3))
+    factors = draw(st.permutations(factors))
+    mono = draw(st.tuples(*[st.integers(-2, 1)] * nv))
+    if kind == "none":
+        return FactoredForm(nv, mono=mono, factors=factors), {}, None
+    hi = {v: draw(st.integers(0, 3)) for v in range(nv)}
+    lo = ({v: draw(st.integers(-3, 0)) for v in range(nv)}
+          if kind == "hilo" else None)
+    return FactoredForm(nv, mono=mono, factors=factors), hi, lo
+
+
+class TestRunParts:
+    """The factors that share a monomial expand together, one part per
+    numerator run and one per denominator run."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_forms_with_runs())
+    def test_matches_one_part_per_factor(self, case):
+        ff, hi, lo = case
+        try:
+            want = _per_factor_expansion(ff, hi, lo)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                ff.expand_within(hi, lo)
+            return
+        got = ff.expand_within(hi, lo)
+        assert got.maps == want and not got.den
+
+    def test_part_counts(self, monkeypatch):
+        # brute (4; 4,4,4,4): 20 Pochhammers of 4 binomials and the scalar,
+        # 81 parts as factors, 21 as runs.  K((2,2,2), 9): the 3 x0
+        # Pochhammers of 9 denominators, 9 of 2 numerators and the scalar,
+        # 46 parts as factors, 13 as runs
+        from ctforge.qdyson import (qdyson_kernel, qdyson_lhs_product,
+                                    qdyson_rhs, rhs_value_at)
+        seen = []
+        real = laurent._multiply_within
+        monkeypatch.setattr(laurent, "_multiply_within",
+                            lambda nv, parts, hi, lo: seen.append(len(parts))
+                            or real(nv, parts, hi, lo))
+        a = (4, 4, 4, 4)
+        assert ct_all_bruteforce(qdyson_lhs_product(4, a)) == qdyson_rhs(4, a)
+        assert ct_all_series(qdyson_kernel(9, (2, 2, 2))) == \
+            rhs_value_at((2, 2, 2), -9)
+        assert seen == [21, 13]
+
+    def test_run_term_product_budget(self, monkeypatch):
+        # 1/((1 - x0)(1 - q x0)(1 - q^2 x0)) to x0^3 is one run of three
+        # series of 4 terms: 4 + 10 + 10 = 24 products of terms, counted
+        # under a window too.  A factor alone forms one product per term
+        ff = FactoredForm(1, factors=tuple(Factor(s, (1,), -1) for s in range(3)))
+        monkeypatch.setattr(laurent, "_MAX_PRODUCT_PAIRS", 24)
+        assert ff.expand_within({0: 3}).coeff_of((3,)) == \
+            qbinomial(5, 3)
+        monkeypatch.setattr(laurent, "_MAX_PRODUCT_PAIRS", 23)
+        with pytest.raises(DomainError, match="products of terms"):
+            ff.expand_within({0: 3})
+        monkeypatch.setattr(laurent, "_MAX_PRODUCT_PAIRS", 4)
+        one = FactoredForm(1, factors=(Factor(0, (1,), -3),))
+        assert len(one.expand_within({0: 3}).terms) == 4
+
+    def test_cap_uses_the_whole_window(self, monkeypatch):
+        # x0^-3000/(x0/x1; q)_3 over the all-zero window: x0's bound alone
+        # caps the run at 3000, x1's lo bound at 0.  In (x0/x1)_5
+        # (q x1/x0)_100 the second run meets x0's lo bound only up to
+        # (x0/x1)^5: both runs stop at 5
+        from ctforge.parser import lower, parse
+        from ctforge.qdyson import qdyson_lhs_product, qdyson_rhs
+        caps = []
+        real = laurent._run_part
+        monkeypatch.setattr(laurent, "_run_part", lambda run, cap:
+                            caps.append((len(run), cap)) or real(run, cap))
+        assert ct_all_series(lower(parse("x0^-3000*qpoch(x0/x1,-3)"))) == \
+            QRAT_ZERO
+        assert caps == [(3, 0)]
+        caps.clear()
+        assert ct_all_bruteforce(qdyson_lhs_product(5, (100,))) == \
+            qdyson_rhs(5, (100,))
+        assert caps == [(5, 5), (100, 5)]
 
 
 class TestPackedPowers:

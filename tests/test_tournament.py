@@ -4,9 +4,11 @@ from itertools import product
 
 import pytest
 
+from ctforge import tournament
 from ctforge.errors import DomainError
 from ctforge.tournament import (TournamentInstance, Witness, build_tournament,
-                                exhaustive_check, find_witness, scan_witness)
+                                exhaustive_check, find_witness,
+                                instance_count, scan_witness)
 
 
 class TestWitnessExamples:
@@ -56,6 +58,28 @@ class TestExhaustive:
     def test_medium(self):
         r = exhaustive_check(2, 2)
         assert r.ok and r.failures == 0
+
+    def test_instance_count_is_the_enumerated_count(self):
+        for s_max in range(1, 4):
+            for a_max in range(4):
+                assert instance_count(s_max, a_max, 10 ** 6) == \
+                    exhaustive_check(s_max, a_max).instances
+        assert instance_count(4, 3, 10 ** 6) == 634542
+        assert instance_count(5, 2, 10 ** 7) == 1998375
+
+    def test_instance_budget(self, monkeypatch):
+        # the count stops past its limit: (4, 3) has 634,542 instances,
+        # (5, 3) 56M and (8, 8) about 1.4e20; none of them is enumerated
+        assert instance_count(4, 3, limit=634542) == 634542
+        assert instance_count(4, 3, limit=634541) == 634542
+        for s_max, a_max in ((5, 3), (8, 8), (10 ** 9, 10 ** 9)):
+            assert instance_count(s_max, a_max, 10 ** 7) == 10 ** 7 + 1
+            with pytest.raises(DomainError, match="work budget"):
+                exhaustive_check(s_max, a_max)
+        monkeypatch.setattr(tournament, "_MAX_INSTANCES", 50)
+        with pytest.raises(DomainError, match="more than 50 instances"):
+            exhaustive_check(2, 2)
+        assert exhaustive_check(2, 1).instances == 7
 
     def test_zero_entries_force_pair_witnesses(self):
         # A = (0, 2): k_1 >= 1 > A_1 = 0, so index-1 witnesses must be pairs
