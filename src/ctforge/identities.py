@@ -17,8 +17,6 @@ Each check compares two exact expansions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ctengine import ct_factored_pfrac_labeled
 from .errors import DomainError
 from .laurent import (Factor, FactoredForm, LaurentPoly, qbinomial,
@@ -26,11 +24,13 @@ from .laurent import (Factor, FactoredForm, LaurentPoly, qbinomial,
 from .qfield import QRat
 
 
-@dataclass
 class IdentityResult:
-    name: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 def product_identity_check(l: int, m: int, i: int = 0, j: int = 1) -> bool:

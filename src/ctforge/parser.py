@@ -22,7 +22,6 @@ lowering error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import CTForgeError
 from .laurent import Factor, FactoredForm, LaurentPoly, qpoch_qrat, qpochhammer
@@ -45,43 +44,79 @@ class LoweringError(CTForgeError, ValueError):
 
 # -- AST ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Node:
-    span: tuple[int, int] = field(compare=False, kw_only=True, default=(0, 0))
+    """An AST node: equal by its type and _fields, hashed by _fields; the
+    source span (line, col) is carried for messages but never compared."""
+    __slots__ = ("span",)
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}"
+                         for f in ("span",) + self._fields)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True)
 class IntLit(Node):
-    value: int
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int, *, span: tuple[int, int] = (0, 0)):
+        self.value = value
+        self.span = span
 
 
-@dataclass(frozen=True)
 class QLit(Node):
-    pass
+    __slots__ = ()
+
+    def __init__(self, *, span: tuple[int, int] = (0, 0)):
+        self.span = span
 
 
-@dataclass(frozen=True)
 class Var(Node):
-    index: int
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index: int, *, span: tuple[int, int] = (0, 0)):
+        self.index = index
+        self.span = span
 
 
-@dataclass(frozen=True)
 class BinOp(Node):
-    op: str  # + - * /
-    left: "Node"
-    right: "Node"
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Node, right: Node, *,
+                 span: tuple[int, int] = (0, 0)):
+        self.op = op                # + - * /
+        self.left = left
+        self.right = right
+        self.span = span
 
 
-@dataclass(frozen=True)
 class Pow(Node):
-    base: "Node"
-    exponent: int
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base: Node, exponent: int, *,
+                 span: tuple[int, int] = (0, 0)):
+        self.base = base
+        self.exponent = exponent
+        self.span = span
 
 
-@dataclass(frozen=True)
 class QPoch(Node):
-    base: "Node"
-    count: int
+    __slots__ = _fields = ("base", "count")
+
+    def __init__(self, base: Node, count: int, *,
+                 span: tuple[int, int] = (0, 0)):
+        self.base = base
+        self.count = count
+        self.span = span
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -90,12 +125,14 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)"
                        r"|(?P<sym>[-+*/^(),]))")
 
 
-@dataclass
 class Token:
-    kind: str        # int | name | sym | eof
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind            # int | name | sym | eof
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(src: str) -> list[Token]:

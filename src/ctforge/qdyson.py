@@ -29,7 +29,7 @@ whose full constant term equals the constant-term side at t = q^{-b}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -39,42 +39,39 @@ from .errors import CertificationError, DomainError, ProofInvariantError
 from .laurent import (Factor, FactoredForm, qpoch_qrat, qpoch_quotient,
                       qpochhammer)
 from .qfield import QRAT_ONE, QRAT_ZERO, QRat
-from .tournament import Witness, scan_witness
+from .tournament import Record, Witness, scan_witness
 
 
-@dataclass(frozen=True)
-class DysonParams:
+class DysonParams(Record, namedtuple("DysonParams", "a b")):
     """Parameters (a_1..a_n) plus the exponent slot b / a_0."""
-    a: tuple[int, ...]
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(x < 0 for x in self.a):
+    def __new__(cls, a: tuple[int, ...], b: int):
+        if any(x < 0 for x in a):
             raise DomainError("parameters must be nonnegative")
+        return tuple.__new__(cls, (a, b))
 
     @property
     def n(self) -> int:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class ProofPath:
+class ProofPath(Record, namedtuple("ProofPath", "r k")):
     """Index pair sequences (r_1..r_s; k_1..k_s) of the recursion.
 
     0 < r_1 < ... < r_s <= n and 1 <= k_i <= b; the implicit r_0 = k_0 = 0
     stands for the original series variable x_0.
     """
-    r: tuple[int, ...] = ()
-    k: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.r) != len(self.k):
+    def __new__(cls, r: tuple[int, ...] = (), k: tuple[int, ...] = ()):
+        if len(r) != len(k):
             raise DomainError("r and k must have equal length")
-        if any(x <= y for x, y in zip(self.r[1:], self.r)) or \
-           (self.r and self.r[0] < 1):
+        if any(x <= y for x, y in zip(r[1:], r)) or (r and r[0] < 1):
             raise DomainError("r must be strictly increasing and positive")
-        if any(x < 1 for x in self.k):
+        if any(x < 1 for x in k):
             raise DomainError("k entries must be positive")
+        return tuple.__new__(cls, (r, k))
 
     @property
     def depth(self) -> int:
@@ -298,12 +295,16 @@ ZERO_CASE2 = "zero_case2"
 RECURSED = "recursed"
 
 
-@dataclass
 class CertNode:
-    path: ProofPath
-    status: str
-    witness: Witness | None = None
-    children: list["CertNode"] = field(default_factory=list)
+    __slots__ = ("path", "status", "witness", "children")
+
+    def __init__(self, path: ProofPath, status: str,
+                 witness: Witness | None = None,
+                 children: list[CertNode] | None = None):
+        self.path = path
+        self.status = status
+        self.witness = witness
+        self.children = [] if children is None else children
 
     def walk(self):
         yield self
@@ -311,11 +312,14 @@ class CertNode:
             yield from c.walk()
 
 
-@dataclass
 class Certificate:
-    params: DysonParams
-    root: CertNode
-    oracle_checked: list[ProofPath] = field(default_factory=list)
+    __slots__ = ("params", "root", "oracle_checked")
+
+    def __init__(self, params: DysonParams, root: CertNode,
+                 oracle_checked: list[ProofPath] | None = None):
+        self.params = params
+        self.root = root
+        self.oracle_checked = [] if oracle_checked is None else oracle_checked
 
     def leaf_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -524,11 +528,13 @@ def interpolate_eval(points: list[tuple[QRat, QRat]], at: QRat) -> QRat:
     return acc
 
 
-@dataclass
 class DegreeBoundReport:
-    a: tuple[int, ...]
-    predicted: QRat
-    actual: QRat
+    __slots__ = ("a", "predicted", "actual")
+
+    def __init__(self, a: tuple[int, ...], predicted: QRat, actual: QRat):
+        self.a = a
+        self.predicted = predicted
+        self.actual = actual
 
     @property
     def ok(self) -> bool:
@@ -557,15 +563,18 @@ def degree_bound_check(a: tuple[int, ...],
 # top-level verifiers
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VerifyReport:
-    ok: bool
-    method: str
-    a0: int
-    a: tuple[int, ...]
-    lhs: QRat | None
-    rhs: QRat
-    detail: list[str] = field(default_factory=list)
+    __slots__ = ("ok", "method", "a0", "a", "lhs", "rhs", "detail")
+
+    def __init__(self, ok: bool, method: str, a0: int, a: tuple[int, ...],
+                 lhs: QRat | None, rhs: QRat, detail: list[str] | None = None):
+        self.ok = ok
+        self.method = method
+        self.a0 = a0
+        self.a = a
+        self.lhs = lhs
+        self.rhs = rhs
+        self.detail = [] if detail is None else detail
 
     def counterexample(self) -> str | None:
         if self.ok:

@@ -16,21 +16,33 @@ bounded, which forces the hypothesis to fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, product
 
 from .errors import DomainError, LemmaViolationError
 
 
-@dataclass(frozen=True)
-class Witness:
+class Record(tuple):
+    """Base of the immutable records (`namedtuple` subclasses): equal, and
+    hashed, by value, but only to a record of the same type, so that
+    ProofPath((1,), (2,)) != ((1,), (2,))."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Witness(Record, namedtuple("Witness", "case i j", defaults=(None,))):
     """A certified reason an instance vanishes.
 
     case 1 carries index i (1-based); case 2 carries the pair i < j.
     """
-    case: int
-    i: int
-    j: int | None = None
+    __slots__ = ()
 
     def holds_for(self, A: tuple[int, ...], k: tuple[int, ...]) -> bool:
         if self.case == 1:
@@ -44,19 +56,18 @@ class Witness:
         return False
 
 
-@dataclass(frozen=True)
-class TournamentInstance:
-    A: tuple[int, ...]
-    k: tuple[int, ...]
+class TournamentInstance(Record, namedtuple("TournamentInstance", "A k")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.A) != len(self.k) or not self.A:
+    def __new__(cls, A: tuple[int, ...], k: tuple[int, ...]):
+        if len(A) != len(k) or not A:
             raise DomainError("A and k must be nonempty and equally long")
-        if any(a < 0 for a in self.A):
+        if any(a < 0 for a in A):
             raise DomainError("A entries must be nonnegative")
-        total = sum(self.A)
-        if any(not 1 <= x <= total for x in self.k):
+        total = sum(A)
+        if any(not 1 <= x <= total for x in k):
             raise DomainError("lemma hypothesis needs 1 <= k_i <= sum(A)")
+        return tuple.__new__(cls, (A, k))
 
 
 def scan_witness(A: tuple[int, ...], k: tuple[int, ...]) -> Witness | None:
@@ -89,11 +100,13 @@ def find_witness(inst: TournamentInstance) -> Witness:
     return w
 
 
-@dataclass
 class TournamentReport:
     """The labeled tournament built from a witness-free instance."""
-    arcs: list[tuple[int, int, int]]          # (u, v, label): arc u -> v
-    order: list[int]                          # its total order, 1-based
+    __slots__ = ("arcs", "order")
+
+    def __init__(self, arcs: list[tuple[int, int, int]], order: list[int]):
+        self.arcs = arcs            # (u, v, label): arc u -> v
+        self.order = order          # its total order, 1-based
 
 
 def build_tournament(A: tuple[int, ...], k: tuple[int, ...]) -> TournamentReport:
@@ -127,12 +140,15 @@ def build_tournament(A: tuple[int, ...], k: tuple[int, ...]) -> TournamentReport
     return TournamentReport(arcs, [i + 1 for i in order])
 
 
-@dataclass
 class ExhaustiveReport:
-    instances: int
-    witnesses_case1: int
-    witnesses_case2: int
-    failures: int
+    __slots__ = ("instances", "witnesses_case1", "witnesses_case2", "failures")
+
+    def __init__(self, instances: int, witnesses_case1: int,
+                 witnesses_case2: int, failures: int):
+        self.instances = instances
+        self.witnesses_case1 = witnesses_case1
+        self.witnesses_case2 = witnesses_case2
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

@@ -498,3 +498,25 @@ class TestIdentitiesCommand:
         r = run_cli("identities", "--trunc", "-1")
         assert r.returncode == 2 and r.stdout == ""
         assert "--trunc must be nonnegative" in r.stderr
+
+
+_NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import ctforge.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestStartup:
+    def test_cli_import_loads_no_heavy_modules(self):
+        # dataclasses pulls in inspect, ast and dis, about 20 ms of start-up
+        # with the classes it generates; the modules `site` loaded before
+        # the import are not counted
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        r = subprocess.run((sys.executable, "-c", _NEW_MODULES),
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        new = set(r.stdout.split())
+        assert "ctforge.cli" in new and "ctforge.parser" in new
+        assert not new & {"dataclasses", "inspect", "ast", "dis", "typing"}

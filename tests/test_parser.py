@@ -52,6 +52,16 @@ class TestParsing:
         assert parse("x0^-2") == Pow(Var(0), -2)
         assert parse("qpoch(q*x1, -2)") == QPoch(BinOp("*", QLit(), Var(1)), -2)
 
+    def test_ast_equality_ignores_spans(self):
+        # equal, and hashed, by type and fields; the span is never compared
+        node = parse(" x0^-2")
+        assert node.span == (1, 2) and node == Pow(Var(0), -2)
+        assert hash(node) == hash(Pow(Var(0), -2))
+        assert node != Pow(Var(0), 2) and node != Pow(Var(1), -2)
+        assert IntLit(1) != Var(1) and QLit() == QLit(span=(3, 4))
+        assert repr(node) == ("Pow(span=(1, 2), base=Var(span=(1, 2), "
+                              "index=0), exponent=-2)")
+
     def test_free_vars(self):
         assert free_vars(parse("x0 * x3 + q")) == {0, 3}
 

@@ -17,7 +17,8 @@ from ctforge.ctengine import ct_all_series, ct_factored_pfrac_labeled
 from ctforge.errors import (CertificationError, DomainError,
                             ProofInvariantError)
 from ctforge.laurent import Factor, FactoredForm, qpochhammer
-from ctforge.qdyson import (DegreeBoundReport, DysonParams, ProofPath,
+from ctforge.qdyson import (CertNode, Certificate, DegreeBoundReport,
+                            DysonParams, ProofPath,
                             certificate_from_dict, certificate_to_dict,
                             certificate_to_json, certify_vanishing,
                             collapse_path,
@@ -28,7 +29,7 @@ from ctforge.qdyson import (DegreeBoundReport, DysonParams, ProofPath,
                             qdyson_rhs, rhs_value_at, transfer_var,
                             validate_certificate, verify_dyson, verify_qdyson)
 from ctforge.qfield import QPoly, QRat, QRAT_ONE, QRAT_ZERO
-from ctforge.tournament import Witness
+from ctforge.tournament import TournamentInstance, Witness
 
 ONE_PLUS_Q = QRat(QPoly({0: 1, 1: 1}))
 
@@ -996,3 +997,33 @@ class TestParamsAndPaths:
             ProofPath((1,), (0,))
         p = ProofPath((1, 3), (2, 2))
         assert p.depth == 2 and p.extended(4, 1).r == (1, 3, 4)
+        assert ProofPath() == ProofPath((), ()) and ProofPath().depth == 0
+
+    def test_paths_are_values_of_their_own_type(self):
+        # validate_certificate compares paths, and oracle_checked keys
+        # them in a dict: equal and hashed by value, never equal to a plain
+        # tuple or to another record holding the same tuple
+        p = ProofPath((1,), (2,))
+        assert p == ProofPath((1,), (2,))
+        assert hash(p) == hash(ProofPath((1,), (2,)))
+        assert {p: "x"}[ProofPath((1,), (2,))] == "x"
+        assert p != ProofPath((1,), (3,))
+        assert p != ((1,), (2,)) and ((1,), (2,)) != p
+        assert not p == ((1,), (2,)) and not ((1,), (2,)) == p
+        assert ProofPath((1,), (1,)) != TournamentInstance((1,), (1,))
+        assert DysonParams((1, 2), 3) == DysonParams((1, 2), 3)
+        assert DysonParams((1, 2), 3) != ((1, 2), 3)
+        assert str(p) == "(r=[1]; k=[2])"
+
+    def test_mutable_defaults_are_fresh(self):
+        p = ProofPath()
+        first, second = CertNode(p, "recursed"), CertNode(p, "recursed")
+        first.children.append(CertNode(p, "zero_case1"))
+        assert second.children == [] and first.children is not second.children
+        params = DysonParams((1,), 1)
+        c1, c2 = Certificate(params, first), Certificate(params, second)
+        c1.oracle_checked.append(p)
+        assert c2.oracle_checked == []
+        r1 = verify_qdyson(1, (1,))
+        r1.detail.append("extra")
+        assert "extra" not in verify_dyson(1, (1,)).detail

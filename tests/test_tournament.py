@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from ctforge import tournament
-from ctforge.errors import DomainError
+from ctforge.errors import DomainError, LemmaViolationError
 from ctforge.tournament import (TournamentInstance, Witness, build_tournament,
                                 exhaustive_check, find_witness,
                                 instance_count, scan_witness)
@@ -40,6 +40,32 @@ class TestWitnessSoundness:
         w = Witness(2, 1, 2)
         assert w.holds_for((1, 1), (2, 2))
         assert not w.holds_for((1, 1), (4, 1))
+
+    def test_witnesses_are_values_of_their_own_type(self):
+        w = Witness(1, 2)
+        assert w.j is None and w == Witness(1, 2, None)
+        assert {w: "x"}[Witness(1, 2)] == "x"
+        assert w != (1, 2, None) and (1, 2, None) != w
+        assert not w == (1, 2, None)
+        assert w != Witness(2, 1, 2)
+
+    def test_reprs_in_messages(self, monkeypatch):
+        # LemmaViolationError prints the witness and the instance
+        assert repr(Witness(2, 1, 2)) == "Witness(case=2, i=1, j=2)"
+        inst = TournamentInstance((1, 2), (1, 1))
+        assert repr(inst) == "TournamentInstance(A=(1, 2), k=(1, 1))"
+        monkeypatch.setattr(tournament, "scan_witness", lambda A, k: None)
+        with pytest.raises(LemmaViolationError) as err:
+            find_witness(inst)
+        assert str(err.value) == ("no witness for "
+                                  "TournamentInstance(A=(1, 2), k=(1, 1))")
+        monkeypatch.setattr(tournament, "scan_witness",
+                            lambda A, k: Witness(2, 1, 2))
+        with pytest.raises(LemmaViolationError) as err:
+            find_witness(TournamentInstance((1, 2), (3, 1)))
+        assert str(err.value) == (
+            "unsound witness Witness(case=2, i=1, j=2) for "
+            "TournamentInstance(A=(1, 2), k=(3, 1))")
 
     def test_all_returned_witnesses_sound(self):
         for A in product(range(3), repeat=3):
