@@ -18,11 +18,11 @@ import sys
 from pathlib import Path
 
 from .ctengine import ct_all_series, ct_factored_pfrac_labeled
-from .errors import CertificationError, CTForgeError
+from .errors import (CertificationError, CTForgeError, DistinctPolesError,
+                     PropernessError, ShapeError)
 from .identities import run_suite
 from .laurent import LaurentPoly
-from .parser import (MAX_VARS, LoweringError, ParseError, free_vars, lower,
-                     parse, var_index)
+from .parser import MAX_VARS, LoweringError, ParseError, lower, parse, var_index
 from .qdyson import (certificate_to_json, certify_vanishing, lhs_value_at,
                      verify_dyson, verify_qdyson)
 from .tournament import exhaustive_check
@@ -76,7 +76,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("series", "pfrac", "both"),
                    default=None,
                    help="default: both when the expression has poles in the "
-                        "extraction variable, series otherwise")
+                        "extraction variable and partial fractions accepts it, "
+                        "series otherwise")
 
     p = sub.add_parser("tournament", help="exhaustive witness lemma check")
     p.add_argument("--s-max", type=int, default=4)
@@ -193,28 +194,32 @@ def run_ct(ap: argparse.ArgumentParser, args) -> int:
         ap.error("--trunc must be nonnegative")
     if args.all_vars and args.method is not None:
         ap.error("--method applies to --var only")
-    ast = parse(args.expr)
+    parsed = parse(args.expr)
     if args.all_vars:
-        print(ct_all_series(lower(ast)))
+        print(ct_all_series(lower(parsed)))
         return EXIT_OK
 
     var = _parse_var(ap, args.var)
-    nvars = max(free_vars(ast) | {var}) + 1
-    ff = lower(ast, nvars)
+    ff = lower(parsed, var + 1)
+    nvars = ff.nvars
     window = {v: args.trunc for v in range(nvars)}
     window[var] = 0
 
     method = args.method
     if method is None:
-        has_poles = any(var in (v for v, e in enumerate(f.mono) if e)
-                        for f in ff.denominator_factors())
+        has_poles = any(f.mono[var] for f in ff.denominator_factors())
         method = "both" if has_poles else "series"
 
     series_lp = pfrac_parts = None
     if method in ("series", "both"):
         series_lp = ff.expand_within(window).free_of(var)
     if method in ("pfrac", "both"):
-        pfrac_parts = [s for _, s in ct_factored_pfrac_labeled(ff, var)]
+        try:
+            pfrac_parts = [s for _, s in ct_factored_pfrac_labeled(ff, var)]
+        except (DistinctPolesError, PropernessError, ShapeError):
+            if args.method is not None:
+                raise
+            method = "series"   # by default, only where partial fractions applies
 
     if method == "series":
         print(series_lp)

@@ -10,13 +10,13 @@ Grammar (whitespace insignificant):
     call  := 'qpoch' '(' expr ',' int ')'
     int   := ['-'] digits          (sign only in exponent/count slots)
 
-Parsing produces an AST with source spans; the pretty-printer emits a form
-that re-parses to a structurally identical AST.  Lowering targets
-FactoredForm: products, powers and quotients of binomial factors, monomials
-and q-powers stay factored; sums collapse to Laurent polynomials (and are
-re-recognized as binomial factors when they happen to be one, so that
-"(1 - q^2*x0/x1)" can be inverted).  Dividing by anything else is a
-lowering error.
+Each rule returns a builder for what it read, so lowering waits until the
+whole input has parsed: every ParseError comes before any lowering work.
+`lower` runs the builders.  Lowering targets FactoredForm: products,
+powers and quotients of binomial factors, monomials and q-powers stay
+factored; sums collapse to Laurent polynomials (and are re-recognized as
+binomial factors when they happen to be one, so that "(1 - q^2*x0/x1)" can
+be inverted).  Dividing by anything else is a lowering error.
 """
 
 from __future__ import annotations
@@ -40,83 +40,6 @@ class ParseError(CTForgeError, ValueError):
 
 class LoweringError(CTForgeError, ValueError):
     pass
-
-
-# -- AST ----------------------------------------------------------------------
-
-class Node:
-    """An AST node: equal by its type and _fields, hashed by _fields; the
-    source span (line, col) is carried for messages but never compared."""
-    __slots__ = ("span",)
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}"
-                         for f in ("span",) + self._fields)
-        return f"{type(self).__name__}({args})"
-
-
-class IntLit(Node):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: int, *, span: tuple[int, int] = (0, 0)):
-        self.value = value
-        self.span = span
-
-
-class QLit(Node):
-    __slots__ = ()
-
-    def __init__(self, *, span: tuple[int, int] = (0, 0)):
-        self.span = span
-
-
-class Var(Node):
-    __slots__ = _fields = ("index",)
-
-    def __init__(self, index: int, *, span: tuple[int, int] = (0, 0)):
-        self.index = index
-        self.span = span
-
-
-class BinOp(Node):
-    __slots__ = _fields = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Node, right: Node, *,
-                 span: tuple[int, int] = (0, 0)):
-        self.op = op                # + - * /
-        self.left = left
-        self.right = right
-        self.span = span
-
-
-class Pow(Node):
-    __slots__ = _fields = ("base", "exponent")
-
-    def __init__(self, base: Node, exponent: int, *,
-                 span: tuple[int, int] = (0, 0)):
-        self.base = base
-        self.exponent = exponent
-        self.span = span
-
-
-class QPoch(Node):
-    __slots__ = _fields = ("base", "count")
-
-    def __init__(self, base: Node, count: int, *,
-                 span: tuple[int, int] = (0, 0)):
-        self.base = base
-        self.count = count
-        self.span = span
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -167,8 +90,9 @@ def _locate(src: str, pos: int) -> tuple[int, int]:
 
 # The deepest nesting `parse` accepts, both as nested `expr` rules (the
 # input's own plus one per open parenthesis or qpoch call, four parser
-# frames each) and as AST levels (one frame each in free_vars, _lower and
-# print_expr): every recursive pass stays under CPython's limit of 1000.
+# frames each) and as the depth of the expression's operations (one frame
+# each when `lower` runs the builders): both walks stay under CPython's
+# limit of 1000.
 MAX_DEPTH = 200
 
 # Variables are x0 .. x{MAX_VARS-1}: every expansion builds exponent tuples
@@ -186,13 +110,15 @@ def var_index(name: str) -> int | None:
 
 
 class _Parser:
-    """Recursive descent; each rule returns (node, AST depth of node)."""
+    """Recursive descent; each rule returns (build, depth, span): build(nvars)
+    lowers what the rule read, depth counts its nested operations, and span
+    is the (line, col) of its first atom, which lowering errors name."""
 
     def __init__(self, src: str):
-        self.src = src
         self.tokens = tokenize(src)
         self.i = 0
         self.nested = 0
+        self.nvars = 1
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -219,35 +145,35 @@ class _Parser:
         return depth
 
     # expr := term (('+'|'-') term)*
-    def expr(self) -> tuple[Node, int]:
+    def expr(self):
         self.nested = self.check_depth(self.nested + 1)
-        node, depth = self.term()
+        build, depth, span = self.term()
         while self.peek().kind == "sym" and self.peek().text in "+-":
             op = self.advance().text
-            right, rdepth = self.term()
-            node = BinOp(op, node, right, span=node.span)
+            right, rdepth, _ = self.term()
+            build = _binop(op, build, right, span)
             depth = self.check_depth(1 + max(depth, rdepth))
         self.nested -= 1
-        return node, depth
+        return build, depth, span
 
     # term := pow (('*'|'/') pow)*
-    def term(self) -> tuple[Node, int]:
-        node, depth = self.pow()
+    def term(self):
+        build, depth, span = self.pow()
         while self.peek().kind == "sym" and self.peek().text in "*/":
             op = self.advance().text
-            right, rdepth = self.pow()
-            node = BinOp(op, node, right, span=node.span)
+            right, rdepth, _ = self.pow()
+            build = _binop(op, build, right, span)
             depth = self.check_depth(1 + max(depth, rdepth))
-        return node, depth
+        return build, depth, span
 
     # pow := atom ('^' int)?
-    def pow(self) -> tuple[Node, int]:
-        node, depth = self.atom()
+    def pow(self):
+        build, depth, span = self.atom()
         if self.peek().kind == "sym" and self.peek().text == "^":
             self.advance()
-            node = Pow(node, self.int_lit(), span=node.span)
+            build = _power(build, self.int_lit(), span)
             depth = self.check_depth(depth + 1)
-        return node, depth
+        return build, depth, span
 
     def int_lit(self) -> int:
         sign = 1
@@ -267,15 +193,18 @@ class _Parser:
             raise ParseError(f"integer of {len(t.text)} digits is too long",
                              t.line, t.col) from None
 
-    def atom(self) -> tuple[Node, int]:
+    def atom(self):
         t = self.peek()
         span = (t.line, t.col)
         if t.kind == "int":
-            return IntLit(self.int_token(), span=span), 1
+            value = self.int_token()
+            return lambda nvars: FactoredForm.from_scalar(
+                nvars, QRat.from_int(value)), 1, span
         if t.kind == "name":
             if t.text == "q":
                 self.advance()
-                return QLit(span=span), 1
+                return lambda nvars: FactoredForm.from_scalar(
+                    nvars, QRat.qpow(1)), 1, span
             if re.fullmatch(r"x\d+", t.text):
                 index = var_index(t.text)
                 if index is None:
@@ -283,80 +212,45 @@ class _Parser:
                         f"variable {t.text} out of range (x0 .. x{MAX_VARS - 1})",
                         t.line, t.col)
                 self.advance()
-                return Var(index, span=span), 1
+                self.nvars = max(self.nvars, index + 1)
+                return lambda nvars: FactoredForm.monomial(
+                    nvars, {index: 1}), 1, span
             if t.text == "qpoch":
                 self.advance()
                 self.expect_sym("(")
-                base, depth = self.expr()
+                base, depth, _ = self.expr()
                 self.expect_sym(",")
                 count = self.int_lit()
                 self.expect_sym(")")
-                node = QPoch(base, count, span=span)
-                return node, self.check_depth(depth + 1)
+                return _qpoch(base, count, span), self.check_depth(depth + 1), span
             self.error(f"unknown name {t.text!r}", ("q", "xN", "qpoch"))
         if t.kind == "sym" and t.text == "(":
             self.advance()
-            node, depth = self.expr()
+            parsed = self.expr()
             self.expect_sym(")")
-            return node, depth
+            return parsed
         self.error("expected an atom", ("integer", "q", "xN", "qpoch", "("))
 
 
-def parse(src: str) -> Node:
-    """The AST of src; ParseError on bad syntax or too deep nesting."""
+def parse(src: str):
+    """(build, nvars) for src: build(n) lowers it over n variables, and
+    nvars is one more than the highest variable index in src (at least 1).
+    ParseError on bad syntax or too deep nesting, before any lowering."""
     p = _Parser(src)
-    node, _ = p.expr()
+    build, _, _ = p.expr()
     if p.peek().kind != "eof":
         p.error("trailing input")
-    return node
+    return build, p.nvars
 
 
-# -- pretty printer ------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def print_expr(node: Node, parent_prec: int = 0) -> str:
-    if isinstance(node, IntLit):
-        s, prec = str(node.value), 4
-    elif isinstance(node, QLit):
-        s, prec = "q", 4
-    elif isinstance(node, Var):
-        s, prec = f"x{node.index}", 4
-    elif isinstance(node, QPoch):
-        s, prec = f"qpoch({print_expr(node.base)}, {node.count})", 4
-    elif isinstance(node, Pow):
-        # the grammar's pow base is an atom, so anything lower (including
-        # another pow) must be parenthesized
-        s = f"{print_expr(node.base, 4)}^{node.exponent}"
-        prec = 3
-    elif isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        # left-assoc grammar: the right operand needs parens at equal
-        # precedence to reparse with the same shape
-        left = print_expr(node.left, prec)
-        right = print_expr(node.right, prec + 1)
-        s = f"{left} {node.op} {right}"
-    else:
-        raise TypeError(f"not an AST node: {node!r}")
-    if prec < parent_prec:
-        return f"({s})"
-    return s
+def lower(parsed, nvars: int | None = None) -> FactoredForm:
+    """Lower parse's result to a FactoredForm over nvars variables, widened
+    to the variables the expression uses."""
+    build, own = parsed
+    return build(max(nvars or 1, own))
 
 
 # -- lowering -------------------------------------------------------------------
-
-def free_vars(node: Node) -> set[int]:
-    if isinstance(node, Var):
-        return {node.index}
-    if isinstance(node, BinOp):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Pow):
-        return free_vars(node.base)
-    if isinstance(node, QPoch):
-        return free_vars(node.base)
-    return set()
-
 
 def _qpower_exponent(c: QRat) -> int | None:
     """e when c is the plain q-power q^e (single-term numerator and
@@ -384,69 +278,58 @@ def _recognize_factor(nvars: int, lp: LaurentPoly) -> FactoredForm | None:
     return FactoredForm(nvars, factors=(Factor(e, mono),))
 
 
-def lower(node: Node, nvars: int | None = None) -> FactoredForm:
-    """Lower an AST to a FactoredForm over nvars variables."""
-    if nvars is None:
-        fv = free_vars(node)
-        nvars = max(fv) + 1 if fv else 1
-    return _lower(node, nvars)
-
-
-def _as_poly(ff: FactoredForm, node: Node) -> LaurentPoly:
+def _as_poly(ff: FactoredForm, span: tuple[int, int]) -> LaurentPoly:
     if ff.denominator_factors():
         raise LoweringError(
-            f"at {node.span[0]}:{node.span[1]}: sums may not contain "
+            f"at {span[0]}:{span[1]}: sums may not contain "
             "unexpanded denominators")
     return ff.expand_exact()
 
 
-def _lower(node: Node, nvars: int) -> FactoredForm:
-    if isinstance(node, IntLit):
-        return FactoredForm.from_scalar(nvars, QRat.from_int(node.value))
-    if isinstance(node, QLit):
-        return FactoredForm.from_scalar(nvars, QRat.qpow(1))
-    if isinstance(node, Var):
-        return FactoredForm.monomial(nvars, {node.index: 1})
-    if isinstance(node, Pow):
-        base = _lower(node.base, nvars)
-        return _pow(base, node.exponent, node)
-    if isinstance(node, QPoch):
-        base = _lower(node.base, nvars)
-        if base.polys or base.factors:
-            raise LoweringError(
-                f"at {node.span[0]}:{node.span[1]}: qpoch base must be a "
-                "monomial times a power of q")
-        qshift = _qpower_exponent(base.scalar)
-        if qshift is None:
-            raise LoweringError(
-                f"at {node.span[0]}:{node.span[1]}: qpoch base scalar must be "
-                "a power of q")
-        if any(base.mono):
-            return qpochhammer(nvars, base.mono, node.count, qshift=qshift)
-        return FactoredForm.from_scalar(nvars, qpoch_qrat(qshift, node.count))
-    if isinstance(node, BinOp):
-        left = _lower(node.left, nvars)
-        right = _lower(node.right, nvars)
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return left * _pow(right, -1, node)
-        lp = _as_poly(left, node)
-        rp = _as_poly(right, node)
-        total = lp + rp if node.op == "+" else lp - rp
+def _binop(op: str, left, right, span: tuple[int, int]):
+    def build(nvars: int) -> FactoredForm:
+        lf, rf = left(nvars), right(nvars)
+        if op == "*":
+            return lf * rf
+        if op == "/":
+            return lf * _pow(rf, -1, span)
+        lp, rp = _as_poly(lf, span), _as_poly(rf, span)
+        total = lp + rp if op == "+" else lp - rp
         factor = _recognize_factor(nvars, total)
         if factor is not None:
             return factor
         return FactoredForm(nvars, polys=(total,))
-    raise TypeError(f"not an AST node: {node!r}")
+    return build
 
 
-def _pow(ff: FactoredForm, e: int, node: Node) -> FactoredForm:
+def _power(base, e: int, span: tuple[int, int]):
+    return lambda nvars: _pow(base(nvars), e, span)
+
+
+def _pow(ff: FactoredForm, e: int, span: tuple[int, int]) -> FactoredForm:
     if e < 0 and ff.polys:
         raise LoweringError(
-            f"at {node.span[0]}:{node.span[1]}: division by something that "
+            f"at {span[0]}:{span[1]}: division by something that "
             "is not a product of binomial factors, monomials and scalars")
     if e < 0 and ff.scalar.is_zero():
         raise LoweringError(
-            f"at {node.span[0]}:{node.span[1]}: division by zero")
+            f"at {span[0]}:{span[1]}: division by zero")
     return ff ** e
+
+
+def _qpoch(base, count: int, span: tuple[int, int]):
+    def build(nvars: int) -> FactoredForm:
+        ff = base(nvars)
+        if ff.polys or ff.factors:
+            raise LoweringError(
+                f"at {span[0]}:{span[1]}: qpoch base must be a "
+                "monomial times a power of q")
+        qshift = _qpower_exponent(ff.scalar)
+        if qshift is None:
+            raise LoweringError(
+                f"at {span[0]}:{span[1]}: qpoch base scalar must be "
+                "a power of q")
+        if any(ff.mono):
+            return qpochhammer(nvars, ff.mono, count, qshift=qshift)
+        return FactoredForm.from_scalar(nvars, qpoch_qrat(qshift, count))
+    return build

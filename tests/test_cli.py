@@ -402,6 +402,38 @@ class TestCtCommand:
                     "--method", "pfrac")
         assert r.returncode == 1 and "degree in x0 is 1" in r.stderr
 
+    @pytest.mark.parametrize("expr, series, error", [
+        ("1/(1-x1/x0)", "0", "degree in x0 is 0, not negative"),
+        ("x0/(1-x0/x1)", "0", "degree in x0 is 0, not negative"),
+        ("1/(1-x0/x1)^2", "1", "repeated pole"),
+        ("1/((1-x0/x1)*(1-x1/x2))", "1 + 1*x1*x2^-1 + ",
+         "does not have x0 upstairs"),
+    ])
+    def test_input_outside_pfrac_defaults_to_series(self, capsys, expr,
+                                                    series, error):
+        # by default, both only where partial fractions accepts the form
+        outs = []
+        for method in ((), ("--method", "series")):
+            assert main(["ct", "--expr", expr, "--var", "x0", *method]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith(series)
+        for method in ("pfrac", "both"):
+            assert main(["ct", "--expr", expr, "--var", "x0",
+                         "--method", method]) == 1
+            out = capsys.readouterr()
+            assert out.out == "" and error in out.err
+
+    def test_syntax_errors_come_before_lowering(self):
+        # lowered alone, this qpoch is refused by its budget with exit 1
+        r = run_cli("ct", "--expr", "qpoch(q,20000) +", "--all-vars")
+        assert r.returncode == 2 and r.stderr == (
+            "error: 1:17: expected an atom, found end of input "
+            "(expected integer, q, xN, qpoch, ()\n")
+        # and --var is checked after parsing, before lowering
+        r = run_cli("ct", "--expr", "qpoch(q,20000)*x0", "--var", "x99")
+        assert r.returncode == 2 and r.stdout == ""
+        assert "--var must be one of x0 .. x63; got 'x99'" in r.stderr
+
 
 class TestByteIdentity:
     """stdout digests taken before LaurentPoly held integer maps over one

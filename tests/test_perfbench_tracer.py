@@ -39,3 +39,17 @@ def test_replay_spans_and_uninstall(capsys):
         assert summary[f"{name}.calls"] > 0, name
     assert (qdyson.interpolate_eval, qdyson.degree_bound_check,
             cli.verify_qdyson, QPoly.__dict__["gcd"]) == originals
+
+
+def test_ct_times_parsing_and_lowering_apart(capsys):
+    # BENCHMARK.json's per-layer list names parser.parse and parser.lower
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["ct", "--expr", "1/(1 - q*x0/x1)", "--var", "x0"])
+    finally:
+        tracer.uninstall()
+    assert rc == 0 and capsys.readouterr().out == "1\n"
+    summary = tracer.summary()
+    for name in ("parser.parse", "parser.lower"):
+        assert summary[f"{name}.calls"] > 0, name
