@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .ctengine import ct_all_series, ct_factored_pfrac_labeled
 from .errors import (CertificationError, CTForgeError, DistinctPolesError,
-                     PropernessError, ShapeError)
+                     PropernessError, ShapeError, size_str)
 from .identities import run_suite
 from .laurent import LaurentPoly
 from .parser import MAX_VARS, LoweringError, ParseError, lower, parse, var_index
@@ -62,7 +61,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--b", type=int)
     group.add_argument("--all-b", action="store_true")
-    p.add_argument("--json-out", type=Path, default=None)
+    p.add_argument("--json-out", default=None)
     p.add_argument("--oracle", action="store_true",
                    help="also confirm each root by the series oracle")
 
@@ -75,9 +74,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="series window degree for display/cross-checks")
     p.add_argument("--method", choices=("series", "pfrac", "both"),
                    default=None,
-                   help="default: both when the expression has poles in the "
-                        "extraction variable and partial fractions accepts it, "
-                        "series otherwise")
+                   help="default: both where partial fractions accepts "
+                        "the expression, series otherwise")
 
     p = sub.add_parser("tournament", help="exhaustive witness lemma check")
     p.add_argument("--s-max", type=int, default=4)
@@ -131,10 +129,10 @@ def run_certify(ap: argparse.ArgumentParser, args) -> int:
     if args.all_b:
         if asum < 1:
             ap.error("--all-b needs a positive parameter sum")
-        bs = list(range(1, asum + 1))
+        bs = range(1, asum + 1)
     else:
         if not 1 <= args.b <= asum:
-            ap.error(f"--b must lie in [1, {asum}]")
+            ap.error(f"--b must lie in [1, {size_str(asum)}]")
         bs = [args.b]
     for b in bs:
         try:
@@ -157,7 +155,8 @@ def run_certify(ap: argparse.ArgumentParser, args) -> int:
               f"{counts.get('recursed', 0)} recursed"
               f"{oracle_note}")
         if args.json_out is not None:
-            path = args.json_out
+            from pathlib import Path    # only here: it is slow to import
+            path = Path(args.json_out)
             if len(bs) > 1:
                 path = path.with_name(f"{path.stem}_b{b}{path.suffix or '.json'}")
             try:
@@ -205,11 +204,7 @@ def run_ct(ap: argparse.ArgumentParser, args) -> int:
     window = {v: args.trunc for v in range(nvars)}
     window[var] = 0
 
-    method = args.method
-    if method is None:
-        has_poles = any(f.mono[var] for f in ff.denominator_factors())
-        method = "both" if has_poles else "series"
-
+    method = args.method or "both"
     series_lp = pfrac_parts = None
     if method in ("series", "both"):
         series_lp = ff.expand_within(window).free_of(var)

@@ -51,3 +51,14 @@ class CertificationError(CTForgeError, RuntimeError):
 
 class LemmaViolationError(CTForgeError, RuntimeError):
     """The combinatorial witness lemma failed to produce a witness."""
+
+
+def size_str(n: int) -> str:
+    """n as written up to 20 digits, past that by its order of magnitude:
+    a refusal must print sizes str() refuses (ints of over 4300 digits)."""
+    m = abs(n)
+    if m < 10**20:
+        return str(n)
+    k = (m.bit_length() - 1) * 30102 // 100000 - 2    # 10^(k+2) <= m
+    lead = str(m // 10**k)
+    return f"{'-' * (n < 0)}{lead[0]}.{lead[1:3]}e{k + len(lead) - 1}"

@@ -56,7 +56,8 @@ from collections.abc import Mapping
 from math import comb, lcm
 
 from .errors import (DomainError, NotPolynomialError, ProofInvariantError,
-                     ShapeError, TruncationError, UncancelledPoleError)
+                     ShapeError, TruncationError, UncancelledPoleError,
+                     size_str)
 from .qfield import (QRAT_ONE, QRAT_ZERO, QRat, _check_packed, _pack,
                      _qprod, _unpack, _width)
 
@@ -82,7 +83,7 @@ _MAX_PRODUCT_PAIRS = 1 << 22
 
 def _check_exp(e: int) -> int:
     if not -_EXP_LIMIT < e < _EXP_LIMIT:
-        raise DomainError(f"exponent overflow: {e}")
+        raise DomainError(f"exponent overflow: {size_str(e)}")
     return e
 
 
@@ -103,7 +104,8 @@ def _rows_within_budget(out: dict, keys: int, bits: int) -> int:
 def _check_power(n: int) -> int:
     if n > _MAX_POWER:
         raise DomainError(
-            f"power or count {n} exceeds the work budget of {_MAX_POWER}")
+            f"power or count {size_str(n)} exceeds the work budget of "
+            f"{_MAX_POWER}")
     return n
 
 
@@ -446,16 +448,6 @@ class Factor:
         b = self.base_str()
         return b if self.exp == 1 else f"{b}^{self.exp}"
 
-    # -- expansion ----------------------------------------------------------
-
-    def expand_exact(self) -> dict:
-        """Finite expansion {x-exponents: {q-exponent: int}}, the run of
-        this factor alone; requires exp > 0.  A collapsed factor
-        (1 - q^qexp)^exp has one key, 0."""
-        if self.exp < 0:
-            raise NotPolynomialError("denominator factor has no finite expansion")
-        return _run_part([self], self.exp)
-
 
 class FactoredForm:
     """scalar * X^mono * prod(polys) * prod_i (1 - q^{s_i} M_i)^{e_i}, held
@@ -558,7 +550,7 @@ class FactoredForm:
         return FactoredForm(self.nvars, self.scalar ** n,
                             scale_exps(self.mono, n),
                             tuple(f.powered(n) for f in self.factors),
-                            self.polys * n)
+                            self.polys * n if self.polys else ())
 
     def __eq__(self, other) -> bool:
         """Scalar, monomial, the sums and the factor sequence, in order:
@@ -898,9 +890,9 @@ def _run_part(run: list[Factor], cap: int) -> dict:
         for f in run:
             _check_power(f.exp)
     elif last + 1 > _MAX_PRODUCT_KEYS:      # before any lo pruning
-        raise DomainError(f"expansion too large: a series of {last + 1} "
-                          f"terms exceeds the work budget of "
-                          f"{_MAX_PRODUCT_KEYS} terms")
+        raise DomainError(f"expansion too large: a series of "
+                          f"{size_str(last + 1)} terms exceeds the work "
+                          f"budget of {_MAX_PRODUCT_KEYS} terms")
     _check_exp(max(map(abs, y)) * cap)
     small = not start               # Y = M: a numerator or a small series
     members = []                    # (r, t0, [c_0, c_1, ...])

@@ -44,8 +44,9 @@ class LoweringError(CTForgeError, ValueError):
 
 # -- tokenizer ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)"
-                       r"|(?P<sym>[-+*/^(),]))")
+# Each character is in one match: whitespace, a token or a stray character.
+_TOKEN_RE = re.compile(r"(?P<space>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z]\w*)"
+                       r"|(?P<sym>[-+*/^(),])|(?P<bad>.)")
 
 
 class Token:
@@ -59,33 +60,21 @@ class Token:
 
 
 def tokenize(src: str) -> list[Token]:
+    """One pass, counting the newlines (only whitespace holds them) and
+    where the last one was, from which a column counts."""
     tokens = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m or m.end() == pos:
-            bad_at = pos + len(src[pos:]) - len(src[pos:].lstrip())
-            if bad_at >= len(src):
-                break
-            _line, _col = _locate(src, bad_at)
-            raise ParseError(f"unexpected character {src[bad_at]!r}", _line, _col)
-        for kind in ("int", "name", "sym"):
-            text = m.group(kind)
-            if text is not None:
-                l, c = _locate(src, m.start(kind))
-                tokens.append(Token(kind, text, l, c))
-                break
-        pos = m.end()
-    l, c = _locate(src, len(src))
-    tokens.append(Token("eof", "", l, c))
+    line, last_nl = 1, -1
+    for m in _TOKEN_RE.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - last_nl
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        if kind != "space":
+            tokens.append(Token(kind, text, line, col))
+        elif "\n" in text:
+            line += text.count("\n")
+            last_nl = m.start() + text.rindex("\n")
+    tokens.append(Token("eof", "", line, len(src) - last_nl))
     return tokens
-
-
-def _locate(src: str, pos: int) -> tuple[int, int]:
-    line = src.count("\n", 0, pos) + 1
-    last_nl = src.rfind("\n", 0, pos)
-    return line, pos - last_nl
 
 
 # The deepest nesting `parse` accepts, both as nested `expr` rules (the

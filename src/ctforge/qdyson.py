@@ -35,7 +35,8 @@ from math import factorial
 
 from .ctengine import (ct_all_bruteforce, ct_all_series,
                        ct_factored_pfrac_labeled)
-from .errors import CertificationError, DomainError, ProofInvariantError
+from .errors import (CertificationError, DomainError, ProofInvariantError,
+                     size_str)
 from .laurent import (Factor, FactoredForm, qpoch_qrat, qpoch_quotient,
                       qpochhammer)
 from .qfield import QRAT_ONE, QRAT_ZERO, QRat
@@ -344,7 +345,7 @@ def certify_vanishing(a: tuple[int, ...], b: int) -> Certificate:
     a = tuple(a)
     asum = sum(a)
     if not 1 <= b <= asum:
-        raise DomainError(f"b must lie in [1, {asum}]")
+        raise DomainError(f"b must lie in [1, {size_str(asum)}]")
     n = len(a)
     first = last = None
     nonzero = []                    # witnessed leaves whose kernel is not zero

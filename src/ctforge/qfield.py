@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm, prod
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, size_str
 
 Scalar = int | Fraction
 
@@ -551,8 +551,9 @@ _MAX_PACKED_BITS = 1 << 22
 def _check_packed(w: int, span: int, at: str = "") -> None:
     if w * (span + 1) > _MAX_PACKED_BITS:
         raise DomainError(
-            f"expansion too large: {at}{w}-bit coefficients over {span + 1} "
-            f"powers of q exceed the {_MAX_PACKED_BITS}-bit work budget")
+            f"expansion too large: {at}{size_str(w)}-bit coefficients over "
+            f"{size_str(span + 1)} powers of q exceed the "
+            f"{_MAX_PACKED_BITS}-bit work budget")
 
 
 def _width(norms: list[tuple[int, int]], span: int) -> int:

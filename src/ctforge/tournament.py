@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate, product
 
-from .errors import DomainError, LemmaViolationError
+from .errors import DomainError, LemmaViolationError, size_str
 
 
 class Record(tuple):
@@ -189,8 +189,8 @@ def exhaustive_check(s_max: int = 4, a_max: int = 3) -> ExhaustiveReport:
     """
     if instance_count(s_max, a_max, _MAX_INSTANCES) > _MAX_INSTANCES:
         raise DomainError(
-            f"s_max {s_max}, a_max {a_max}: more than {_MAX_INSTANCES} "
-            f"instances exceed the work budget")
+            f"s_max {size_str(s_max)}, a_max {size_str(a_max)}: more than "
+            f"{_MAX_INSTANCES} instances exceed the work budget")
     n_inst = c1 = c2 = 0
     for s in range(1, s_max + 1):
         for A in product(range(a_max + 1), repeat=s):

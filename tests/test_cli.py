@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from ctforge import cli, qdyson
 from ctforge.cli import main
 from ctforge.ctengine import ct_factored_pfrac_labeled
+from ctforge.errors import size_str
 from ctforge.parser import lower, parse
 from ctforge.qfield import QPoly
 from ctforge.qdyson import certificate_from_dict, validate_certificate
@@ -120,6 +122,16 @@ class TestCertifyCommand:
             assert path.exists()
             cert = certificate_from_dict(json.loads(path.read_text()))
             assert validate_certificate(cert) >= 1
+            assert f"  wrote {path}\n" in r.stdout
+
+    def test_all_b_is_not_listed_up_front(self):
+        # the values of b are taken one at a time: 10^8 of them were a
+        # list of 3.6 GB before b = 1 was refused by the work budget
+        r = run_bounded_cli("certify", "--a", "100000000", "--all-b",
+                            timeout=10)
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == ("error: power or count 100000000 exceeds the "
+                            "work budget of 10000\n")
 
     def test_b_out_of_range(self):
         assert run_cli("certify", "--a", "1", "--b", "2").returncode == 2
@@ -206,6 +218,18 @@ class TestCtCommand:
 
     def test_binomial_power_budget_exit_1(self):
         self._refused("(1-x0/x1)^100000")
+
+    def test_powers_past_a_machine_index(self):
+        # 10^19 > 2^63: a power repeated the form's empty tuple of sums
+        # that many times, and Python refused the tuple with OverflowError
+        big = "10000000000000000000"
+        for expr in (f"(1-x0/x1)^{big}", f"(1-q)^{big}", f"qpoch(x0,3)^{big}",
+                     f"(1-q^999999999)^{'9' * 4300}"):
+            self._refused(expr)
+        for expr, out in ((f"q^{big}", f"q^{big}\n"),
+                          (f"(1-x0/x1)^-{big}", "1\n")):
+            r = run_bounded_cli("ct", "--expr", expr, "--all-vars")
+            assert (r.returncode, r.stdout, r.stderr) == (0, out, "")
 
     def test_scalar_power_and_qpoch_budget_exit_1(self):
         self._refused("(1+q)^100000")
@@ -403,6 +427,7 @@ class TestCtCommand:
         assert r.returncode == 1 and "degree in x0 is 1" in r.stderr
 
     @pytest.mark.parametrize("expr, series, error", [
+        ("x1/x0", "0", None),       # accepted, with no summands
         ("1/(1-x1/x0)", "0", "degree in x0 is 0, not negative"),
         ("x0/(1-x0/x1)", "0", "degree in x0 is 0, not negative"),
         ("1/(1-x0/x1)^2", "1", "repeated pole"),
@@ -418,10 +443,23 @@ class TestCtCommand:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] and outs[0].startswith(series)
         for method in ("pfrac", "both"):
-            assert main(["ct", "--expr", expr, "--var", "x0",
-                         "--method", method]) == 1
+            code = main(["ct", "--expr", expr, "--var", "x0",
+                         "--method", method])
             out = capsys.readouterr()
-            assert out.out == "" and error in out.err
+            if error is None:
+                assert (code, out.out, out.err) == (0, outs[0], "")
+            else:
+                assert code == 1 and out.out == "" and error in out.err
+
+    def test_long_input_is_refused_in_linear_time(self, capsys):
+        # 120 KB of input: tokenizing it took seconds when each token's
+        # position was counted from the start of the input
+        start = time.perf_counter()
+        assert main(["ct", "--expr", "+".join(["x1"] * 40000),
+                     "--all-vars"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == ("error: 1:603: expression nests "
+                                           "deeper than 200 levels, found '+'\n")
 
     def test_syntax_errors_come_before_lowering(self):
         # lowered alone, this qpoch is refused by its budget with exit 1
@@ -552,3 +590,50 @@ class TestStartup:
         new = set(r.stdout.split())
         assert "ctforge.cli" in new and "ctforge.parser" in new
         assert not new & {"dataclasses", "inspect", "ast", "dis", "typing"}
+
+    def test_cli_import_loads_no_pathlib(self):
+        # pathlib brings urllib.parse and ipaddress, milliseconds of
+        # start-up; without `site` (-S) nothing has loaded them before
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        r = subprocess.run((sys.executable, "-S", "-c", _NEW_MODULES),
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        new = set(r.stdout.split())
+        assert "ctforge.cli" in new
+        assert not new & {"pathlib", "urllib", "urllib.parse", "ipaddress",
+                          "fnmatch", "ntpath"}
+
+
+class TestHugeSizes:
+    """str() refuses an int of over 4300 digits; a refusal prints such a
+    size by its order of magnitude, on one line."""
+    N = "9" * 4300
+
+    @pytest.mark.parametrize("args", [
+        ("ct", "--expr", f"qpoch(q,{N})", "--all-vars"),
+        ("ct", "--expr", f"(x0^999999999)^{N}", "--all-vars"),
+        ("ct", "--expr", "1/(1-x0/x1)", "--var", "x1", "--trunc", N),
+        ("identities", "--trunc", N),
+        ("verify", "--a0", N, "--a", "1"),
+        ("verify", "--a0", "1", "--a", N),
+    ])
+    def test_refusal_prints_its_size(self, args):
+        r = run_bounded_cli(*args, timeout=10)
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert len(r.stderr) < 200
+
+    def test_size_str(self):
+        # exact up to 20 digits, then three digits, truncated, and the power
+        assert size_str(10**20 - 1) == "99999999999999999999"
+        assert size_str(-10**20) == "-1.00e20"
+        assert size_str(int(self.N)) == "9.99e4299"
+        assert size_str(2**100000) == "9.99e30102"
+        assert size_str(7 * 10**9999 + 1) == "7.00e9999"
+
+    def test_order_of_magnitude(self):
+        # a size str() can print, but 4300 digits long
+        r = run_bounded_cli("certify", "--a", f"{self.N},{self.N}", "--b", "1",
+                            timeout=10)
+        assert r.stderr == ("error: power or count 9.99e4299 exceeds the "
+                            "work budget of 10000\n")

@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from ctforge.ctengine import ct_all_bruteforce
 from ctforge.errors import DomainError
 from ctforge.laurent import Factor, FactoredForm, LaurentPoly, qpochhammer
 from ctforge.parser import (MAX_DEPTH, MAX_VARS, LoweringError, ParseError,
-                            lower, parse)
+                            lower, parse, tokenize)
 from ctforge.qdyson import qdyson_kernel
 from ctforge.qfield import QPoly, QRat
 
@@ -142,6 +143,58 @@ class TestLongIntegers:
             parsed = parse(src)
             with pytest.raises(DomainError):
                 lower(parsed)
+
+
+# The grammar's alphabet, words of it, whitespace that is and is not a line
+# break, and characters no token may hold.
+_PIECES = list("x0123456789q+-*/^(),pochab_ ") + [
+    "qpoch", "x12", "\n", "\t", "\r", "\x0b", "\x1c", " \n ", "é", "٣", "$"]
+_WORD_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<sym>[-+*/^(),])")
+
+
+def _reference_tokens(src: str):
+    """Each token's (kind, text, line, col), or ("error", ch, line, col)
+    at a stray character: whitespace is whatever str.isspace() says, and
+    a position is computed afresh from its offset."""
+    def at(i):
+        return src.count("\n", 0, i) + 1, i - src.rfind("\n", 0, i)
+    out, i = [], 0
+    while i < len(src):
+        if src[i].isspace():
+            i += 1
+            continue
+        m = _WORD_RE.match(src, i)
+        if m is None:
+            return ("error", src[i]) + at(i)
+        out.append((m.lastgroup, m.group()) + at(i))
+        i = m.end()
+    return out + [("eof", "") + at(len(src))]
+
+
+class TestTokenizer:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+    def test_positions_match_offsets(self, src):
+        want = _reference_tokens(src)
+        try:
+            got = [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
+        except ParseError as e:
+            assert want[0] == "error"
+            assert str(e) == f"{want[2]}:{want[3]}: unexpected character {want[1]!r}"
+            assert (e.line, e.col) == want[2:]
+            return
+        assert got == want
+
+    def test_linear_time(self):
+        # counting each token's position from the start of the input made
+        # this quadratic (seconds); one pass keeps the line count as it goes
+        start = time.perf_counter()
+        tokens = tokenize("x1+\n" * 40000 + "x1")
+        assert time.perf_counter() - start < 1
+        assert (tokens[-2].text, tokens[-2].line, tokens[-2].col) == \
+            ("x1", 40001, 1)
+        assert (tokens[-1].kind, tokens[-1].line, tokens[-1].col) == \
+            ("eof", 40001, 3)
 
 
 class TestPrinting:
