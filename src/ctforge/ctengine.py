@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import (DistinctPolesError, NotPolynomialError, PropernessError,
                      ShapeError)
-from .laurent import FactoredForm
+from .laurent import Factor, FactoredForm, _pair_vars, _qexps
 from .qfield import QRat
 
 
@@ -52,13 +52,15 @@ def ct_factored_pfrac_labeled(
     Each denominator factor with a variable must be a simple two-variable factor
     (1 - q^s x_var/x_t), i.e. x_var in the numerator slot: the only shape
     the proof pipeline produces and the shape the partial-fraction lemma
-    covers.  Its pole is x_t q^{-s}, labeled (t, -s).
+    covers.  Its pole is x_t q^{-s}, labeled (t, -s).  The poles are
+    enumerated per denominator run, one per factor, in factor order.
 
     One (pole, FactoredForm) pair per *small* pole (var < t): the form
-    with that pole factor removed and x_var := x_t q^{-s} substituted
-    everywhere else.  Large poles contribute nothing, and the polynomial
-    part of the decomposition is never materialized (a proper function has
-    none beyond negative powers of x_var, which carry no x_var-free term).
+    with that pole factor split out of its run and x_var := x_t q^{-s}
+    substituted everywhere else.  Large poles contribute nothing, and the
+    polynomial part of the decomposition is never materialized (a proper
+    function has none beyond negative powers of x_var, which carry no
+    x_var-free term).
     """
     if f.is_zero():
         return []
@@ -69,22 +71,21 @@ def ct_factored_pfrac_labeled(
     # otherwise surface as an UncancelledPoleError from substitute
     poles = []
     seen = set()
-    for idx, fac in enumerate(f.factors):
-        if fac.exp > 0 or not any(fac.mono):
-            continue        # not a denominator factor with a variable
-        num, den = fac.pair_vars()
+    for idx, run in enumerate(f.runs):
+        mono, first, _, exp = run
+        if exp > 0 or not any(mono):
+            continue        # not a denominator run with a variable
+        num, den = _pair_vars(mono)
         if num != var:
-            raise ShapeError(
-                f"denominator factor {fac!r} does not have x{var} upstairs")
-        pole = (den, -fac.qexp)
-        if fac.exp != -1 or pole in seen:
-            raise DistinctPolesError(f"repeated pole: {fac!r}")
-        seen.add(pole)
-        poles.append((idx, pole))
-    out = []
-    for idx, pole in poles:
-        if var > pole[0]:
-            continue  # large pole: no contribution
-        out.append((pole, f.drop_factors((idx,)).substitute(
-            {var: pole[1]}, pole[0])))
-    return out
+            raise ShapeError(f"denominator factor {Factor(first, mono, exp)!r}"
+                             f" does not have x{var} upstairs")
+        for s in _qexps(run):
+            pole = (den, -s)
+            if exp != -1 or pole in seen:
+                raise DistinctPolesError(
+                    f"repeated pole: {Factor(s, mono, exp)!r}")
+            seen.add(pole)
+            poles.append((idx, s, pole))
+    # a large pole (var > t) contributes nothing
+    return [(pole, f.drop_factors({i: s}).substitute({var: pole[1]}, pole[0]))
+            for i, s, pole in poles if var < pole[0]]

@@ -27,10 +27,12 @@ Two representations:
 
 Every product is one windowed expansion, `FactoredForm.expand_within`.
 
-A substitution that collapses a binomial to 1 - q^e keeps it as a factor
-with an all-zero monomial, so the proof engine does no Q(q) arithmetic.
-Expansion works over Z[q, 1/q], one part of the product per run: the
-factors that share one monomial M, as a q-Pochhammer symbol's do, expand
+A FactoredForm stores its factors as maximal runs, q-Pochhammer symbols:
+one monomial M, q-exponents in steps of +1 or -1, one exponent.  A
+substitution moves one monomial per run, and a run that collapses to
+scalars (1 - q^e) keeps an all-zero monomial, so the proof engine does no
+Q(q) arithmetic.  Expansion works over Z[q, 1/q], one part of the product
+per group: the runs that share one monomial M and one sign expand
 together, the numerator ones as one polynomial in M and the denominator
 ones as one series in M or 1/M kept to one cap, by a one-dimensional
 product of their binomial series, whose coefficients are +-C(n, k) q^e.
@@ -40,8 +42,8 @@ Inside `_multiply_within` each such map is packed into one integer, its
 value at q = 2^w (Kronecker substitution; the packing and its width rule
 live in `qfield`), each x-key into another, one bit field per variable,
 and both are decoded back once at the end.  The scalar's numerator is a
-part with the one key 0, the collapsed numerator factors are the run of
-the all-zero monomial, and each sum is a part with its own keys; the
+part with the one key 0, the collapsed numerator factors are the group
+of the all-zero monomial, and each sum is a part with its own keys; the
 scalar's denominator, the collapsed denominator factors and the sums'
 denominators become the result's denominator as they are, with no gcd.
 Q(q) enters only where a coefficient is read or printed:
@@ -377,7 +379,9 @@ class Factor:
 
     mono is a full-length exponent tuple.  It may be all zero only when
     qexp is not: that factor is the collapsed scalar (1 - q^qexp)^exp.
-    exp > 0 is a numerator factor, exp < 0 a denominator factor.
+    exp > 0 is a numerator factor, exp < 0 a denominator factor.  A
+    FactoredForm is built from Factors and lists its runs' factors as
+    Factors (`factors`, `denominator_factors`), but stores runs.
     """
 
     __slots__ = ("qexp", "mono", "exp")
@@ -405,33 +409,14 @@ class Factor:
     @property
     def control_var(self) -> int:
         """Lowest-index variable in the monomial (controls its series)."""
-        for i, e in enumerate(self.mono):
-            if e:
-                return i
-        raise ShapeError("empty factor monomial")
+        return _control_var(self.mono)
 
     def is_small(self) -> bool:
         return self.mono[self.control_var] > 0
 
     def pair_vars(self) -> tuple[int, int]:
         """(numerator var, denominator var) when two-variable +1/-1 shaped."""
-        num = den = None
-        for i, e in enumerate(self.mono):
-            if e == 1 and num is None:
-                num = i
-            elif e == -1 and den is None:
-                den = i
-            elif e != 0:
-                raise ShapeError("factor is not of the x_i/x_j shape")
-        if num is None or den is None:
-            raise ShapeError("factor is not of the x_i/x_j shape")
-        return num, den
-
-    def powered(self, n: int) -> "Factor":
-        return Factor(self.qexp, self.mono, self.exp * n)
-
-    def sort_key(self):
-        return (self.mono, self.qexp, self.exp)
+        return _pair_vars(self.mono)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Factor) and self.qexp == other.qexp
@@ -449,6 +434,78 @@ class Factor:
         return b if self.exp == 1 else f"{b}^{self.exp}"
 
 
+def _control_var(mono: tuple[int, ...]) -> int:
+    """Lowest-index variable in the monomial (controls its series)."""
+    for i, e in enumerate(mono):
+        if e:
+            return i
+    raise ShapeError("empty factor monomial")
+
+
+def _pair_vars(mono: tuple[int, ...]) -> tuple[int, int]:
+    """(numerator var, denominator var) of x_i/x_j; ShapeError otherwise."""
+    num = den = None
+    for i, e in enumerate(mono):
+        if e == 1 and num is None:
+            num = i
+        elif e == -1 and den is None:
+            den = i
+        elif e != 0:
+            raise ShapeError("factor is not of the x_i/x_j shape")
+    if num is None or den is None:
+        raise ShapeError("factor is not of the x_i/x_j shape")
+    return num, den
+
+
+def _qexps(run: tuple) -> range:
+    """The q-exponents of a run's factors, in order."""
+    _, first, last, _ = run
+    step = 1 if last >= first else -1
+    return range(first, last + step, step)
+
+
+def _join(runs) -> tuple:
+    """The maximal runs of the factor sequence that runs, a sequence of runs,
+    holds: its split, from the left, into the longest stretches of factors
+    with one monomial, one exponent and q-exponents in steps of one sign.
+    The split is a function of the factor sequence, so equal factor
+    sequences give equal run tuples.
+
+    A run that can take the next run's first factor takes the whole run
+    when their steps agree, and that factor alone when they do not; the
+    rest of that run then cannot continue it, and stands as it is (a rest
+    of one factor may still take the next run's first).
+    """
+    out = []
+    prev = None
+    for run in runs:
+        if prev is not None and run[0] == prev[0] and run[3] == prev[3]:
+            mono, first, last, exp = prev
+            step = (last > first) - (last < first)
+            head, end = run[1], run[2]
+            if step == 0 and abs(head - last) == 1:
+                step = head - last
+            if step and head == last + step:
+                if (end > head) - (end < head) in (0, step):
+                    prev = out[-1] = (mono, first, end, exp)
+                    continue
+                out[-1] = (mono, first, head, exp)
+                run = (mono, head - step, end, exp)
+        out.append(run)
+        prev = run
+    return tuple(out)
+
+
+def _concat(left: tuple, right: tuple) -> tuple:
+    """_join(left + right) for maximal left: a join changes only the last
+    run it has kept, so the runs of left before its last stay as they are.
+    """
+    return left[:-1] + _join(left[-1:] + right)
+
+
+_ZEROS: dict = {}                   # FactoredForm.zero's, by nvars
+
+
 class FactoredForm:
     """scalar * X^mono * prod(polys) * prod_i (1 - q^{s_i} M_i)^{e_i}, held
     exactly.
@@ -459,22 +516,47 @@ class FactoredForm:
     the product just like the factors: `*` joins the lists, `**` repeats
     them, and `expand_within` multiplies them in under its window.  A zero
     sum makes the form zero.  Pipeline-built forms hold no sums.
+
+    The factors are stored as runs, each a tuple (M, first, last, e): the
+    factors (1 - q^s M)^e for s from first to last in steps of +1 or -1, a
+    q-Pochhammer symbol (q^first M; q)_n when e = 1 and the steps ascend.
+    A run of one factor has first = last.  The runs are the maximal ones
+    (`_join`), so the run tuple is a function of the factor sequence:
+    equal run tuples mean equal factor sequences, and `==` compares runs
+    in order as it would compare factors.  `factors` expands them,
+    read-only, one Factor per binomial.  A run's monomial may be all zero
+    only when its range leaves out 0: it is then the collapsed scalars
+    (1 - q^s)^e.
     """
 
-    __slots__ = ("nvars", "scalar", "mono", "factors", "polys")
+    __slots__ = ("nvars", "scalar", "mono", "runs", "polys")
 
     def __init__(self, nvars: int, scalar: QRat = QRAT_ONE,
                  mono: tuple[int, ...] | None = None,
                  factors: tuple[Factor, ...] = (),
                  polys: tuple[LaurentPoly, ...] = ()):
+        """factors, any sequence of Factors, are stored as maximal runs."""
+        self._fill(nvars, scalar, mono,
+                   _join([(f.mono, f.qexp, f.qexp, f.exp) for f in factors]),
+                   polys)
+
+    @classmethod
+    def _of(cls, nvars: int, scalar: QRat, mono: tuple[int, ...] | None,
+            runs: tuple, polys=()) -> "FactoredForm":
+        """A form from runs that are maximal already."""
+        ff = cls.__new__(cls)
+        ff._fill(nvars, scalar, mono, runs, polys)
+        return ff
+
+    def _fill(self, nvars, scalar, mono, runs, polys) -> None:
         self.nvars = nvars
         if scalar.is_zero() or polys and not all(p.maps for p in polys):
             self.scalar, self.mono = QRAT_ZERO, (0,) * nvars
-            self.factors = self.polys = ()
+            self.runs = self.polys = ()
         else:
             self.scalar = scalar
             self.mono = mono if mono is not None else (0,) * nvars
-            self.factors = tuple(factors)
+            self.runs = runs
             self.polys = tuple(polys)
 
     @classmethod
@@ -483,7 +565,11 @@ class FactoredForm:
 
     @classmethod
     def zero(cls, nvars: int) -> "FactoredForm":
-        return cls(nvars, scalar=QRAT_ZERO)
+        """The zero form; one per nvars, shared, as forms are values."""
+        z = _ZEROS.get(nvars)
+        if z is None:
+            z = _ZEROS[nvars] = cls(nvars, scalar=QRAT_ZERO)
+        return z
 
     @classmethod
     def from_scalar(cls, nvars: int, c: QRat) -> "FactoredForm":
@@ -494,6 +580,12 @@ class FactoredForm:
                  coeff: QRat = QRAT_ONE) -> "FactoredForm":
         return cls(nvars, scalar=coeff, mono=_exp_tuple(nvars, exps))
 
+    @property
+    def factors(self) -> tuple[Factor, ...]:
+        """The factor sequence the runs hold, one Factor per binomial."""
+        return tuple(Factor(s, run[0], run[3])
+                     for run in self.runs for s in _qexps(run))
+
     def is_zero(self) -> bool:
         return self.scalar.is_zero()
 
@@ -503,23 +595,43 @@ class FactoredForm:
 
     def denominator_factors(self) -> list[Factor]:
         """The denominator factors that contain a variable."""
-        return [f for f in self.factors if f.exp < 0 and any(f.mono)]
+        return [Factor(s, run[0], run[3]) for run in self.runs
+                if run[3] < 0 and any(run[0]) for s in _qexps(run)]
 
     # -- algebra ------------------------------------------------------------
 
     def times_factor(self, f: Factor) -> "FactoredForm":
         if self.is_zero():
             return self
-        return FactoredForm(self.nvars, self.scalar, self.mono,
-                            self.factors + (f,), self.polys)
+        return FactoredForm._of(
+            self.nvars, self.scalar, self.mono,
+            _concat(self.runs, ((f.mono, f.qexp, f.qexp, f.exp),)), self.polys)
 
-    def drop_factors(self, positions) -> "FactoredForm":
-        """The form without the factors at the given distinct positions."""
-        factors = list(self.factors)
-        for i in sorted(positions, reverse=True):
-            del factors[i]
-        return FactoredForm(self.nvars, self.scalar, self.mono, factors,
-                            self.polys)
+    def drop_factors(self, cuts: dict[int, int]) -> "FactoredForm":
+        """The form without, for each run index i in cuts, the factor of
+        q-exponent cuts[i] of run i: that run splits around it."""
+        runs = list(self.runs)
+        join = False
+        for i in sorted(cuts, reverse=True):
+            mono, first, last, exp = runs[i]
+            s = cuts[i]
+            if (s - first) * (s - last) > 0:
+                raise DomainError(f"run {i} has no factor of q-exponent {s}")
+            step = 1 if last >= first else -1
+            pieces = []
+            if s != first:
+                pieces.append((mono, first, s - step, exp))
+            if s != last:
+                pieces.append((mono, s + step, last, exp))
+            # runs merge only where two adjacent ones share a monomial; the
+            # two pieces cannot (a gap of 2), their neighbours may
+            prv = runs[i - 1][0] if i else None
+            nxt = runs[i + 1][0] if i + 1 < len(runs) else None
+            join = join or (mono in (prv, nxt) if pieces else prv == nxt)
+            runs[i:i + 1] = pieces
+        return FactoredForm._of(self.nvars, self.scalar, self.mono,
+                                _join(runs) if join else tuple(runs),
+                                self.polys)
 
     def __mul__(self, other: "FactoredForm") -> "FactoredForm":
         if self.nvars != other.nvars:
@@ -528,13 +640,14 @@ class FactoredForm:
             return FactoredForm.zero(self.nvars)
         polys = self.polys + other.polys
         _check_power(len(polys))
-        return FactoredForm(self.nvars, self.scalar * other.scalar,
-                            add_exps(self.mono, other.mono),
-                            self.factors + other.factors, polys)
+        return FactoredForm._of(self.nvars, self.scalar * other.scalar,
+                                add_exps(self.mono, other.mono),
+                                _concat(self.runs, other.runs), polys)
 
     def __pow__(self, n: int) -> "FactoredForm":
         """Factors take the power in their exponents and sums as n copies,
-        so a form holds at most _MAX_POWER sums."""
+        so a form holds at most _MAX_POWER sums.  A run stays a run, and
+        the runs stay maximal."""
         if self.is_zero():
             if n <= 0:
                 raise DomainError("0 to a nonpositive power")
@@ -547,18 +660,21 @@ class FactoredForm:
         if len(s.num.c) + len(s.den.c) > 2 or abs(s.num.leading_coeff) != 1:
             _check_power(abs(n))        # only a power of +-q^k costs nothing
         _check_power(len(self.polys) * n)
-        return FactoredForm(self.nvars, self.scalar ** n,
-                            scale_exps(self.mono, n),
-                            tuple(f.powered(n) for f in self.factors),
-                            self.polys * n if self.polys else ())
+        return FactoredForm._of(self.nvars, self.scalar ** n,
+                                scale_exps(self.mono, n),
+                                tuple((m, a, b, e * n)
+                                      for m, a, b, e in self.runs),
+                                self.polys * n if self.polys else ())
 
     def __eq__(self, other) -> bool:
-        """Scalar, monomial, the sums and the factor sequence, in order:
-        equal forms have equal values, but (1 - q) and -q(1 - q^-1)
-        compare unequal, and so do two orders of one factor list."""
-        return (isinstance(other, FactoredForm) and self.nvars == other.nvars
-                and self.scalar == other.scalar and self.mono == other.mono
-                and self.polys == other.polys and self.factors == other.factors)
+        """Scalar, monomial, the sums and the factor sequence, in order,
+        compared run by run: equal forms have equal values, but (1 - q) and
+        -q(1 - q^-1) compare unequal, and so do two orders of one factor
+        list."""
+        return self is other or (
+            isinstance(other, FactoredForm) and self.nvars == other.nvars
+            and self.scalar == other.scalar and self.mono == other.mono
+            and self.polys == other.polys and self.runs == other.runs)
 
     # -- substitution ---------------------------------------------------------
 
@@ -566,44 +682,54 @@ class FactoredForm:
         """Replace x_src by x_dst * q^shifts[src] for every src in shifts,
         all at once (dst must not be a src).
 
-        Each factor is rewritten once and keeps its place; one whose
-        monomial collapses stays as the factor (1 - q^e)^exp with an
-        all-zero monomial, so no Q(q) arithmetic is done.  Whatever the
-        factor order, a denominator factor that collapses to 1 - q^0
-        raises UncancelledPoleError; otherwise a numerator factor that
-        collapses to it makes the form zero, and so does a sum whose
-        terms cancel.
+        Each run moves its monomial once and shifts its q-range, and keeps
+        its place; one whose monomial collapses stays as the scalars
+        (1 - q^e)^exp with an all-zero monomial, so no Q(q) arithmetic is
+        done.  A collapsed run holds 1 - q^0 exactly when its range holds
+        0.  Whatever the run order, a denominator run that does raises
+        UncancelledPoleError; otherwise a numerator run that does makes the
+        form zero, and so does a sum whose terms cancel.  Once a numerator
+        run has, only the denominator runs are scanned, and nothing more is
+        built.
         """
         if dst in shifts:
             raise DomainError("substitute onto the same variable")
         if self.is_zero():
             return self
         moves = tuple(shifts.items())
-        factors = []
-        zero = False
-        # a Pochhammer's factors share one monomial tuple, and so do the
-        # factors built here from them: a monomial is moved once per run
-        # of factors that share it.  Once a numerator has collapsed, only
-        # a collapsing denominator can change the outcome.
-        last = None
-        for f in self.factors:
-            if zero and f.exp > 0:
+        runs = []
+        zero = join = False
+        kept = None                     # the monomial of the last run kept
+        for run in self.runs:
+            mono, first, last, exp = run
+            if zero and exp > 0:
                 continue
-            if f.mono is not last:
-                last = f.mono
-                mono, dq = _move(last, moves, dst)
-                varying = mono is not None and any(mono)
-            if mono is None:
-                factors.append(f)
-                continue
-            qexp = f.qexp + dq
-            if qexp or varying:
-                factors.append(Factor(qexp, mono, f.exp))
-            elif f.exp < 0:
-                raise UncancelledPoleError(
-                    f"substitution {shifts} onto x{dst} zeroes {f!r}")
-            else:
-                zero = True
+            moved = None                # _move, inlined: once per run
+            for v, shift in moves:
+                e = mono[v]
+                if e:
+                    if moved is None:
+                        moved = list(mono)
+                    moved[v] = 0
+                    moved[dst] += e
+                    first += shift * e
+                    last += shift * e
+            if moved is not None:
+                moved = tuple(moved)
+                if first * last <= 0 and not any(moved):
+                    if exp < 0:
+                        raise UncancelledPoleError(
+                            f"substitution {shifts} onto x{dst} zeroes "
+                            f"{Factor(run[1] - first, mono, exp)!r}")
+                    zero = True
+                    continue
+                mono = moved
+                run = (mono, first, last, exp)
+            if not zero:
+                # runs merge only where a kept run's monomial repeats
+                join = join or mono == kept
+                kept = mono
+                runs.append(run)
         if zero:
             return FactoredForm.zero(self.nvars)
         scalar = self.scalar
@@ -621,7 +747,8 @@ class FactoredForm:
                     m = {e + qexp: c for e, c in m.items()}
                 _add_term(maps, k if k2 is None else k2, m)
             polys.append(LaurentPoly._raw(self.nvars, maps, p.den))
-        return FactoredForm(self.nvars, scalar, mono, tuple(factors), polys)
+        return FactoredForm._of(self.nvars, scalar, mono,
+                                _join(runs) if join else tuple(runs), polys)
 
     # -- degrees --------------------------------------------------------------
 
@@ -635,8 +762,9 @@ class FactoredForm:
         d = self.mono[var]
         for p in self.polys:
             d += max(k[var] for k in p.maps)
-        for f in self.factors:
-            d += f.exp * max(0, f.mono[var])
+        for mono, first, last, exp in self.runs:
+            if mono[var] > 0:
+                d += exp * (abs(last - first) + 1) * mono[var]
         return d
 
     # -- expansion ------------------------------------------------------------
@@ -656,37 +784,37 @@ class FactoredForm:
         from below.  Raises TruncationError if a denominator factor's
         control variable has no hi bound.
 
-        The factors that share one monomial M form a run, as a
-        Pochhammer's factors do, and each run is one part of the product
-        (`_run_part`): one for its numerator factors, a polynomial in M,
-        and one for its denominator factors, one series in the small
-        direction Y of M.  A factor alone is a run of one.  Each run is
-        kept to one cap on its index (`_series_bounds`).
+        The runs that share one monomial M and one sign form a group, and
+        each group is one part of the product (`_run_part`): the numerator
+        runs of M a polynomial in M, its denominator runs one series in
+        the small direction Y of M.  Its members are the runs' factors.
+        Each group is kept to one cap on its index (`_series_bounds`).
 
-        Why one cap per run is exact.  A run is one series c_t Y^t, t >= t0
-        the sum of its members' first indices, Y = M for a numerator run;
-        a denominator run's Y has zero exponents on all variables below
-        its control variable.  Fix a product term whose final exponents
-        lie in the window and process variables in expansion order.  On
-        variable v, negative contributions can come only from the fixed
-        parts (monomial, sums: finite, minima known exactly), from
-        numerator runs (finite, minima known) and from denominator runs
-        controlled by earlier variables, whose indices are already capped,
-        so their most-negative contribution to v is known.  Everything
-        else contributes >= its t = t0 minimum.  The remaining headroom
-        under hi[v] therefore bounds t for every run controlled by v, and
-        induction up the variable order bounds them all.  Then every bound
-        of the window on a variable of Y, given the least or the most that
-        everything else adds to it, bounds t again.  A term of a run at
-        index t is a sum of its members' terms whose indices add up to t,
-        so the cap bounds each member too: none needs a term past it.  In
-        particular, for the negative-exponent q-Dyson kernel the computed
-        x0 cap is at most the parameter sum, the classical bound.
+        Why one cap per group is exact.  A group is one series c_t Y^t,
+        t >= t0 the sum of its members' first indices, Y = M for a
+        numerator group; a denominator group's Y has zero exponents on all
+        variables below its control variable.  Fix a product term whose
+        final exponents lie in the window and process variables in
+        expansion order.  On variable v, negative contributions can come
+        only from the fixed parts (monomial, sums: finite, minima known
+        exactly), from numerator groups (finite, minima known) and from
+        denominator groups controlled by earlier variables, whose indices
+        are already capped, so their most-negative contribution to v is
+        known.  Everything else contributes >= its t = t0 minimum.  The
+        remaining headroom under hi[v] therefore bounds t for every group
+        controlled by v, and induction up the variable order bounds them
+        all.  Then every bound of the window on a variable of Y, given the
+        least or the most that everything else adds to it, bounds t again.
+        A term of a group at index t is a sum of its members' terms whose
+        indices add up to t, so the cap bounds each member too: none needs
+        a term past it.  In particular, for the negative-exponent q-Dyson
+        kernel the computed x0 cap is at most the parameter sum, the
+        classical bound.
 
         Why the slot width stays valid.  `_multiply_within` sets its width
-        from the l1 norms of the parts it is given.  A run's l1 norm is at
-        most the product of its members' (the norm is submultiplicative,
-        and truncation only drops terms), so a run needs no wider slots
+        from the l1 norms of the parts it is given.  A group's l1 norm is
+        at most the product of its members' (the norm is submultiplicative,
+        and truncation only drops terms), so a group needs no wider slots
         than its members did as parts of their own.
         """
         nv = self.nvars
@@ -694,53 +822,55 @@ class FactoredForm:
             return LaurentPoly.zero(nv)
 
         # the scalar's numerator is a part with the one key 0, each sum is a
-        # part, and so is each run, numerator runs first; the scalar's
+        # part, and so is each group, numerator groups first; the scalar's
         # denominator, the collapsed denominator factors and the sums'
         # denominators multiply into the result's den.  The collapsed
-        # numerator factors are the run of the all-zero monomial
+        # numerator factors are the group of the all-zero monomial
         num, den = _integer_pair(self.scalar)
         parts = [{self.mono: num}, *(p.maps for p in self.polys)]
         den = sum((p.den for p in self.polys), _den_times(_NO_DEN, den))
         nums: dict = {}
         dens: dict = {}
-        for f in self.factors:
-            if f.exp > 0:
-                nums.setdefault(f.mono, []).append(f)
-            elif any(f.mono):
-                dens.setdefault(f.mono, []).append(f)
+        for run in self.runs:
+            mono, _, _, exp = run
+            if exp > 0 or any(mono):
+                (nums if exp > 0 else dens).setdefault(mono, []).extend(
+                    (s, mono, exp) for s in _qexps(run))
             else:
-                den = _den_times(den, {0: 1, f.qexp: -1}, -f.exp)
-        runs = [*nums.values(), *dens.values()]
-        caps = self._series_bounds(parts, runs, hi, lo)
+                for s in _qexps(run):
+                    den = _den_times(den, {0: 1, s: -1}, -exp)
+        groups = [*nums.values(), *dens.values()]
+        caps = self._series_bounds(parts, groups, hi, lo)
         if caps is None:
             return LaurentPoly.zero(nv)
-        parts += [_run_part(run, cap) for run, cap in zip(runs, caps)]
+        parts += [_run_part(g, cap) for g, cap in zip(groups, caps)]
         return LaurentPoly._raw(nv, _multiply_within(nv, parts, hi, lo), den)
 
-    def _series_bounds(self, fixed_parts: list[dict],
-                       runs: list[list[Factor]], hi: dict[int, int],
+    def _series_bounds(self, fixed_parts: list[dict], groups: list[list],
+                       hi: dict[int, int],
                        lo: dict[int, int] | None) -> list[int] | None:
-        """Index cap per run, or None if the window admits no terms at all.
+        """Index cap per group, or None if the window admits no terms at all.
 
-        Each run counts as one series over Y (`_direction`) that starts at
-        the sum of its members' first indices, so the induction of
-        `expand_within` runs over runs in place of factors; a numerator run
-        is capped at first by its degree.  A denominator run's cap leaves
-        every member the headroom the member alone would get: with
-        members' first indices s_i, the run's cap less its start is each
-        member's own cap less s_i.  Where Y's exponent in x_v is negative,
-        the run's index contributes at most cap times it, at least as much
-        as its members capped apart, so later caps are no larger.
+        Each group, its members (s, M, e) the factors (1 - q^s M)^e, counts
+        as one series over Y (`_direction`) that starts at the sum of its
+        members' first indices, so the induction of `expand_within` runs
+        over groups in place of factors; a numerator group is capped at
+        first by its degree.  A denominator group's cap leaves every member
+        the headroom the member alone would get: with members' first
+        indices s_i, the group's cap less its start is each member's own
+        cap less s_i.  Where Y's exponent in x_v is negative, the group's
+        index contributes at most cap times it, at least as much as its
+        members capped apart, so later caps are no larger.
 
         A second pass tightens every cap by each bound of the window on a
         variable of Y, hi where Y's exponent is positive and lo where it is
         negative, given the least or the most that the fixed parts and the
-        other runs, at their first indices or caps, add to that variable.
+        other groups, at their first indices or caps, add to that variable.
         A product term in the window meets every such bound, so the caps
-        stay exact, and a run is no longer than the window can use, as
+        stay exact, and a group is no longer than the window can use, as
         `_multiply_within` would prune its members one by one.
         """
-        if not runs:
+        if not groups:
             return []
         nv = self.nvars
         fixed_min, fixed_max = [0] * nv, [0] * nv
@@ -749,21 +879,21 @@ class FactoredForm:
                 fixed_min[v] += min(col)
                 fixed_max[v] += max(col)
 
-        ymono, t0 = zip(*map(_direction, runs))
-        tmax = [sum(f.exp for f in run) if run[0].exp > 0 else None
-                for run in runs]
+        ymono, t0 = zip(*map(_direction, groups))
+        tmax = [sum(e for _, _, e in group) if group[0][2] > 0 else None
+                for group in groups]
 
         for v in range(nv):
-            owned = [i for i, run in enumerate(runs)
-                     if tmax[i] is None and run[0].control_var == v]
+            owned = [i for i, group in enumerate(groups)
+                     if tmax[i] is None and _control_var(group[0][1]) == v]
             if not owned:
                 continue
             if v not in hi:
                 raise TruncationError(
                     f"denominator factor controlled by x{v} needs a bound on x{v}")
-            # minimal possible contribution of every run to x_v; where it is
-            # negative, the run is a numerator run or its control variable
-            # is below v, so its cap is known
+            # minimal possible contribution of every group to x_v; where it
+            # is negative, the group is a numerator group or its control
+            # variable is below v, so its cap is known
             mins = [(t0[i] if y[v] >= 0 else tmax[i]) * y[v]
                     for i, y in enumerate(ymono)]
             total_min = sum(mins)
@@ -774,15 +904,15 @@ class FactoredForm:
                 if cap < t0[i]:
                     return None
                 tmax[i] = cap
-        # every denominator run has a variable, so its control variable
+        # every denominator group has a variable, so its control variable
         # owned a pass
 
-        def adds(j, v, most):       # the least or the most run j adds to x_v
+        def adds(j, v, most):       # the least or the most group j adds to x_v
             return (tmax[j] if (ymono[j][v] > 0) == most else t0[j]) * ymono[j][v]
 
-        least = [fixed_min[v] + sum(adds(j, v, False) for j in range(len(runs)))
+        least = [fixed_min[v] + sum(adds(j, v, False) for j in range(len(groups)))
                  for v in range(nv)]
-        most = [fixed_max[v] + sum(adds(j, v, True) for j in range(len(runs)))
+        most = [fixed_max[v] + sum(adds(j, v, True) for j in range(len(groups)))
                 for v in range(nv)]
         lo = lo or {}
         caps = []
@@ -819,8 +949,9 @@ class FactoredForm:
             sums = FactoredForm(self.nvars, polys=self.polys).expand_exact()
             if sums != LaurentPoly.one(self.nvars):
                 bits.append(f"({sums})")
-        return bits + [repr(f) for f in sorted(
-            (f for f in self.factors if any(f.mono)), key=Factor.sort_key)]
+        factors = sorted((run[0], s, run[3]) for run in self.runs
+                         if any(run[0]) for s in _qexps(run))
+        return bits + [repr(Factor(s, mono, exp)) for mono, s, exp in factors]
 
     def __repr__(self) -> str:
         return f"FactoredForm({self})"
@@ -832,27 +963,30 @@ def _scalar_value(ff: FactoredForm) -> QRat:
     `QRat.from_laurent` makes the one reduction."""
     num, den = _integer_pair(ff.scalar)
     nums, dens = [(num, 1)], [(den, 1)]
-    for f in ff.factors:
-        if not any(f.mono):
-            (nums if f.exp > 0 else dens).append(({0: 1, f.qexp: -1},
-                                                  abs(f.exp)))
+    for run in ff.runs:
+        mono, _, _, exp = run
+        if not any(mono):
+            (nums if exp > 0 else dens).extend(
+                ({0: 1, s: -1}, abs(exp)) for s in _qexps(run))
     return QRat.from_laurent(_qprod(nums), _qprod(dens))
 
 
-def _direction(run: list[Factor]) -> tuple[tuple[int, ...], int]:
-    """(Y, t0) of a run: the monomial its terms are powers of, and its
-    first index.  A numerator run is a polynomial in M from index 0.  A
-    denominator run is a series in its small direction: M from index 0
-    when M is small, 1/M from the run's multiplicity when M is large."""
-    f = run[0]
-    if f.exp > 0 or f.is_small():
-        return f.mono, 0
-    return scale_exps(f.mono, -1), -sum(g.exp for g in run)
+def _direction(group: list[tuple]) -> tuple[tuple[int, ...], int]:
+    """(Y, t0) of a group of members (s, M, e): the monomial its terms are
+    powers of, and its first index.  A numerator group is a polynomial in
+    M from index 0.  A denominator group is a series in its small
+    direction: M from index 0 when M is small, 1/M from the group's
+    multiplicity when M is large."""
+    _, mono, exp = group[0]
+    if exp > 0 or mono[_control_var(mono)] > 0:
+        return mono, 0
+    return scale_exps(mono, -1), -sum(e for _, _, e in group)
 
 
-def _run_part(run: list[Factor], cap: int) -> dict:
-    """One part of the windowed product: the product of the factors of
-    run, which share one monomial M, as {x-exponents: {q-exponent: int}},
+def _run_part(group: list[tuple], cap: int) -> dict:
+    """One part of the windowed product: the product of the members
+    (s, M, e) of group, the factors (1 - q^s M)^e of the runs that share
+    one monomial M and one sign of e, as {x-exponents: {q-exponent: int}},
     kept to the terms Y^t with t <= cap (Y and the first index T0 from
     `_direction`).
 
@@ -864,7 +998,7 @@ def _run_part(run: list[Factor], cap: int) -> dict:
       e = -p, M large:  Y = 1/M, r = -s, t0 = p, c_u = (-1)^p C(u + p - 1, p - 1),
 
     the last since 1/(1 - q^s M)^p = (-q^-s/M)^p / (1 - q^-s/M)^p.  All
-    three follow c_(u+1) = c_u (u + p) / (u + 1).  The run is their
+    three follow c_(u+1) = c_u (u + p) / (u + 1).  The group is their
     product, one-dimensional in the index u of Y^(T0 + u), kept to u <=
     cap - T0.  Each coefficient is held packed as in `_multiply_within`,
     a pair (offset, value at q = 2^w): a member's term is one slot, so a
@@ -878,17 +1012,17 @@ def _run_part(run: list[Factor], cap: int) -> dict:
     holds to the packed budget, as it would hold the members as parts.
 
     Refusals, before any term is built: a numerator member's exponent is
-    held to _MAX_POWER, a denominator run to cap - T0 + 1 <=
+    held to _MAX_POWER, a denominator group to cap - T0 + 1 <=
     _MAX_PRODUCT_KEYS terms, and the largest key is checked for
-    overflow, which bounds every key.  The run's own products of terms
-    count against _MAX_PRODUCT_PAIRS, member by member, so a run of many
-    long series is refused in bounded time.
+    overflow, which bounds every key.  The group's own products of terms
+    count against _MAX_PRODUCT_PAIRS, member by member, so a group of
+    many long series is refused in bounded time.
     """
-    y, start = _direction(run)
+    y, start = _direction(group)
     last = cap - start
-    if run[0].exp > 0:
-        for f in run:
-            _check_power(f.exp)
+    if group[0][2] > 0:
+        for _, _, e in group:
+            _check_power(e)
     elif last + 1 > _MAX_PRODUCT_KEYS:      # before any lo pruning
         raise DomainError(f"expansion too large: a series of "
                           f"{size_str(last + 1)} terms exceeds the work "
@@ -896,12 +1030,12 @@ def _run_part(run: list[Factor], cap: int) -> dict:
     _check_exp(max(map(abs, y)) * cap)
     small = not start               # Y = M: a numerator or a small series
     members = []                    # (r, t0, [c_0, c_1, ...])
-    for f in run:
-        p = -f.exp
+    for s, _, e in group:
+        p = -e
         cs = [1 if small or p % 2 == 0 else -1]
         for u in range(min(-p, last) if p < 0 else last):
             cs.append(cs[-1] * (u + p) // (u + 1))
-        members.append((f.qexp, 0, cs) if small else (-f.qexp, p, cs))
+        members.append((s, 0, cs) if small else (-s, p, cs))
 
     w = _width(list(Counter(sum(map(abs, cs)) for _, _, cs in members).items()),
                sum(abs(r) * (len(cs) - 1) for r, _, cs in members))
@@ -932,7 +1066,7 @@ def _run_part(run: list[Factor], cap: int) -> dict:
         acc = out
     part: dict = {}
     for u, (o, v) in enumerate(acc):
-        if v:       # a collapsed run's keys are all 0, and add up
+        if v:       # a collapsed group's keys are all 0, and add up
             _add_term(part, tuple([x * (start + u) for x in y]),
                       _unpack(o, v, w))
     return part
@@ -1111,7 +1245,7 @@ def _multiply_within(nvars: int, parts: list[dict],
 
 def qpochhammer(nvars: int, mono: dict[int, int] | tuple[int, ...],
                 count: int, qshift: int = 0) -> FactoredForm:
-    """(z)_count for z = q^qshift * X^mono, as a FactoredForm.
+    """(z)_count for z = q^qshift * X^mono, as a FactoredForm of one run.
 
       count = p >= 0:  (1 - z)(1 - zq) ... (1 - z q^{p-1})
       count = -p < 0:  1 / ((1 - z q^{-1})(1 - z q^{-2}) ... (1 - z q^{-p}))
@@ -1121,14 +1255,11 @@ def qpochhammer(nvars: int, mono: dict[int, int] | tuple[int, ...],
     if not any(mono):
         raise ShapeError("use qpoch_qrat for a pure q-power base")
     _check_power(abs(count))
-    factors = []
-    if count >= 0:
-        for m in range(count):
-            factors.append(Factor(qshift + m, mono, 1))
+    if count > 0:
+        runs = ((mono, qshift, qshift + count - 1, 1),)
     else:
-        for m in range(1, -count + 1):
-            factors.append(Factor(qshift - m, mono, -1))
-    return FactoredForm(nvars, factors=tuple(factors))
+        runs = ((mono, qshift - 1, qshift + count, -1),) if count else ()
+    return FactoredForm._of(nvars, QRAT_ONE, None, runs)
 
 
 def _pack_qpoch(lo: int, hi: int, w: int) -> tuple[int, int]:

@@ -10,6 +10,10 @@ Grammar (whitespace insignificant):
     call  := 'qpoch' '(' expr ',' int ')'
     int   := ['-'] digits          (sign only in exponent/count slots)
 
+The grammar is ASCII: digits are 0-9 and names are letters A-Z, a-z
+followed by those, digits and '_'.  Any other character, a digit of
+another script included, is a ParseError.
+
 Each rule returns a builder for what it read, so lowering waits until the
 whole input has parsed: every ParseError comes before any lowering work.
 `lower` runs the builders.  Lowering targets FactoredForm: products,
@@ -45,7 +49,8 @@ class LoweringError(CTForgeError, ValueError):
 # -- tokenizer ---------------------------------------------------------------
 
 # Each character is in one match: whitespace, a token or a stray character.
-_TOKEN_RE = re.compile(r"(?P<space>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z]\w*)"
+_TOKEN_RE = re.compile(r"(?P<space>\s+)|(?P<int>[0-9]+)"
+                       r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
                        r"|(?P<sym>[-+*/^(),])|(?P<bad>.)")
 
 
@@ -92,7 +97,7 @@ MAX_VARS = 64
 def var_index(name: str) -> int | None:
     """N when name is xN with N < MAX_VARS, else None.  Leading zeros are
     stripped before int(), which refuses strings of over 4300 digits."""
-    m = re.fullmatch(r"x0*(\d{1,2})", name)
+    m = re.fullmatch(r"x0*([0-9]{1,2})", name)
     if m is None or int(m.group(1)) >= MAX_VARS:
         return None
     return int(m.group(1))
@@ -194,7 +199,7 @@ class _Parser:
                 self.advance()
                 return lambda nvars: FactoredForm.from_scalar(
                     nvars, QRat.qpow(1)), 1, span
-            if re.fullmatch(r"x\d+", t.text):
+            if re.fullmatch(r"x[0-9]+", t.text):
                 index = var_index(t.text)
                 if index is None:
                     raise ParseError(
@@ -309,7 +314,7 @@ def _pow(ff: FactoredForm, e: int, span: tuple[int, int]) -> FactoredForm:
 def _qpoch(base, count: int, span: tuple[int, int]):
     def build(nvars: int) -> FactoredForm:
         ff = base(nvars)
-        if ff.polys or ff.factors:
+        if ff.polys or ff.runs:
             raise LoweringError(
                 f"at {span[0]}:{span[1]}: qpoch base must be a "
                 "monomial times a power of q")

@@ -79,7 +79,14 @@ class ProofPath(Record, namedtuple("ProofPath", "r k")):
         return len(self.r)
 
     def extended(self, r_next: int, k_next: int) -> "ProofPath":
-        return ProofPath(self.r + (r_next,), self.k + (k_next,))
+        """The path with (r_next, k_next) appended.  Only the new entry is
+        checked, with `__new__`'s messages: self was checked when made."""
+        if r_next <= (self.r[-1] if self.r else 0):
+            raise DomainError("r must be strictly increasing and positive")
+        if k_next < 1:
+            raise DomainError("k entries must be positive")
+        return tuple.__new__(ProofPath,
+                             (self.r + (r_next,), self.k + (k_next,)))
 
     def __str__(self):
         return f"(r={list(self.r)}; k={list(self.k)})"
@@ -99,12 +106,12 @@ def qdyson_lhs_product(a0: int, a: tuple[int, ...]) -> FactoredForm:
         raise DomainError("parameters must be nonnegative")
     params = (a0,) + tuple(a)
     nv = len(params)
-    factors = []
+    runs = ()                       # adjacent runs differ in monomial: maximal
     for i in range(nv):
         for j in range(i + 1, nv):
-            factors += qpochhammer(nv, {i: 1, j: -1}, params[i]).factors
-            factors += qpochhammer(nv, {j: 1, i: -1}, params[j], qshift=1).factors
-    return FactoredForm(nv, factors=tuple(factors))
+            runs += qpochhammer(nv, {i: 1, j: -1}, params[i]).runs
+            runs += qpochhammer(nv, {j: 1, i: -1}, params[j], qshift=1).runs
+    return FactoredForm._of(nv, QRAT_ONE, None, runs)
 
 
 def qdyson_rhs(a0: int, a: tuple[int, ...]) -> QRat:
@@ -190,9 +197,11 @@ def kernel_at_path(b: int, a: tuple[int, ...],
     symbolically *before* the collapse, so no zero denominators arise.
 
     The poles are deleted from K(b) = qdyson_kernel(b, a) by position:
-    qdyson_lhs_product puts the pole 1 - x_0/(x_r q^k) at
-    (r-1)*b + a_1 + ... + a_{r-1} + k - 1, and a factor found elsewhere
-    raises ProofInvariantError.
+    qdyson_lhs_product puts the poles 1 - x_0/(x_r q^k), k = 1..b, as one
+    run, (x_0/x_r)_{-b}, at run index r - 1 + #{j < r : a_j > 0}, after
+    the pole run and the nonempty run (q x_j/x_0)_{a_j} of each j < r.
+    Each pole splits its run around k, and a run found there that is not
+    that pole run raises ProofInvariantError.
     """
     n = len(a)
     if path.r and path.r[-1] > n:
@@ -202,12 +211,27 @@ def kernel_at_path(b: int, a: tuple[int, ...],
     root = qdyson_kernel(b, a)
     if path.depth == 0:
         return root
-    positions = [(r - 1) * b + sum(a[:r - 1]) + k - 1
-                 for r, k in zip(path.r, path.k)]
-    for pos, r, k in zip(positions, path.r, path.k):
-        if root.factors[pos] != Factor.binomial(n + 1, -k, 0, r, -1):
+    poles = _pole_runs(b, tuple(a))
+    runs = root.runs
+    cuts = {}
+    for r, k in zip(path.r, path.k):
+        i, run = poles[r - 1]
+        if i >= len(runs) or runs[i] != run:
             raise ProofInvariantError(f"missing denominator factors at {path}")
-    return collapse_path(path, root.drop_factors(positions))
+        cuts[i] = -k
+    return collapse_path(path, root.drop_factors(cuts))
+
+
+@lru_cache(maxsize=1)
+def _pole_runs(b: int, a: tuple[int, ...]) -> list[tuple[int, tuple]]:
+    """(run index, run) of each pole run (x_0/x_r)_{-b} of K(b), r = 1..n."""
+    out = []
+    for r in range(1, len(a) + 1):
+        mono = [0] * (len(a) + 1)
+        mono[0], mono[r] = 1, -1
+        out.append((r - 1 + sum(x > 0 for x in a[:r - 1]),
+                    (tuple(mono), -1, -b, -1)))
+    return out
 
 
 def find_vanishing_witness(a: tuple[int, ...],
@@ -638,7 +662,8 @@ def _replay(a0: int, a: tuple[int, ...], rhs: QRat, detail: list[str]) -> bool:
             return False
         points.append((QRat.qpow(-b), QRAT_ZERO))
     rest = qdyson_lhs_product(0, a)
-    low = rest.mono[0] + sum(f.exp * min(0, f.mono[0]) for f in rest.factors)
+    low = rest.mono[0] + sum(exp * (abs(last - first) + 1) * min(0, mono[0])
+                             for mono, first, last, exp in rest.runs)
     ok = low >= -asum
     detail.append(f"rank {n}: degree bound: a0-free part's lowest x0-degree "
                   f"{low}, needs >= -{asum}: {'holds' if ok else 'FAILS'}; "

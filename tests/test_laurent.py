@@ -957,6 +957,128 @@ class TestDegree:
         assert h.degree_in(0) == 5 and h.degree_in(1) == 4
 
 
+def _greedy_runs(factors):
+    """The maximal runs (M, first, last, e) of a list of (q-exponent,
+    monomial, exponent) triples, factor by factor: a factor joins the last
+    run when it has the run's monomial and exponent and continues its
+    q-exponents by one step of the run's sign (either sign after one
+    factor)."""
+    runs = []
+    for s, mono, e in factors:
+        if runs:
+            m, first, last, e2 = runs[-1]
+            step = (last > first) - (last < first)
+            if (m, e2) == (mono, e) and abs(s - last) == 1 \
+                    and step in (0, s - last):
+                runs[-1] = (m, first, s, e)
+                continue
+        runs.append((mono, s, s, e))
+    return tuple(runs)
+
+
+def _triples(ff):
+    return [(f.qexp, f.mono, f.exp) for f in ff.factors]
+
+
+# few monomials and q-exponents, so that factors meet in runs of either
+# step, in pieces that merge, and collapse
+_RUN_MONOS = ((1, -1, 0), (0, 1, -1), (1, 0, -1), (0, 0, 0))
+_factor_triples = st.lists(st.tuples(
+    st.integers(-3, 3), st.sampled_from(_RUN_MONOS),
+    st.sampled_from((1, 1, -1, 2))).filter(lambda f: f[0] or any(f[1])),
+    max_size=12)
+
+
+class TestRunEncoding:
+    """A form stores its factors as maximal runs: every operation keeps the
+    runs those of its factor sequence, which is the factor sequence the
+    same operation makes one factor at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_factor_triples, _factor_triples)
+    def test_construction_and_product(self, fs, gs):
+        ff = FactoredForm(3, factors=[Factor(*f) for f in fs])
+        gg = FactoredForm(3, factors=[Factor(*f) for f in gs])
+        assert _triples(ff) == fs and ff.runs == _greedy_runs(fs)
+        prod = ff * gg
+        assert _triples(prod) == fs + gs
+        assert prod.runs == _greedy_runs(fs + gs)
+        cube = ff ** 3
+        assert _triples(cube) == [(s, m, 3 * e) for s, m, e in fs]
+        assert cube.runs == _greedy_runs(_triples(cube))
+        if fs:
+            last = fs[-1]
+            grown = gg.times_factor(Factor(*last))
+            assert grown.runs == _greedy_runs(gs + [last])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_factor_triples, st.data())
+    def test_drop_factors(self, fs, data):
+        ff = FactoredForm(3, factors=[Factor(*f) for f in fs])
+        if not ff.runs:
+            return
+        # one factor out of each of some runs, as the pole deletions do
+        picks = data.draw(st.sets(st.integers(0, len(ff.runs) - 1),
+                                  min_size=1))
+        cuts, gone, start = {}, set(), 0
+        for i, (mono, first, last, exp) in enumerate(ff.runs):
+            length = abs(last - first) + 1
+            if i in picks:
+                j = data.draw(st.integers(0, length - 1))
+                cuts[i] = ff.factors[start + j].qexp
+                gone.add(start + j)
+            start += length
+        want = [f for i, f in enumerate(fs) if i not in gone]
+        out = ff.drop_factors(cuts)
+        assert _triples(out) == want and out.runs == _greedy_runs(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_factor_triples, st.integers(-3, 3), st.integers(-3, 3))
+    def test_substitute(self, fs, s0, s1):
+        from ctforge.errors import UncancelledPoleError
+        ff = FactoredForm(3, factors=[Factor(*f) for f in fs])
+        shifts = {0: s0, 1: s1}
+        want, zero, pole = [], False, False
+        for s, mono, e in fs:
+            s += s0 * mono[0] + s1 * mono[1]
+            mono = (0, 0, sum(mono))
+            if not any(mono) and s == 0:
+                pole = pole or e < 0
+                zero = True
+            want.append((s, mono, e))
+        if pole:
+            with pytest.raises(UncancelledPoleError):
+                ff.substitute(shifts, 2)
+            return
+        out = ff.substitute(shifts, 2)
+        if zero:
+            assert out.is_zero()
+        else:
+            assert _triples(out) == want and out.runs == _greedy_runs(want)
+
+    def test_run_steps(self):
+        # 1, 2, 3, 2: the split from the left is [1, 2, 3], [2]; taking 2
+        # out leaves 1, 3, 2, which is [1], [3, 2]
+        x = (1, -1)
+        ff = FactoredForm(2, factors=[Factor(s, x) for s in (1, 2, 3, 2)])
+        assert ff.runs == ((x, 1, 3, 1), (x, 2, 2, 1))
+        assert ff.drop_factors({0: 2}).runs == ((x, 1, 1, 1), (x, 3, 2, 1))
+        # a product splits across the seam from the left too: [1, 2] times
+        # [3, 2] is [1, 2, 3], [2], and [1] times [2, 1, 0] is [1, 2], [1, 0]
+        left = FactoredForm(2, factors=[Factor(s, x) for s in (1, 2)])
+        right = FactoredForm(2, factors=[Factor(s, x) for s in (3, 2)])
+        assert right.runs == ((x, 3, 2, 1),)
+        assert (left * right).runs == ((x, 1, 3, 1), (x, 2, 2, 1))
+        one = FactoredForm(2, factors=[Factor(1, x)])
+        down = FactoredForm(2, factors=[Factor(s, x) for s in (2, 1, 0)])
+        assert (one * down).runs == ((x, 1, 2, 1), (x, 1, 0, 1))
+        # a Pochhammer is one run, and a negative one runs downwards
+        assert qpochhammer(2, x, 4, qshift=-1).runs == ((x, -1, 2, 1),)
+        assert qpochhammer(2, x, -3).runs == ((x, -1, -3, -1),)
+        with pytest.raises(DomainError):
+            ff.drop_factors({1: 5})
+
+
 class TestFactoredFormAlgebra:
     def test_pow_inverts_factors(self):
         ff = FactoredForm(2, factors=(Factor.binomial(2, 1, 0, 1),)) ** -1

@@ -149,7 +149,8 @@ class TestLongIntegers:
 # break, and characters no token may hold.
 _PIECES = list("x0123456789q+-*/^(),pochab_ ") + [
     "qpoch", "x12", "\n", "\t", "\r", "\x0b", "\x1c", " \n ", "é", "٣", "$"]
-_WORD_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<sym>[-+*/^(),])")
+_WORD_RE = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+                      r"|(?P<sym>[-+*/^(),])")
 
 
 def _reference_tokens(src: str):
@@ -195,6 +196,26 @@ class TestTokenizer:
             ("x1", 40001, 1)
         assert (tokens[-1].kind, tokens[-1].line, tokens[-1].col) == \
             ("eof", 40001, 3)
+
+
+class TestAsciiGrammar:
+    """Digits are 0-9 and names ASCII: a digit of another script is a
+    stray character, not a number or part of a variable's index."""
+
+    def test_other_digits_are_stray_characters(self):
+        for src, col in (("٣*x٣/x3", 1), ("x٣", 2), ("x3 + ٣", 6),
+                         ("x1٣", 3), ("qpoch(x0, ٣)", 11)):
+            with pytest.raises(ParseError) as err:
+                parse(src)
+            assert (err.value.line, err.value.col) == (1, col)
+            assert "unexpected character '٣'" in str(err.value)
+
+    def test_cli_exits_2_with_one_error_line(self, capsys):
+        from ctforge import cli
+        assert cli.main(["ct", "--expr", "٣*x٣/x3", "--var", "x0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: 1:1: unexpected character '٣'\n"
 
 
 class TestPrinting:

@@ -31,6 +31,8 @@ from ctforge.qdyson import (CertNode, Certificate, DegreeBoundReport,
 from ctforge.qfield import QPoly, QRat, QRAT_ONE, QRAT_ZERO
 from ctforge.tournament import TournamentInstance, Witness
 
+from test_laurent import _greedy_runs
+
 ONE_PLUS_Q = QRat(QPoly({0: 1, 1: 1}))
 
 
@@ -353,6 +355,111 @@ class TestKernelWalk:
         with pytest.raises(CertificationError, match=r"witnessed kernel "
                            r"is not zero at \(r=\[1\]; k=\[1\]\)"):
             certify_vanishing((1, 1), 2)
+
+
+def _factor_kernel(b, a):
+    """K(b) factor by factor, as (q-exponent, monomial, exponent) triples in
+    qdyson_lhs_product's order: for i < j, (x_i/x_j)_{p_i} and then
+    (q x_j/x_i)_{p_j}, with p = (-b,) + a."""
+    params = (-b,) + a
+    nv = len(params)
+    out = []
+    for i in range(nv):
+        for j in range(i + 1, nv):
+            for num, den, p, shift in ((i, j, params[i], 0),
+                                       (j, i, params[j], 1)):
+                mono = [0] * nv
+                mono[num], mono[den] = 1, -1
+                if p >= 0:
+                    out += [(shift + m, tuple(mono), 1) for m in range(p)]
+                else:
+                    out += [(shift - m, tuple(mono), -1)
+                            for m in range(1, -p + 1)]
+    return out
+
+
+def _factor_substitute(factors, shifts, dst):
+    """Each factor moved on its own; None when a numerator factor becomes
+    1 - q^0 (no denominator factor may)."""
+    out, zero = [], False
+    for s, mono, e in factors:
+        m = list(mono)
+        for v, shift in shifts.items():
+            s += shift * m[v]
+            m[dst] += m[v]
+            m[v] = 0
+        if not any(m) and s == 0:
+            assert e > 0, "a pole collapsed"
+            zero = True
+        out.append((s, tuple(m), e))
+    return None if zero else out
+
+
+def _assert_encodes(ff, factors):
+    """ff is the form the factor list encodes (None: the zero form), in both
+    encodings: its factor view and its runs."""
+    if factors is None:
+        assert ff.is_zero()
+        return
+    assert ff.scalar == QRAT_ONE and not any(ff.mono) and ff.polys == ()
+    assert [(f.qexp, f.mono, f.exp) for f in ff.factors] == factors
+    assert ff.runs == _greedy_runs(factors)
+
+
+class TestRunEncoding:
+    """Every kernel and partial-fraction summand of every certificate of the
+    criterion-3 grid (n <= 3, a_i <= 2, b = 1..a), rebuilt factor by factor
+    from K(b): the poles dropped at their factor positions, then each
+    factor substituted alone.  Both encodings of the engine's forms, its
+    factor view and its runs, match the rebuilt factor list."""
+
+    def test_kernels_and_summands_match_factor_rebuild(self):
+        kernels = summands = 0
+        for n in range(1, 4):
+            for a in product(range(3), repeat=n):
+                for b in range(1, sum(a) + 1):
+                    root = _factor_kernel(b, a)
+                    _assert_encodes(qdyson_kernel(b, a), root)
+                    cert = certify_vanishing(a, b)
+                    for node in cert.root.walk():
+                        path = node.path
+                        want = root
+                        if path.depth:
+                            drop = {(r - 1) * b + sum(a[:r - 1]) + k - 1:
+                                    (-k, r) for r, k in zip(path.r, path.k)}
+                            for pos, (s, r) in drop.items():
+                                mono = [0] * (n + 1)
+                                mono[0], mono[r] = 1, -1
+                                assert root[pos] == (s, tuple(mono), -1)
+                            kept = [f for i, f in enumerate(root)
+                                    if i not in drop]
+                            ks = path.k[-1]
+                            want = _factor_substitute(
+                                kept, {ri: ks - ki for ri, ki in zip(
+                                    (0,) + path.r[:-1], (0,) + path.k[:-1])},
+                                path.r[-1])
+                        ff = kernel_at_path(b, a, path)
+                        _assert_encodes(ff, want)
+                        kernels += 1
+                        if node.status != "recursed":
+                            continue
+                        var = path.r[-1] if path.depth else 0
+                        got = ct_factored_pfrac_labeled(ff, var)
+                        rebuilt = []
+                        for i, (s, mono, e) in enumerate(want):
+                            if e > 0 or not any(mono):
+                                continue
+                            t = mono.index(-1)
+                            if var < t:
+                                rebuilt.append(((t, -s), _factor_substitute(
+                                    want[:i] + want[i + 1:], {var: -s}, t)))
+                        assert [label for label, _ in got] == \
+                            [label for label, _ in rebuilt]
+                        for (_, g), (_, w) in zip(got, rebuilt):
+                            _assert_encodes(g, w)
+                        summands += len(got)
+        # 102 certificates: 1,939 nodes, and a summand for each non-root one
+        assert (kernels, summands) == (1939, 1837)
 
 
 class TestVanishingWitness:
@@ -998,6 +1105,26 @@ class TestParamsAndPaths:
         p = ProofPath((1, 3), (2, 2))
         assert p.depth == 2 and p.extended(4, 1).r == (1, 3, 4)
         assert ProofPath() == ProofPath((), ()) and ProofPath().depth == 0
+
+    def test_extension_checks_the_new_entry(self):
+        # each invalid extension is refused as __new__ would refuse the
+        # extended path, with its message
+        r_msg = "r must be strictly increasing and positive"
+        k_msg = "k entries must be positive"
+        p = ProofPath((1, 3), (2, 2))
+        for path, r_next, k_next, msg in (
+                (ProofPath(), 0, 1, r_msg), (ProofPath(), -2, 1, r_msg),
+                (p, 3, 1, r_msg), (p, 2, 1, r_msg),
+                (ProofPath(), 1, 0, k_msg), (p, 4, 0, k_msg),
+                (p, 4, -1, k_msg)):
+            with pytest.raises(DomainError, match=f"^{msg}$"):
+                path.extended(r_next, k_next)
+            with pytest.raises(DomainError, match=f"^{msg}$"):
+                ProofPath(path.r + (r_next,), path.k + (k_next,))
+        for path, r_next, k_next in ((ProofPath(), 1, 1), (p, 4, 7)):
+            ext = path.extended(r_next, k_next)
+            assert type(ext) is ProofPath
+            assert ext == ProofPath(path.r + (r_next,), path.k + (k_next,))
 
     def test_paths_are_values_of_their_own_type(self):
         # validate_certificate compares paths, and oracle_checked keys
