@@ -9,22 +9,23 @@ starts at a nonconstant term).  Constant terms can then be read off two
 independent ways: expanding a window of the series, or partial fractions.
 """
 
-from ctforge import (Factor, FactoredForm, LaurentPoly,
-                     ct_factored_pfrac_labeled)
+from ctforge import LaurentPoly, ct_factored_pfrac_labeled, qpochhammer
 
 # ---------------------------------------------------------------------------
 # Small vs large: the same binomial, two very different series.
 # ---------------------------------------------------------------------------
 
-small = FactoredForm(2, factors=(Factor.binomial(2, 1, 0, 1, -1),))
-large = FactoredForm(2, factors=(Factor.binomial(2, 1, 1, 0, -1),))
+# (1 - q x0/x1)^-1 is the q-Pochhammer symbol (q x0/x1; q)_1 inverted
+small = qpochhammer(2, {0: 1, 1: -1}, 1, qshift=1) ** -1
+large = qpochhammer(2, {1: 1, 0: -1}, 1, qshift=1) ** -1
 
 print("1/(1 - q x0/x1) =", small.expand_within({0: 3}), "+ ...")
 print("1/(1 - q x1/x0) =", large.expand_within({0: 3}), "+ ...")
 print()
-for label, fac in (("q^3 x0/x2", Factor.binomial(3, 3, 0, 2)),
-                   ("x2/x0", Factor.binomial(3, 0, 2, 0))):
-    print(f"{label:9} is", "small" if fac.is_small() else "large")
+# small: the lowest-index variable of the monomial is upstairs
+for label, mono in (("q^3 x0/x2", (1, 0, -1)), ("x2/x0", (-1, 0, 1))):
+    upstairs = next(e for e in mono if e) > 0
+    print(f"{label:9} is", "small" if upstairs else "large")
 
 # Consequently CT_{x0} of the first is 1 and of the second is 0.
 print("CT_x0 small :", small.expand_within({0: 0, 1: 0}))
@@ -36,8 +37,8 @@ print("CT_x0 large :", large.expand_within({0: 0, 1: 0}))
 # ---------------------------------------------------------------------------
 
 print()
-R = FactoredForm(3, factors=(Factor.binomial(3, 0, 0, 1, -1),
-                             Factor.binomial(3, -1, 0, 2, -1)))
+R = (qpochhammer(3, {0: 1, 1: -1}, 1)
+     * qpochhammer(3, {0: 1, 2: -1}, 1, qshift=-1)) ** -1
 print("R = 1/((1 - x0/x1)(1 - x0/(q x2)))")
 parts = ct_factored_pfrac_labeled(R, 0)
 for (t, s), part in parts:

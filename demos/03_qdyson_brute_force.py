@@ -19,7 +19,10 @@ from ctforge import (ct_all_bruteforce, multinomial, qdyson_lhs_product,
 
 a0, a = 2, (1, 1)
 ff = qdyson_lhs_product(a0, a)
-print(f"product for (a0, a) = ({a0}, {a}): {len(ff.factors)} binomial factors")
+# the product is stored as q-Pochhammer runs (M, first, last, e), one
+# binomial factor per q-exponent from first to last
+count = sum(abs(last - first) + 1 for _, first, last, _ in ff.runs)
+print(f"product for (a0, a) = ({a0}, {a}): {count} binomial factors")
 lhs = ct_all_bruteforce(ff)
 rhs = qdyson_rhs(a0, a)
 print("CT  =", lhs)

@@ -9,8 +9,8 @@ certificate tree.
 """
 
 from .qfield import QPoly, QRat
-from .laurent import (Factor, FactoredForm, LaurentPoly, qbinomial,
-                      qfactorial, qpoch_qrat, qpochhammer)
+from .laurent import (FactoredForm, LaurentPoly, qbinomial, qfactorial,
+                      qpoch_qrat, qpochhammer)
 from .ctengine import (ct_all_bruteforce, ct_all_series,
                        ct_factored_pfrac_labeled)
 from .qdyson import (certificate_to_dict, certify_vanishing, kernel_at_path,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .ctengine import ct_all_series, ct_factored_pfrac_labeled
 from .errors import (CertificationError, CTForgeError, DistinctPolesError,
@@ -40,7 +41,10 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+@cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     ap = argparse.ArgumentParser(
         prog="ctforge",
         description="Exact constant-term engine and q-Dyson verifier.")

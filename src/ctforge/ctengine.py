@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import (DistinctPolesError, NotPolynomialError, PropernessError,
                      ShapeError)
-from .laurent import Factor, FactoredForm, _pair_vars, _qexps
+from .laurent import FactoredForm, _factor_str, _pair_vars, _qexps
 from .qfield import QRat
 
 
@@ -27,7 +27,7 @@ def ct_all_bruteforce(f: FactoredForm) -> QRat:
     Denominator factors are refused: this is the oracle side and must stay
     a genuine polynomial expansion.
     """
-    if f.denominator_factors():
+    if f.has_poles():
         raise NotPolynomialError("ct_all_bruteforce needs a polynomial product")
     return ct_all_series(f)
 
@@ -77,13 +77,14 @@ def ct_factored_pfrac_labeled(
             continue        # not a denominator run with a variable
         num, den = _pair_vars(mono)
         if num != var:
-            raise ShapeError(f"denominator factor {Factor(first, mono, exp)!r}"
-                             f" does not have x{var} upstairs")
+            raise ShapeError(f"denominator factor "
+                             f"{_factor_str(first, mono, exp)} does not "
+                             f"have x{var} upstairs")
         for s in _qexps(run):
             pole = (den, -s)
             if exp != -1 or pole in seen:
                 raise DistinctPolesError(
-                    f"repeated pole: {Factor(s, mono, exp)!r}")
+                    f"repeated pole: {_factor_str(s, mono, exp)}")
             seen.add(pole)
             poles.append((idx, s, pole))
     # a large pole (var > t) contributes nothing

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from .ctengine import ct_factored_pfrac_labeled
 from .errors import DomainError
-from .laurent import (Factor, FactoredForm, LaurentPoly, qbinomial,
-                      qpochhammer)
+from .laurent import FactoredForm, LaurentPoly, qbinomial, qpochhammer
 from .qfield import QRat
 
 
@@ -65,19 +64,19 @@ def qbinomial_theorem_check(max_deg: int = 8) -> bool:
     """(az)_inf / (z)_inf = sum_k (a)_k/(q)_k z^k inside the window
     a-deg, z-deg, q-deg <= max_deg (a = x0, z = x1, q adjoined as x2)."""
     window = {0: max_deg, 1: max_deg, 2: max_deg}
-    lhs = FactoredForm.one(3)
+    lhs = FactoredForm(3)
     for m in range(max_deg + 1):
-        lhs = lhs.times_factor(Factor(0, (1, 1, m), 1))      # 1 - a z q^m
-        lhs = lhs.times_factor(Factor(0, (0, 1, m), -1))     # 1/(1 - z q^m)
+        lhs = (lhs * qpochhammer(3, (1, 1, m), 1)           # 1 - a z q^m
+               * qpochhammer(3, (0, 1, m), 1) ** -1)        # 1/(1 - z q^m)
     lhs_lp = lhs.expand_within(window)
 
     rhs_lp = LaurentPoly.zero(3)
     for k in range(max_deg + 1):
         term = FactoredForm.monomial(3, {1: k})
         for t in range(k):
-            term = term.times_factor(Factor(0, (1, 0, t), 1))   # 1 - a q^t
+            term = term * qpochhammer(3, (1, 0, t), 1)          # 1 - a q^t
         for t in range(1, k + 1):
-            term = term.times_factor(Factor(0, (0, 0, t), -1))  # 1/(1 - q^t)
+            term = term * qpochhammer(3, (0, 0, t), 1) ** -1    # 1/(1 - q^t)
         rhs_lp = rhs_lp + term.expand_within(window)
     return lhs_lp == rhs_lp
 
@@ -101,7 +100,7 @@ def small_large_ct_check(k: int) -> bool:
     by partial fractions against the windowed series."""
     ok = True
     # i = 0 < j = 1: small, CT = 1
-    r = FactoredForm(2, factors=(Factor.binomial(2, k, 0, 1, -1),))
+    r = qpochhammer(2, {0: 1, 1: -1}, 1, qshift=k) ** -1
     total = LaurentPoly.zero(2)
     for _, p in ct_factored_pfrac_labeled(r, 0):
         total = total + p.expand_within({0: 0, 1: 0})
@@ -109,7 +108,7 @@ def small_large_ct_check(k: int) -> bool:
     series = r.expand_within({0: 0, 1: 4}, {0: 0}).free_of(0)
     ok &= series == LaurentPoly.one(2)
     # i = 1 > j = 0: large, CT = 0
-    r = FactoredForm(2, factors=(Factor.binomial(2, k, 1, 0, -1),))
+    r = qpochhammer(2, {1: 1, 0: -1}, 1, qshift=k) ** -1
     ok &= ct_factored_pfrac_labeled(r, 1) == []
     return bool(ok)
 

@@ -166,6 +166,13 @@ def _mono_str(mono: tuple[int, ...]) -> str:
                     for i, e in enumerate(mono) if e)
 
 
+def _factor_str(s: int, mono: tuple[int, ...], exp: int) -> str:
+    """(1 - q^s*X^mono)^exp as printed; ^1 is left out."""
+    q = {0: "", 1: "q"}.get(s, f"q^{s}")
+    base = f"(1 - {'*'.join(filter(None, (q, _mono_str(mono))))})"
+    return base if exp == 1 else f"{base}^{exp}"
+
+
 def _exp_tuple(nvars: int, exps: dict[int, int] | tuple) -> tuple[int, ...]:
     """The full exponent tuple of {var: exp}; a tuple passes through."""
     if not isinstance(exps, dict):
@@ -374,66 +381,6 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-class Factor:
-    """One binomial factor (1 - q^qexp * X^mono)^exp.
-
-    mono is a full-length exponent tuple.  It may be all zero only when
-    qexp is not: that factor is the collapsed scalar (1 - q^qexp)^exp.
-    exp > 0 is a numerator factor, exp < 0 a denominator factor.  A
-    FactoredForm is built from Factors and lists its runs' factors as
-    Factors (`factors`, `denominator_factors`), but stores runs.
-    """
-
-    __slots__ = ("qexp", "mono", "exp")
-
-    def __init__(self, qexp: int, mono: tuple[int, ...], exp: int = 1):
-        if exp == 0:
-            raise DomainError("factor with zero exponent")
-        if not (qexp or any(mono)):
-            raise ShapeError("factor 1 - q^0 is zero")
-        self.qexp = qexp
-        self.mono = mono
-        self.exp = exp
-
-    @classmethod
-    def binomial(cls, nvars: int, qexp: int, num: int, den: int,
-                 exp: int = 1) -> "Factor":
-        """(1 - q^qexp x_num / x_den)^exp."""
-        if num == den:
-            raise ShapeError("factor x_i/x_i is a scalar, not a factor")
-        mono = [0] * nvars
-        mono[num] = 1
-        mono[den] = -1
-        return cls(qexp, tuple(mono), exp)
-
-    @property
-    def control_var(self) -> int:
-        """Lowest-index variable in the monomial (controls its series)."""
-        return _control_var(self.mono)
-
-    def is_small(self) -> bool:
-        return self.mono[self.control_var] > 0
-
-    def pair_vars(self) -> tuple[int, int]:
-        """(numerator var, denominator var) when two-variable +1/-1 shaped."""
-        return _pair_vars(self.mono)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Factor) and self.qexp == other.qexp
-                and self.mono == other.mono and self.exp == other.exp)
-
-    def __hash__(self):
-        return hash((self.qexp, self.mono, self.exp))
-
-    def base_str(self) -> str:
-        q = {0: "", 1: "q"}.get(self.qexp, f"q^{self.qexp}")
-        return f"(1 - {'*'.join(filter(None, (q, _mono_str(self.mono))))})"
-
-    def __repr__(self) -> str:
-        b = self.base_str()
-        return b if self.exp == 1 else f"{b}^{self.exp}"
-
-
 def _control_var(mono: tuple[int, ...]) -> int:
     """Lowest-index variable in the monomial (controls its series)."""
     for i, e in enumerate(mono):
@@ -520,25 +467,28 @@ class FactoredForm:
     The factors are stored as runs, each a tuple (M, first, last, e): the
     factors (1 - q^s M)^e for s from first to last in steps of +1 or -1, a
     q-Pochhammer symbol (q^first M; q)_n when e = 1 and the steps ascend.
-    A run of one factor has first = last.  The runs are the maximal ones
-    (`_join`), so the run tuple is a function of the factor sequence:
-    equal run tuples mean equal factor sequences, and `==` compares runs
-    in order as it would compare factors.  `factors` expands them,
-    read-only, one Factor per binomial.  A run's monomial may be all zero
-    only when its range leaves out 0: it is then the collapsed scalars
-    (1 - q^s)^e.
+    A single binomial is a run of one factor, first = last.  The runs are
+    the maximal ones (`_join`), so the run tuple is a function of the
+    factor sequence: equal run tuples mean equal factor sequences, and `==`
+    compares runs in order as it would compare factors.  A run's monomial
+    may be all zero only when its range leaves out 0: it is then the
+    collapsed scalars (1 - q^s)^e.
     """
 
     __slots__ = ("nvars", "scalar", "mono", "runs", "polys")
 
     def __init__(self, nvars: int, scalar: QRat = QRAT_ONE,
                  mono: tuple[int, ...] | None = None,
-                 factors: tuple[Factor, ...] = (),
-                 polys: tuple[LaurentPoly, ...] = ()):
-        """factors, any sequence of Factors, are stored as maximal runs."""
-        self._fill(nvars, scalar, mono,
-                   _join([(f.mono, f.qexp, f.qexp, f.exp) for f in factors]),
-                   polys)
+                 runs=(), polys: tuple[LaurentPoly, ...] = ()):
+        """runs, any sequence of runs, are stored as the maximal ones.  A
+        run may not have exponent 0, nor hold the factor 1 - q^0."""
+        runs = _join(runs)
+        for m, first, last, e in runs:
+            if e == 0:
+                raise DomainError("factor with zero exponent")
+            if first * last <= 0 and not any(m):
+                raise ShapeError("factor 1 - q^0 is zero")
+        self._fill(nvars, scalar, mono, runs, polys)
 
     @classmethod
     def _of(cls, nvars: int, scalar: QRat, mono: tuple[int, ...] | None,
@@ -560,10 +510,6 @@ class FactoredForm:
             self.polys = tuple(polys)
 
     @classmethod
-    def one(cls, nvars: int) -> "FactoredForm":
-        return cls(nvars)
-
-    @classmethod
     def zero(cls, nvars: int) -> "FactoredForm":
         """The zero form; one per nvars, shared, as forms are values."""
         z = _ZEROS.get(nvars)
@@ -572,19 +518,9 @@ class FactoredForm:
         return z
 
     @classmethod
-    def from_scalar(cls, nvars: int, c: QRat) -> "FactoredForm":
-        return cls(nvars, scalar=c)
-
-    @classmethod
     def monomial(cls, nvars: int, exps: dict[int, int],
                  coeff: QRat = QRAT_ONE) -> "FactoredForm":
         return cls(nvars, scalar=coeff, mono=_exp_tuple(nvars, exps))
-
-    @property
-    def factors(self) -> tuple[Factor, ...]:
-        """The factor sequence the runs hold, one Factor per binomial."""
-        return tuple(Factor(s, run[0], run[3])
-                     for run in self.runs for s in _qexps(run))
 
     def is_zero(self) -> bool:
         return self.scalar.is_zero()
@@ -593,19 +529,11 @@ class FactoredForm:
         """Whether the form prints as its scalar alone."""
         return not self._bits()
 
-    def denominator_factors(self) -> list[Factor]:
-        """The denominator factors that contain a variable."""
-        return [Factor(s, run[0], run[3]) for run in self.runs
-                if run[3] < 0 and any(run[0]) for s in _qexps(run)]
+    def has_poles(self) -> bool:
+        """Whether a denominator run has a variable."""
+        return any(exp < 0 and any(mono) for mono, _, _, exp in self.runs)
 
     # -- algebra ------------------------------------------------------------
-
-    def times_factor(self, f: Factor) -> "FactoredForm":
-        if self.is_zero():
-            return self
-        return FactoredForm._of(
-            self.nvars, self.scalar, self.mono,
-            _concat(self.runs, ((f.mono, f.qexp, f.qexp, f.exp),)), self.polys)
 
     def drop_factors(self, cuts: dict[int, int]) -> "FactoredForm":
         """The form without, for each run index i in cuts, the factor of
@@ -653,7 +581,7 @@ class FactoredForm:
                 raise DomainError("0 to a nonpositive power")
             return self
         if n == 0:
-            return FactoredForm.one(self.nvars)
+            return FactoredForm(self.nvars)
         if self.polys and n < 0:
             raise DomainError("cannot invert a sum symbolically")
         s = self.scalar
@@ -720,7 +648,7 @@ class FactoredForm:
                     if exp < 0:
                         raise UncancelledPoleError(
                             f"substitution {shifts} onto x{dst} zeroes "
-                            f"{Factor(run[1] - first, mono, exp)!r}")
+                            f"{_factor_str(run[1] - first, mono, exp)}")
                     zero = True
                     continue
                 mono = moved
@@ -771,7 +699,7 @@ class FactoredForm:
 
     def expand_exact(self) -> LaurentPoly:
         """Full expansion; requires no denominator factors."""
-        if self.denominator_factors():
+        if self.has_poles():
             raise NotPolynomialError(
                 "form has denominator factors; use a truncated expansion")
         return self.expand_within({})
@@ -951,7 +879,7 @@ class FactoredForm:
                 bits.append(f"({sums})")
         factors = sorted((run[0], s, run[3]) for run in self.runs
                          if any(run[0]) for s in _qexps(run))
-        return bits + [repr(Factor(s, mono, exp)) for mono, s, exp in factors]
+        return bits + [_factor_str(s, mono, exp) for mono, s, exp in factors]
 
     def __repr__(self) -> str:
         return f"FactoredForm({self})"

@@ -28,8 +28,8 @@ from __future__ import annotations
 import re
 
 from .errors import CTForgeError
-from .laurent import Factor, FactoredForm, LaurentPoly, qpoch_qrat, qpochhammer
-from .qfield import QRat
+from .laurent import FactoredForm, LaurentPoly, qpoch_qrat, qpochhammer
+from .qfield import QRAT_ONE, QRat
 
 
 class ParseError(CTForgeError, ValueError):
@@ -192,12 +192,12 @@ class _Parser:
         span = (t.line, t.col)
         if t.kind == "int":
             value = self.int_token()
-            return lambda nvars: FactoredForm.from_scalar(
+            return lambda nvars: FactoredForm(
                 nvars, QRat.from_int(value)), 1, span
         if t.kind == "name":
             if t.text == "q":
                 self.advance()
-                return lambda nvars: FactoredForm.from_scalar(
+                return lambda nvars: FactoredForm(
                     nvars, QRat.qpow(1)), 1, span
             if re.fullmatch(r"x[0-9]+", t.text):
                 index = var_index(t.text)
@@ -269,11 +269,11 @@ def _recognize_factor(nvars: int, lp: LaurentPoly) -> FactoredForm | None:
     e = _qpower_exponent(coeff)
     if e is None or not (e or any(mono)):
         return None
-    return FactoredForm(nvars, factors=(Factor(e, mono),))
+    return FactoredForm._of(nvars, QRAT_ONE, None, ((mono, e, e, 1),))
 
 
 def _as_poly(ff: FactoredForm, span: tuple[int, int]) -> LaurentPoly:
-    if ff.denominator_factors():
+    if ff.has_poles():
         raise LoweringError(
             f"at {span[0]}:{span[1]}: sums may not contain "
             "unexpanded denominators")
@@ -325,5 +325,5 @@ def _qpoch(base, count: int, span: tuple[int, int]):
                 "a power of q")
         if any(ff.mono):
             return qpochhammer(nvars, ff.mono, count, qshift=qshift)
-        return FactoredForm.from_scalar(nvars, qpoch_qrat(qshift, count))
+        return FactoredForm(nvars, qpoch_qrat(qshift, count))
     return build

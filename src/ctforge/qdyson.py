@@ -31,14 +31,13 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .ctengine import (ct_all_bruteforce, ct_all_series,
                        ct_factored_pfrac_labeled)
 from .errors import (CertificationError, DomainError, ProofInvariantError,
                      size_str)
-from .laurent import (Factor, FactoredForm, qpoch_qrat, qpoch_quotient,
-                      qpochhammer)
+from .laurent import FactoredForm, qpoch_qrat, qpoch_quotient, qpochhammer
 from .qfield import QRAT_ONE, QRAT_ZERO, QRat
 from .tournament import Record, Witness, scan_witness
 
@@ -681,9 +680,9 @@ def _replay(a0: int, a: tuple[int, ...], rhs: QRat, detail: list[str]) -> bool:
 def dyson_product(a: tuple[int, ...]) -> FactoredForm:
     """The classical Dyson product prod_{i != j} (1 - x_i/x_j)^{a_j}."""
     nv = len(a)
-    factors = tuple(Factor.binomial(nv, 0, i, j, a[j])
-                    for i in range(nv) for j in range(nv) if i != j and a[j])
-    return FactoredForm(nv, factors=factors)
+    return prod((qpochhammer(nv, {i: 1, j: -1}, 1) ** a[j]
+                 for i in range(nv) for j in range(nv) if i != j and a[j]),
+                start=FactoredForm(nv))
 
 
 def multinomial(parts: tuple[int, ...]) -> int:

@@ -604,6 +604,20 @@ class TestStartup:
                           "fnmatch", "ntpath"}
 
 
+class TestParserReuse:
+    def test_calls_parse_independently(self, monkeypatch):
+        # one parser serves every call, and no option carries over
+        assert cli.build_arg_parser() is cli.build_arg_parser()
+        seen = []
+        monkeypatch.setattr(cli, "run_certify",
+                            lambda ap, args: seen.append(args) or 0)
+        assert main(["certify", "--a", "1,1", "--b", "1"]) == 0
+        assert main(["certify", "--a", "1,1", "--all-b"]) == 0
+        first, second = seen
+        assert first.b == 1 and not first.all_b
+        assert second.b is None and second.all_b
+
+
 class TestHugeSizes:
     """str() refuses an int of over 4300 digits; a refusal prints such a
     size by its order of magnitude, on one line."""

@@ -9,15 +9,17 @@ from ctforge.ctengine import (ct_all_bruteforce, ct_all_series,
                               ct_factored_pfrac_labeled)
 from ctforge.errors import (DistinctPolesError, NotPolynomialError,
                             PropernessError, ShapeError)
-from ctforge.laurent import Factor, FactoredForm, LaurentPoly, qpochhammer
+from ctforge.laurent import FactoredForm, LaurentPoly, qpochhammer
 from ctforge.qfield import QPoly, QRat, QRAT_ONE
+
+from binomials import binomial
 
 
 class TestBruteForce:
     def test_ct_var_example(self):
         # x0-free part of the rank-1 Dyson expansion is 1 + q
-        prod = (FactoredForm(2, factors=(Factor.binomial(2, 0, 0, 1),
-                                         Factor.binomial(2, 1, 1, 0)))
+        prod = (FactoredForm(2, runs=(binomial(2, 0, 0, 1),
+                                      binomial(2, 1, 1, 0)))
                 .expand_exact())
         ct = prod.free_of(0)
         assert ct == LaurentPoly.monomial(2, {}, QRat(QPoly({0: 1, 1: 1})))
@@ -31,12 +33,12 @@ class TestBruteForce:
         assert m.free_of(1).is_zero()
 
     def test_ct_all_rank1(self):
-        ff = FactoredForm(2, factors=(Factor.binomial(2, 0, 0, 1),
-                                      Factor.binomial(2, 1, 1, 0)))
+        ff = FactoredForm(2, runs=(binomial(2, 0, 0, 1),
+                                   binomial(2, 1, 1, 0)))
         assert ct_all_bruteforce(ff) == QRat(QPoly({0: 1, 1: 1}))
 
     def test_ct_all_empty_product(self):
-        assert ct_all_bruteforce(FactoredForm.one(4)) == QRAT_ONE
+        assert ct_all_bruteforce(FactoredForm(4)) == QRAT_ONE
 
     def test_ct_all_rank2(self):
         from ctforge.qdyson import qdyson_lhs_product
@@ -44,7 +46,7 @@ class TestBruteForce:
         assert ct_all_bruteforce(qdyson_lhs_product(1, (1, 1))) == want
 
     def test_ct_all_rejects_denominators(self):
-        ff = FactoredForm(2, factors=(Factor.binomial(2, 0, 0, 1, -1),))
+        ff = FactoredForm(2, runs=(binomial(2, 0, 0, 1, -1),))
         with pytest.raises(NotPolynomialError):
             ct_all_bruteforce(ff)
 
@@ -60,10 +62,11 @@ class TestTruncatedSeriesCT:
     def test_no_denominators_matches_brute(self):
         rng = random.Random(3)
         for _ in range(10):
-            ff = FactoredForm.one(3)
+            runs = []
             for _ in range(rng.randint(1, 4)):
                 i, j = rng.sample(range(3), 2)
-                ff = ff.times_factor(Factor.binomial(3, rng.randint(-2, 2), i, j))
+                runs.append(binomial(3, rng.randint(-2, 2), i, j))
+            ff = FactoredForm(3, runs=runs)
             lp = ff.expand_exact()
             assert ff.expand_within({0: 12}).free_of(0) == lp.free_of(0)
 
@@ -82,8 +85,8 @@ def proper_rat(var: int, num: LaurentPoly, dpow: int,
     nv = num.nvars
     mono = [0] * nv
     mono[var] = -dpow
-    factors = tuple(Factor.binomial(nv, -s, var, t, -1) for t, s in poles)
-    return var, FactoredForm(nv, mono=tuple(mono), factors=factors, polys=(num,))
+    runs = [binomial(nv, -s, var, t, -1) for t, s in poles]
+    return var, FactoredForm(nv, mono=tuple(mono), runs=runs, polys=(num,))
 
 
 def pfrac(r: tuple[int, FactoredForm]) -> list[FactoredForm]:
@@ -123,12 +126,12 @@ class TestPartialFractions:
     def test_repeated_pole_rejected(self):
         with pytest.raises(DistinctPolesError):
             pfrac(proper_rat(0, LaurentPoly.one(2), 0, [(1, 2), (1, 2)]))
-        ff = FactoredForm(2, factors=(Factor.binomial(2, 1, 0, 1, -2),))
+        ff = FactoredForm(2, runs=(binomial(2, 1, 0, 1, -2),))
         with pytest.raises(DistinctPolesError):
             ct_factored_pfrac_labeled(ff, 0)
-        # the same pole split over two factor objects is still repeated
-        twice = FactoredForm(2, factors=(Factor.binomial(2, 1, 0, 1, -1),
-                                         Factor.binomial(2, 1, 0, 1, -1)))
+        # the same pole in two runs of one factor each is still repeated
+        twice = FactoredForm(2, runs=(binomial(2, 1, 0, 1, -1),
+                                      binomial(2, 1, 0, 1, -1)))
         with pytest.raises(DistinctPolesError):
             ct_factored_pfrac_labeled(twice, 0)
 
@@ -138,15 +141,17 @@ class TestPartialFractions:
         with pytest.raises(PropernessError):
             pfrac(proper_rat(0, num, 0, [(1, 0)]))
         ff = FactoredForm(2, mono=(1, 0),
-                          factors=(Factor.binomial(2, 0, 0, 1, -1),))
+                          runs=(binomial(2, 0, 0, 1, -1),))
         with pytest.raises(PropernessError):
             ct_factored_pfrac_labeled(ff, 0)
 
     def test_pole_involving_extraction_var_rejected(self):
+        # x0 x1 has no variable downstairs: not of the x0/x_t shape
+        ff = FactoredForm(2, mono=(-1, 0), runs=(((1, 1), 0, 0, -1),))
         with pytest.raises(ShapeError):
-            proper_rat(0, LaurentPoly.one(2), 0, [(0, 1)])
+            ct_factored_pfrac_labeled(ff, 0)
         # x0 downstairs: not a pole in x0 of the lemma's shape
-        ff = FactoredForm(2, factors=(Factor.binomial(2, 0, 1, 0, -1),),
+        ff = FactoredForm(2, runs=(binomial(2, 0, 1, 0, -1),),
                           mono=(-1, 0))
         with pytest.raises(ShapeError):
             ct_factored_pfrac_labeled(ff, 0)

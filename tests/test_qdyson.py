@@ -16,7 +16,7 @@ from ctforge import qdyson
 from ctforge.ctengine import ct_all_series, ct_factored_pfrac_labeled
 from ctforge.errors import (CertificationError, DomainError,
                             ProofInvariantError)
-from ctforge.laurent import Factor, FactoredForm, qpochhammer
+from ctforge.laurent import FactoredForm, qpochhammer
 from ctforge.qdyson import (CertNode, Certificate, DegreeBoundReport,
                             DysonParams, ProofPath,
                             certificate_from_dict, certificate_to_dict,
@@ -31,6 +31,7 @@ from ctforge.qdyson import (CertNode, Certificate, DegreeBoundReport,
 from ctforge.qfield import QPoly, QRat, QRAT_ONE, QRAT_ZERO
 from ctforge.tournament import TournamentInstance, Witness
 
+from binomials import binomial, run, triples
 from test_laurent import _greedy_runs
 
 ONE_PLUS_Q = QRat(QPoly({0: 1, 1: 1}))
@@ -39,16 +40,16 @@ ONE_PLUS_Q = QRat(QPoly({0: 1, 1: 1}))
 class TestProductSides:
     def test_lhs_two_factors(self):
         ff = qdyson_lhs_product(1, (1,))
-        assert len(ff.factors) == 2
-        assert not ff.denominator_factors()
+        assert len(triples(ff)) == 2
+        assert not ff.has_poles()
 
     def test_lhs_empty(self):
         ff = qdyson_lhs_product(0, (0, 0))
-        assert ff.factors == ()
+        assert ff.runs == ()
 
     def test_lhs_factor_count(self):
         # (x0/x1)_2 contributes two factors, (q x1/x0)_1 one
-        assert len(qdyson_lhs_product(2, (1,)).factors) == 3
+        assert len(triples(qdyson_lhs_product(2, (1,)))) == 3
 
     def test_lhs_factor_order(self):
         # the pair Pochhammers in (i, j) order, as a product of forms would
@@ -58,13 +59,13 @@ class TestProductSides:
                 for a0 in range(-3, 4):
                     params = (a0,) + a
                     nv = n + 1
-                    ff = FactoredForm.one(nv)
+                    ff = FactoredForm(nv)
                     for i in range(nv):
                         for j in range(i + 1, nv):
                             ff = ff * qpochhammer(nv, {i: 1, j: -1}, params[i])
                             ff = ff * qpochhammer(nv, {j: 1, i: -1}, params[j],
                                                   qshift=1)
-                    assert qdyson_lhs_product(a0, a).factors == ff.factors
+                    assert qdyson_lhs_product(a0, a) == ff
 
     def test_rhs_examples(self):
         assert qdyson_rhs(1, (1,)) == ONE_PLUS_Q
@@ -135,10 +136,7 @@ class TestKernel:
     def test_rank1_shape(self):
         # (1 - q x1/x0) / (1 - x0/(q x1))
         ff = qdyson_kernel(1, (1,))
-        nums = [f for f in ff.factors if f.exp > 0]
-        dens = ff.denominator_factors()
-        assert [f.mono for f in nums] == [(-1, 1)] and nums[0].qexp == 1
-        assert [f.mono for f in dens] == [(1, -1)] and dens[0].qexp == -1
+        assert triples(ff) == [(-1, (1, -1), -1), (1, (-1, 1), 1)]
 
     def test_degree_is_minus_nb(self):
         assert qdyson_kernel(2, (1, 1)).degree_in(0) == -4
@@ -159,7 +157,7 @@ class TestKernel:
 
     def test_pole_monomials_distinct(self):
         ff = qdyson_kernel(3, (1, 2))
-        dens = [(f.qexp, f.pair_vars()) for f in ff.denominator_factors()]
+        dens = [(s, mono) for s, mono, e in triples(ff) if e < 0]
         assert len(set(dens)) == len(dens) == 6
 
     def test_kernel_is_product_at_negative_a0(self):
@@ -246,8 +244,8 @@ class TestKernelAtPath:
         ff = kernel_at_path(2, (1, 1), ProofPath((1,), (2,)))
         assert not ff.is_zero()
         touched = set()
-        for f in ff.factors:
-            touched |= {v for v, e in enumerate(f.mono) if e}
+        for mono, _, _, _ in ff.runs:
+            touched |= {v for v, e in enumerate(mono) if e}
         assert 0 not in touched and touched == {1, 2}
 
     def test_full_depth_always_witnessed_zero(self):
@@ -282,10 +280,10 @@ def _walk_cases():
 def _chained_kernel(root: FactoredForm, path: ProofPath) -> FactoredForm:
     """The walk's kernel the long way: the poles dropped by value, then one
     one-entry substitution per collapsed variable."""
-    poles = {Factor.binomial(root.nvars, -k, 0, r, -1)
+    poles = {binomial(root.nvars, -k, 0, r, -1)
              for r, k in zip(path.r, path.k)}
-    out = FactoredForm(root.nvars, factors=tuple(
-        f for f in root.factors if f not in poles))
+    out = FactoredForm(root.nvars, runs=[
+        run(*f) for f in triples(root) if run(*f) not in poles])
     rs, ks = path.r[-1], path.k[-1]
     for ri, ki in zip((0,) + path.r[:-1], (0,) + path.k[:-1]):
         out = out.substitute({ri: ks - ki}, rs)
@@ -318,7 +316,8 @@ class TestKernelWalk:
 
         def reversed_kernel(a0, a):
             ff = build(a0, a)
-            return FactoredForm(ff.nvars, factors=ff.factors[::-1])
+            return FactoredForm(ff.nvars,
+                                runs=[run(*f) for f in triples(ff)[::-1]])
         monkeypatch.setattr(qdyson, "qdyson_lhs_product", reversed_kernel)
         a, b = (2, 1, 1), 3
         with pytest.raises(ProofInvariantError,
@@ -336,9 +335,11 @@ class TestKernelWalk:
         def reordered(ff, var):
             out = pfrac(ff, var)
             for i, (label, g) in enumerate(out):
-                if g.factors[::-1] != g.factors:
-                    out[i] = label, FactoredForm(g.nvars, g.scalar, g.mono,
-                                                 g.factors[::-1], g.polys)
+                fs = triples(g)
+                if fs[::-1] != fs:
+                    out[i] = label, FactoredForm(
+                        g.nvars, g.scalar, g.mono,
+                        [run(*f) for f in fs[::-1]], g.polys)
                     break
             return out
         monkeypatch.setattr(qdyson, "ct_factored_pfrac_labeled", reordered)
@@ -350,7 +351,7 @@ class TestKernelWalk:
         # a witnessed leaf handed a kernel that is not zero fails the build
         expand = qdyson.expand_recursion
         monkeypatch.setattr(qdyson, "expand_recursion", lambda *args: [
-            (p, FactoredForm.one(ff.nvars) if ff.is_zero() else ff)
+            (p, FactoredForm(ff.nvars) if ff.is_zero() else ff)
             for p, ff in expand(*args)])
         with pytest.raises(CertificationError, match=r"witnessed kernel "
                            r"is not zero at \(r=\[1\]; k=\[1\]\)"):
@@ -402,7 +403,7 @@ def _assert_encodes(ff, factors):
         assert ff.is_zero()
         return
     assert ff.scalar == QRAT_ONE and not any(ff.mono) and ff.polys == ()
-    assert [(f.qexp, f.mono, f.exp) for f in ff.factors] == factors
+    assert triples(ff) == factors
     assert ff.runs == _greedy_runs(factors)
 
 
@@ -1006,7 +1007,8 @@ class TestVerify:
         def lowered(a0, a):
             ff = build(a0, a)
             if a0 == 0 and len(a) == rank:
-                ff = ff.times_factor(Factor.binomial(ff.nvars, 0, 1, 0))
+                ff = ff * FactoredForm(
+                    ff.nvars, runs=(binomial(ff.nvars, 0, 1, 0),))
             return ff
         monkeypatch.setattr(qdyson, "qdyson_lhs_product", lowered)
 
