@@ -42,8 +42,8 @@ Inside `_multiply_within` each such map is packed into one integer, its
 value at q = 2^w (Kronecker substitution; the packing and its width rule
 live in `qfield`), each x-key into another, one bit field per variable,
 and both are decoded back once at the end.  The scalar's numerator is a
-part with the one key 0, the collapsed numerator factors are the group
-of the all-zero monomial, and each sum is a part with its own keys; the
+part with the one key 0, the collapsed numerator factors, multiplied by
+`_qprod`, are another, and each sum is a part with its own keys; the
 scalar's denominator, the collapsed denominator factors and the sums'
 denominators become the result's denominator as they are, with no gcd.
 Q(q) enters only where a coefficient is read or printed:
@@ -200,6 +200,11 @@ def _integer_pair(c: QRat) -> tuple[dict, dict]:
     return num, {e: int(v * scale) for e, v in c.den.c.items()}
 
 
+def _den_map(den: Counter) -> dict:
+    """The product of a factored denominator, as one integer map."""
+    return _qprod([(dict(f), k) for f, k in den.items()])
+
+
 def _den_times(den: Counter, m: dict, k: int = 1) -> Counter:
     """The factored denominator den, a multiset of integer maps kept as
     sorted item tuples, times the map m to the k."""
@@ -219,7 +224,7 @@ class _Terms(Mapping):
         self._p = p
 
     def __getitem__(self, k) -> QRat:
-        return QRat.from_laurent(self._p.maps[k], self._p._den_map())
+        return QRat.from_laurent(self._p.maps[k], _den_map(self._p.den))
 
     def __iter__(self):
         return iter(self._p.maps)
@@ -290,9 +295,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.maps
 
-    def _den_map(self) -> dict:
-        return _qprod([(dict(f), k) for f, k in self.den.items()])
-
     def _over(self, den: Counter) -> dict:
         """The maps over den, a multiple of self.den: each times the
         factors den has beyond self.den, each to its multiplicity."""
@@ -332,7 +334,7 @@ class LaurentPoly:
 
     def coeff_of(self, exps: tuple[int, ...]) -> QRat:
         m = self.maps.get(exps)
-        return QRAT_ZERO if m is None else QRat.from_laurent(m, self._den_map())
+        return QRAT_ZERO if m is None else QRat.from_laurent(m, _den_map(self.den))
 
     def constant_coeff(self) -> QRat:
         return self.coeff_of((0,) * self.nvars)
@@ -367,7 +369,7 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self.maps:
             return "0"
-        den = self._den_map()
+        den = _den_map(self.den)
         bits = []
         for k in sorted(self.maps):
             mono = _mono_str(k)
@@ -712,11 +714,14 @@ class FactoredForm:
         from below.  Raises TruncationError if a denominator factor's
         control variable has no hi bound.
 
-        The runs that share one monomial M and one sign form a group, and
-        each group is one part of the product (`_run_part`): the numerator
-        runs of M a polynomial in M, its denominator runs one series in
-        the small direction Y of M.  Its members are the runs' factors.
-        Each group is kept to one cap on its index (`_series_bounds`).
+        The runs with a variable that share one monomial M and one sign
+        form a group, and each group is one part of the product
+        (`_run_part`): the numerator runs of M a polynomial in M, its
+        denominator runs one series in the small direction Y of M.  Its
+        members are the runs' factors.  Each group is kept to one cap on
+        its index (`_series_bounds`).  The collapsed numerator factors are
+        one more part, their product with the one key 0, built after the
+        caps; they bound no variable.
 
         Why one cap per group is exact.  A group is one series c_t Y^t,
         t >= t0 the sum of its members' first indices, Y = M for a
@@ -749,28 +754,28 @@ class FactoredForm:
         if self.is_zero():
             return LaurentPoly.zero(nv)
 
-        # the scalar's numerator is a part with the one key 0, each sum is a
-        # part, and so is each group, numerator groups first; the scalar's
+        # the scalar's numerator, each sum, the collapsed numerator factors
+        # and each group (numerator groups first) are parts; the scalar's
         # denominator, the collapsed denominator factors and the sums'
-        # denominators multiply into the result's den.  The collapsed
-        # numerator factors are the group of the all-zero monomial
-        num, den = _integer_pair(self.scalar)
+        # denominators multiply into the result's den
+        num, collapsed, den = _scalar_parts(self)
         parts = [{self.mono: num}, *(p.maps for p in self.polys)]
-        den = sum((p.den for p in self.polys), _den_times(_NO_DEN, den))
+        den = sum((p.den for p in self.polys), den)
         nums: dict = {}
         dens: dict = {}
         for run in self.runs:
             mono, _, _, exp = run
-            if exp > 0 or any(mono):
+            if any(mono):
                 (nums if exp > 0 else dens).setdefault(mono, []).extend(
                     (s, mono, exp) for s in _qexps(run))
-            else:
-                for s in _qexps(run):
-                    den = _den_times(den, {0: 1, s: -1}, -exp)
         groups = [*nums.values(), *dens.values()]
         caps = self._series_bounds(parts, groups, hi, lo)
         if caps is None:
             return LaurentPoly.zero(nv)
+        if collapsed:
+            for _, e in collapsed:
+                _check_power(e)
+            parts.append({(0,) * nv: _qprod(collapsed)})
         parts += [_run_part(g, cap) for g, cap in zip(groups, caps)]
         return LaurentPoly._raw(nv, _multiply_within(nv, parts, hi, lo), den)
 
@@ -860,7 +865,9 @@ class FactoredForm:
         if self.is_zero():
             return "0"
         bits = self._bits()
-        scalar = _scalar_value(self)
+        num, collapsed, den = _scalar_parts(self)
+        scalar = QRat.from_laurent(_qprod([(num, 1), *collapsed]),
+                                   _den_map(den))
         if not scalar.is_one() or not bits:
             s = str(scalar)
             if bits and scalar.den.is_one() and len(scalar.num.c) > 1:
@@ -885,18 +892,21 @@ class FactoredForm:
         return f"FactoredForm({self})"
 
 
-def _scalar_value(ff: FactoredForm) -> QRat:
-    """ff.scalar times ff's variable-free factors (1 - q^e)^m, for printing.
-    Numerator and denominator multiply apart as integer maps, packed; one
-    `QRat.from_laurent` makes the one reduction."""
-    num, den = _integer_pair(ff.scalar)
-    nums, dens = [(num, 1)], [(den, 1)]
+def _scalar_parts(ff: FactoredForm) -> tuple[dict, list, Counter]:
+    """(N, pairs, den) of ff.scalar times ff's collapsed factors: the
+    scalar's integer numerator, the `_qprod` pairs ({0: 1, s: -1}, e) of the
+    numerator factors (1 - q^s)^e, and the factored denominator."""
+    num, d = _integer_pair(ff.scalar)
+    pairs, den = [], _den_times(_NO_DEN, d)
     for run in ff.runs:
         mono, _, _, exp = run
         if not any(mono):
-            (nums if exp > 0 else dens).extend(
-                ({0: 1, s: -1}, abs(exp)) for s in _qexps(run))
-    return QRat.from_laurent(_qprod(nums), _qprod(dens))
+            for s in _qexps(run):
+                if exp > 0:
+                    pairs.append(({0: 1, s: -1}, exp))
+                else:
+                    den = _den_times(den, {0: 1, s: -1}, -exp)
+    return num, pairs, den
 
 
 def _direction(group: list[tuple]) -> tuple[tuple[int, ...], int]:
@@ -992,12 +1002,8 @@ def _run_part(group: list[tuple], cap: int) -> dict:
                         v += pv << w * (po - o)
                 out[j] = (o, v)
         acc = out
-    part: dict = {}
-    for u, (o, v) in enumerate(acc):
-        if v:       # a collapsed group's keys are all 0, and add up
-            _add_term(part, tuple([x * (start + u) for x in y]),
-                      _unpack(o, v, w))
-    return part
+    return {tuple([x * (start + u) for x in y]): _unpack(o, v, w)
+            for u, (o, v) in enumerate(acc) if v}
 
 
 def _multiply_within(nvars: int, parts: list[dict],

@@ -29,7 +29,7 @@ import re
 
 from .errors import CTForgeError
 from .laurent import FactoredForm, LaurentPoly, qpoch_qrat, qpochhammer
-from .qfield import QRAT_ONE, QRat
+from .qfield import QRat
 
 
 class ParseError(CTForgeError, ValueError):
@@ -269,7 +269,7 @@ def _recognize_factor(nvars: int, lp: LaurentPoly) -> FactoredForm | None:
     e = _qpower_exponent(coeff)
     if e is None or not (e or any(mono)):
         return None
-    return FactoredForm._of(nvars, QRAT_ONE, None, ((mono, e, e, 1),))
+    return FactoredForm(nvars, runs=((mono, e, e, 1),))
 
 
 def _as_poly(ff: FactoredForm, span: tuple[int, int]) -> LaurentPoly:

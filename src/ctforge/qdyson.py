@@ -105,12 +105,12 @@ def qdyson_lhs_product(a0: int, a: tuple[int, ...]) -> FactoredForm:
         raise DomainError("parameters must be nonnegative")
     params = (a0,) + tuple(a)
     nv = len(params)
-    runs = ()                       # adjacent runs differ in monomial: maximal
+    runs = []
     for i in range(nv):
         for j in range(i + 1, nv):
             runs += qpochhammer(nv, {i: 1, j: -1}, params[i]).runs
             runs += qpochhammer(nv, {j: 1, i: -1}, params[j], qshift=1).runs
-    return FactoredForm._of(nv, QRAT_ONE, None, runs)
+    return FactoredForm(nv, runs=runs)
 
 
 def qdyson_rhs(a0: int, a: tuple[int, ...]) -> QRat:
@@ -195,12 +195,9 @@ def kernel_at_path(b: int, a: tuple[int, ...],
     """K(b | r; k): the path's denominator factors are cancelled
     symbolically *before* the collapse, so no zero denominators arise.
 
-    The poles are deleted from K(b) = qdyson_kernel(b, a) by position:
-    qdyson_lhs_product puts the poles 1 - x_0/(x_r q^k), k = 1..b, as one
-    run, (x_0/x_r)_{-b}, at run index r - 1 + #{j < r : a_j > 0}, after
-    the pole run and the nonempty run (q x_j/x_0)_{a_j} of each j < r.
-    Each pole splits its run around k, and a run found there that is not
-    that pole run raises ProofInvariantError.
+    The poles 1 - x_0/(x_r q^k), k = 1..b, are one run (x_0/x_r)_{-b} of
+    K(b) = qdyson_kernel(b, a), found by value wherever it stands and split
+    around k; a path whose pole run is missing raises ProofInvariantError.
     """
     n = len(a)
     if path.r and path.r[-1] > n:
@@ -210,27 +207,13 @@ def kernel_at_path(b: int, a: tuple[int, ...],
     root = qdyson_kernel(b, a)
     if path.depth == 0:
         return root
-    poles = _pole_runs(b, tuple(a))
-    runs = root.runs
     cuts = {}
     for r, k in zip(path.r, path.k):
-        i, run = poles[r - 1]
-        if i >= len(runs) or runs[i] != run:
+        pole = ((1,) + (0,) * (r - 1) + (-1,) + (0,) * (n - r), -1, -b, -1)
+        if pole not in root.runs:
             raise ProofInvariantError(f"missing denominator factors at {path}")
-        cuts[i] = -k
+        cuts[root.runs.index(pole)] = -k
     return collapse_path(path, root.drop_factors(cuts))
-
-
-@lru_cache(maxsize=1)
-def _pole_runs(b: int, a: tuple[int, ...]) -> list[tuple[int, tuple]]:
-    """(run index, run) of each pole run (x_0/x_r)_{-b} of K(b), r = 1..n."""
-    out = []
-    for r in range(1, len(a) + 1):
-        mono = [0] * (len(a) + 1)
-        mono[0], mono[r] = 1, -1
-        out.append((r - 1 + sum(x > 0 for x in a[:r - 1]),
-                    (tuple(mono), -1, -b, -1)))
-    return out
 
 
 def find_vanishing_witness(a: tuple[int, ...],

@@ -20,8 +20,9 @@ Conventions:
 The one product over Z[q], `_qprod`, packs each integer map {q-exponent:
 int} into its value at q = 2^w (Kronecker substitution; Harvey, J.
 Symbolic Comput. 44, 2009) and raises a map of multiplicity k as one
-integer power; `_width`, the one width rule, sets w for it and for
-`laurent`, and refuses a product past the budget before forming it.
+integer power; QPoly products and powers go through it, all but a shift.
+`_width`, the one width rule, sets w for it and for `laurent`, and
+refuses a product past the budget before forming it.
 """
 
 from __future__ import annotations
@@ -195,13 +196,7 @@ class QPoly:
         if len(a) == 1:
             (e, v), = a.items()
             return other.shifted(e, v)
-        c: dict = {}
-        for e1, v1 in a.items():
-            for e2, v2 in b.items():
-                e = e1 + e2
-                s = c.get(e)
-                c[e] = v1 * v2 if s is None else s + v1 * v2
-        return QPoly._raw({e: as_scalar(v) for e, v in c.items() if v != 0})
+        return _poly_product([(self, 1), (other, 1)])
 
     def shifted(self, shift: int, scale=1) -> "QPoly":
         """self * scale * q^shift (shift may not push exponents below 0)."""
@@ -265,13 +260,6 @@ class QPoly:
         """Dense integer coefficient list, the denominators cleared."""
         c = self._cleared()[0]
         return [c.get(e, 0) for e in range(self.degree + 1)]
-
-    def _power(self, n: int) -> "QPoly":
-        """self ** n, n >= 1, self nonzero: map and scale as packed powers."""
-        m, scale = self._cleared()
-        m, scale = _qprod([(m, n)]), _qprod([({0: scale}, n)])[0]
-        return QPoly._raw({e: as_scalar(Fraction(c, scale))
-                           for e, c in m.items()} if scale > 1 else m)
 
     @staticmethod
     def gcd(a: "QPoly", b: "QPoly") -> "QPoly":
@@ -411,16 +399,6 @@ class QRat:
             dpoly = dpoly.shifted(d - m)
         return cls(num, dpoly)
 
-    @classmethod
-    def one_minus_qpow(cls, e: int) -> "QRat":
-        """1 - q^e, for any integer e (canonical for negative e too)."""
-        if e == 0:
-            return QRAT_ZERO
-        if e > 0:
-            return cls._raw(QPoly._raw({0: 1, e: -1}), _QP_ONE)
-        # 1 - q^e = -(1 - q^{-e})/q^{-e}
-        return cls._raw(QPoly._raw({0: -1, -e: 1}), QPoly.qpow(-e))
-
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -496,7 +474,8 @@ class QRat:
             return QRAT_ONE
         if n == 1 or self.num.is_zero():
             return self
-        return QRat._raw(self.num._power(n), self.den._power(n))
+        return QRat._raw(_poly_product([(self.num, n)]),
+                         _poly_product([(self.den, n)]))
 
     def times_qpow(self, e: int) -> "QRat":
         """self * q^e with a fast path for polynomial values."""
@@ -611,6 +590,17 @@ def _qprod(pairs: list[tuple[dict[int, int], int]]) -> dict[int, int]:
         offset += k * o
         value *= v ** k
     return _unpack(offset, value, w)
+
+
+def _poly_product(pairs: list[tuple[QPoly, int]]) -> QPoly:
+    """The product of p^k over the pairs (p, k), p nonzero and k >= 1: the
+    maps of `QPoly._cleared` multiply in one `_qprod`, scales above 1 in one."""
+    cleared = [(p._cleared(), k) for p, k in pairs]
+    m = _qprod([(c, k) for (c, _), k in cleared])
+    scales = [({0: s}, k) for (_, s), k in cleared if s > 1]
+    scale = _qprod(scales)[0] if scales else 1
+    return QPoly._raw({e: as_scalar(Fraction(c, scale)) for e, c in m.items()}
+                      if scale > 1 else m)
 
 
 def _canonicalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:

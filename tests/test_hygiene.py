@@ -1,5 +1,6 @@
 """Source hygiene a linter would check: no module of the package imports a
-name it never uses.  `__init__.py` is left out, as its imports are the
+name it never uses, and every private name the package defines is used in
+it.  `__init__.py` is left out of the import check, as its imports are the
 package's exports."""
 
 import ast
@@ -39,3 +40,49 @@ def test_no_unused_imports(module):
 def test_the_check_sees_an_unused_import():
     assert _unused_imports("from .laurent import FactoredForm, LaurentPoly\n"
                            "x = FactoredForm\n") == ["line 1: LaurentPoly"]
+
+
+def _uncalled_private(sources: dict[str, str]) -> list[str]:
+    """Private functions, classes and methods (a leading underscore, not a
+    dunder) of sources {file name: text} that nothing references outside
+    their own definition.  A method counts as referenced by an attribute
+    of its name (`x._name`), anything else by a plain name or an import."""
+    defs, refs = [], []
+    for fname, text in sources.items():
+        tree = ast.parse(text)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                n = node.name
+                if n.startswith("_") and not (n[:2] == n[-2:] == "__"):
+                    defs.append((fname, node, id(node) in methods))
+            elif isinstance(node, ast.Name):
+                refs.append((fname, node.lineno, node.id, False))
+            elif isinstance(node, ast.Attribute):
+                refs.append((fname, node.lineno, node.attr, True))
+            elif isinstance(node, ast.ImportFrom):
+                refs += [(fname, node.lineno, a.name, False)
+                         for a in node.names]
+    return [f"{fname}: {node.name}" for fname, node, method in defs
+            if not any(name == node.name and attr == method
+                       and not (f == fname
+                                and node.lineno <= line <= node.end_lineno)
+                       for f, line, name, attr in refs)]
+
+
+def test_every_private_name_is_used():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _uncalled_private(sources) == []
+
+
+def test_the_check_sees_an_uncalled_private_name():
+    source = ("def _power(x):\n    return _power(x - 1)\n\n"
+              "class Q:\n    def _power(self):\n        return 1\n\n"
+              "    def _used(self):\n        return self._used\n\n"
+              "def _called():\n    return Q()._used()\n\n"
+              "_called()\n")
+    assert _uncalled_private({"m.py": source}) == ["m.py: _power",
+                                                   "m.py: _power"]
+    assert _uncalled_private({"m.py": source, "n.py": "_power(Q)\n"}) \
+        == ["m.py: _power"]

@@ -27,6 +27,11 @@ from ctforge.qfield import (_MAX_PACKED_BITS, QPoly, QRat, QRAT_ONE, QRAT_ZERO,
 from binomials import binomial, run, triples
 
 
+def one_minus_qpow(e):
+    """1 - q^e as a QRat, built from its integer map."""
+    return QRat.from_laurent({0: 1, e: -1}) if e else QRAT_ZERO
+
+
 def lp_mono(nvars, exps, coeff=QRAT_ONE):
     return LaurentPoly.monomial(nvars, exps, coeff)
 
@@ -137,7 +142,7 @@ class _Ref:
 # outside Z[q, 1/q], with monomial and non-monomial denominators
 _coeff = st.builds(
     lambda c, e, k, j: (QRat.from_scalar(c) + (QRat.qpow(j) if j else 0))
-    .times_qpow(e) * (QRat.one_minus_qpow(k).inverse() if k else QRAT_ONE),
+    .times_qpow(e) * (one_minus_qpow(k).inverse() if k else QRAT_ONE),
     st.fractions(-3, 3, max_denominator=3), st.integers(-2, 2),
     st.integers(-3, 3), st.integers(-1, 2))
 _terms = st.dictionaries(st.tuples(*[st.integers(-1, 1)] * 3), _coeff,
@@ -217,7 +222,7 @@ class TestPochhammer:
         assert triples(p) == [(-1, (1,), -1), (-2, (1,), -1)]
 
     def test_scalar_base(self):
-        assert qpoch_qrat(1, 2) == QRat.one_minus_qpow(1) * QRat.one_minus_qpow(2)
+        assert qpoch_qrat(1, 2) == one_minus_qpow(1) * one_minus_qpow(2)
         assert qfactorial(0) == QRAT_ONE
 
     @settings(max_examples=150, deadline=None)
@@ -227,10 +232,10 @@ class TestPochhammer:
         want = QRAT_ONE
         if count >= 0:
             for m in range(count):
-                want = want * QRat.one_minus_qpow(qexp + m)
+                want = want * one_minus_qpow(qexp + m)
         elif all(qexp - m for m in range(1, -count + 1)):
             for m in range(1, -count + 1):
-                want = want * QRat.one_minus_qpow(qexp - m).inverse()
+                want = want * one_minus_qpow(qexp - m).inverse()
         else:
             with pytest.raises(DomainError, match="zero factor"):
                 qpoch_qrat(qexp, count)
@@ -502,7 +507,7 @@ class TestIntegerRing:
         rng = random.Random(2025)
         nv = 3
         scalars = (QRAT_ONE, QRat.from_int(-3), QRat.qpow(-2),
-                   QRat.one_minus_qpow(2).inverse())
+                   one_minus_qpow(2).inverse())
         for _ in range(20):
             runs = []
             for exp in (1, -1, -1, rng.choice((1, -1, -2))):
@@ -1113,14 +1118,14 @@ class TestFactoredFormAlgebra:
         # (1 - q^2 x0/x1) with x0 -> x1 q: 1 - q^3
         ff = FactoredForm(2, runs=(binomial(2, 2, 0, 1),))
         out = ff.substitute({0: 1}, 1)
-        assert ct_all_series(out) == QRat.one_minus_qpow(3)
+        assert ct_all_series(out) == one_minus_qpow(3)
 
     def test_collapsed_binomial_stays_a_factor(self):
         # the same collapse keeps (1 - q^3) as a variable-free factor
         ff = FactoredForm(2, runs=(binomial(2, 2, 0, 1),))
         out = ff.substitute({0: 1}, 1)
         assert out.runs == (run(3, (0, 0)),)
-        assert ct_all_series(out) == QRat.one_minus_qpow(3)
+        assert ct_all_series(out) == one_minus_qpow(3)
         assert str(out) == "1 - q^3"
 
     def test_collapsed_denominator_factor(self):
@@ -1130,7 +1135,7 @@ class TestFactoredFormAlgebra:
         assert ff.has_poles() and not FactoredForm(2, runs=(c,)).has_poles()
         (label, summand), = ct_factored_pfrac_labeled(ff, 0)
         assert label == (1, -1) and summand.runs == (c,)
-        value = QRat.one_minus_qpow(2).inverse()
+        value = one_minus_qpow(2).inverse()
         assert ct_all_series(summand) == value and ct_all_series(ff) == value
 
     def test_substitute_zero_numerator_kills_form(self):
@@ -1172,6 +1177,74 @@ class TestFactoredFormAlgebra:
                            lp_mono(3, {2: 1}, QRat.qpow(2)))
         with pytest.raises(DomainError):
             ff.substitute({0: 1, 2: 1}, 2)
+
+
+class TestCollapsedRuns:
+    """Collapsed runs (1 - q^s)^e, with the all-zero monomial, expand and
+    print as their value moved into the scalar."""
+
+    Z = (0, 0)
+    COLLAPSED = [
+        [],
+        [(Z, 1, 3, 1)],                     # (1 - q)(1 - q^2)(1 - q^3)
+        [(Z, 3, 1, 2)],                     # the same, descending, squared
+        [(Z, -3, -1, 1), (Z, -1, -2, 3)],   # negative s, both steps
+        [(Z, 2, 4, -1)],
+        [(Z, 4, 2, -2), (Z, -2, -1, -1)],
+        [(Z, 1, 2, 2), (Z, -1, -3, -2)],
+    ]
+    VARIABLE = [
+        [],
+        [binomial(2, 1, 0, 1), binomial(2, 0, 1, 0, 2)],
+        [binomial(2, 2, 0, 1, -1), binomial(2, -1, 1, 0)],
+    ]
+    WINDOWS = [({}, None), ({0: 2, 1: 2}, None),
+               ({0: 1, 1: 3}, {0: -1, 1: -2}), ({0: -9}, None)]
+
+    @staticmethod
+    def _value(run_):
+        _, first, last, e = run_
+        return qpoch_qrat(min(first, last), abs(last - first) + 1) ** e
+
+    def test_grid_matches_the_scalar(self):
+        x0, x1 = lp_mono(2, {0: 1}), lp_mono(2, {1: 1}, QRat.qpow(1))
+        scalars = (QRAT_ONE, QRat.from_int(-3) / one_minus_qpow(2))
+        checked = 0
+        for collapsed in self.COLLAPSED:
+            value = QRAT_ONE
+            for r in collapsed:
+                value = value * self._value(r)
+            for variable in self.VARIABLE:
+                for scalar in scalars:
+                    for polys in ((), (x0 + x1,)):
+                        ff = FactoredForm(2, scalar, (1, -1),
+                                          collapsed + variable, polys)
+                        moved = FactoredForm(2, scalar * value, (1, -1),
+                                             variable, polys)
+                        assert len(ff.runs) == len(collapsed + variable)
+                        assert str(ff) == str(moved)
+                        for hi, lo in self.WINDOWS:
+                            if not hi and ff.has_poles():
+                                continue
+                            got = ff.expand_within(hi, lo)
+                            want = moved.expand_within(hi, lo)
+                            assert got == want, (ff, hi, lo)
+                            assert str(got) == str(want)
+                            checked += not got.is_zero()
+        assert checked > 100
+
+    def test_collapsed_powers_keep_the_power_budget(self):
+        ff = FactoredForm(1, runs=[((0,), 7, 7, _MAX_POWER + 1)])
+        with pytest.raises(DomainError, match="power or count"):
+            ff.expand_within({})
+        # the width of the packed product is checked as for any part
+        ff = FactoredForm(1, runs=[((0,), 7, 7, 2000)])
+        with pytest.raises(DomainError, match="expansion too large"):
+            ff.expand_within({})
+        # a window that no group can reach is 0 before the collapsed
+        # product is formed
+        ff = FactoredForm(1, mono=(1,), runs=[*ff.runs, ((1,), 0, 0, 1)])
+        assert ff.expand_within({0: -1}).is_zero()
 
 
 class TestSectionTwoIdentities:

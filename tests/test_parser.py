@@ -265,7 +265,8 @@ class TestLowering:
     def test_qpoch_scalar_base(self):
         ff = lower(parse("qpoch(q, 2)"))
         assert ff.runs == () and ff.polys == ()
-        assert ff.scalar == QRat.one_minus_qpow(1) * QRat.one_minus_qpow(2)
+        assert ff.scalar == (QRat.from_laurent({0: 1, 1: -1})
+                             * QRat.from_laurent({0: 1, 2: -1}))
 
     def test_one_minus_q_power_is_a_collapsed_factor(self):
         # 1 - q^s, s != 0, is the factor substitute makes when a binomial

@@ -309,9 +309,31 @@ class TestKernelWalk:
                 nonzeros += not got.is_zero()
         assert zeros and nonzeros
 
-    def test_pole_out_of_position_is_refused(self, monkeypatch, kernel_memo):
-        # K(b) built with its factors reversed: no pole is where the
-        # position formula looks for it
+    def test_pole_runs_are_found_by_value(self, monkeypatch, kernel_memo):
+        # K(b) with its pole runs (x_0/x_r)_{-b} moved, intact, to the end:
+        # kernel_at_path finds each by value, and the certificate is the one
+        # of the canonical layout
+        a, b = (2, 1, 1), 3
+        want = json.dumps(certificate_to_dict(certify_vanishing(a, b)))
+        build = qdyson.qdyson_lhs_product
+
+        def poles_last(a0, a):
+            ff = build(a0, a)
+            poles = [r for r in ff.runs if r[0][0] == 1 and r[3] < 0]
+            rest = [r for r in ff.runs if r not in poles]
+            return FactoredForm(ff.nvars, runs=rest + poles)
+        monkeypatch.setattr(qdyson, "qdyson_lhs_product", poles_last)
+        qdyson_kernel.cache_clear()
+        runs = qdyson_kernel(b, a).runs
+        assert runs[-3:] == tuple((m, -1, -b, -1) for m in
+                                  ((1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1)))
+        assert runs != build(-b, a).runs
+        got = json.dumps(certificate_to_dict(certify_vanishing(a, b)))
+        assert got == want
+
+    def test_reversed_pole_runs_are_refused(self, monkeypatch, kernel_memo):
+        # K(b) built with its factors reversed: each pole run then ascends
+        # from q^-b to q^-1, so no run equals (x_0/x_r)_{-b}
         build = qdyson.qdyson_lhs_product
 
         def reversed_kernel(a0, a):

@@ -33,6 +33,35 @@ class TestQPoly:
         # (1 - q)(1 + q) = 1 - q^2
         assert ONE_MINUS_Q * qp({0: 1, 1: 1}) == qp({0: 1, 2: -1})
 
+    def test_products_match_schoolbook(self):
+        # products are packed (`qfield._qprod`); a double loop over the
+        # terms is the reference, one-term factors and Fractions included
+        def schoolbook(a, b):
+            c = {}
+            for e1, v1 in a.c.items():
+                for e2, v2 in b.c.items():
+                    c[e1 + e2] = c.get(e1 + e2, 0) + v1 * v2
+            return c
+
+        rng = random.Random(25)
+
+        def poly(terms):
+            return qp({rng.randrange(15): Fraction(rng.randint(-9, 9),
+                                                   rng.choice((1, 1, 2, 3, 7)))
+                       for _ in range(terms)})
+        # sums can leave a Fraction of denominator 1 in place
+        whole = QPoly._raw({0: Fraction(2, 1), 3: Fraction(-1, 1)})
+        pairs = [(whole, whole), (whole, qp({1: 1, 2: Fraction(1, 2)}))]
+        for _ in range(300):
+            pairs.append((poly(rng.randint(0, 8)),
+                          poly(rng.choice((1, 1, 2, 6, 12)))))
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                got = x * y
+                assert got == qp(schoolbook(x, y)), (x, y)
+                assert not any(isinstance(v, Fraction) and v.denominator == 1
+                               for v in got.c.values())
+
     def test_divmod_exact(self):
         a = qp({0: 1, 3: -1})          # 1 - q^3
         quo = a.exact_div(ONE_MINUS_Q)
@@ -139,11 +168,6 @@ class TestQRatArith:
         assert 1 / QRat(ONE_MINUS_Q) == QRat(qp({0: 1}), ONE_MINUS_Q)
         assert QRat.from_int(6) / 2 == QRat.from_int(3)
 
-    def test_one_minus_qpow(self):
-        assert QRat.one_minus_qpow(0).is_zero()
-        assert QRat.one_minus_qpow(2) == QRat(qp({0: 1, 2: -1}))
-        # 1 - q^-2 = (q^2 - 1)/q^2
-        assert QRat.one_minus_qpow(-2) == QRat(qp({0: -1, 2: 1}), qp({2: 1}))
 
 
 class TestSpecialize:
