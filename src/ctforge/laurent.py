@@ -37,15 +37,20 @@ together, the numerator ones as one polynomial in M and the denominator
 ones as one series in M or 1/M kept to one cap, by a one-dimensional
 product of their binomial series, whose coefficients are +-C(n, k) q^e.
 Inside `expand_within` a coefficient is an integer map {q-exponent: int}
-and a part of the product is {x-exponent tuple: {q-exponent: int}}.
-Inside `_multiply_within` each such map is packed into one integer, its
-value at q = 2^w (Kronecker substitution; the packing and its width rule
-live in `qfield`), each x-key into another, one bit field per variable,
-and both are decoded back once at the end.  The scalar's numerator is a
-part with the one key 0, the collapsed numerator factors, multiplied by
-`_qprod`, are another, and each sum is a part with its own keys; the
-scalar's denominator, the collapsed denominator factors and the sums'
-denominators become the result's denominator as they are, with no gcd.
+and a part of the product is {x-exponent tuple: {q-exponent: int}}; a
+group is not built there, only measured (`_measure_run`): no coefficient
+of a group can cancel, so its l1 norm and q-span are read exactly at
+q = 1.  `_multiply_within` sets one slot width w from every part's norm
+and span, and packs each coefficient into one integer, its value at
+q = 2^w (Kronecker substitution; the packing and its width rule live in
+`qfield`): a map by `qfield._pack`, a group straight from its members at
+that w (`_pack_run`).  Each x-key is packed into another integer, one bit
+field per variable, and only the product's keys and values are decoded,
+once, at the end.  The scalar's numerator is a part with the one key 0,
+the collapsed numerator factors, multiplied by `_qprod`, are another, and
+each sum is a part with its own keys; the scalar's denominator, the
+collapsed denominator factors and the sums' denominators become the
+result's denominator as they are, with no gcd.
 Q(q) enters only where a coefficient is read or printed:
 `QRat.from_laurent` reduces it then, once, and the canonical form is
 unique, so the bytes printed are those of term-by-term Q(q) arithmetic.
@@ -716,7 +721,7 @@ class FactoredForm:
 
         The runs with a variable that share one monomial M and one sign
         form a group, and each group is one part of the product
-        (`_run_part`): the numerator runs of M a polynomial in M, its
+        (`_measure_run`): the numerator runs of M a polynomial in M, its
         denominator runs one series in the small direction Y of M.  Its
         members are the runs' factors.  Each group is kept to one cap on
         its index (`_series_bounds`).  The collapsed numerator factors are
@@ -744,11 +749,14 @@ class FactoredForm:
         kernel the computed x0 cap is at most the parameter sum, the
         classical bound.
 
-        Why the slot width stays valid.  `_multiply_within` sets its width
-        from the l1 norms of the parts it is given.  A group's l1 norm is
-        at most the product of its members' (the norm is submultiplicative,
-        and truncation only drops terms), so a group needs no wider slots
-        than its members did as parts of their own.
+        Why the slot width stays valid.  `_multiply_within` sets one width
+        from the l1 norms and q-spans of all parts, and a group reaches it
+        measured, not built: no coefficient of a group can cancel (at each
+        index its terms share one sign), so its norm and span at q = 1 are
+        those of its maps, and the width is the one its maps would set.  A
+        group's l1 norm is at most the product of its members' (the norm
+        is submultiplicative, and truncation only drops terms), so a group
+        needs no wider slots than its members did as parts of their own.
         """
         nv = self.nvars
         if self.is_zero():
@@ -776,8 +784,9 @@ class FactoredForm:
             for _, e in collapsed:
                 _check_power(e)
             parts.append({(0,) * nv: _qprod(collapsed)})
-        parts += [_run_part(g, cap) for g, cap in zip(groups, caps)]
-        return LaurentPoly._raw(nv, _multiply_within(nv, parts, hi, lo), den)
+        series = [_measure_run(g, cap) for g, cap in zip(groups, caps)]
+        return LaurentPoly._raw(
+            nv, _multiply_within(nv, parts, hi, lo, series), den)
 
     def _series_bounds(self, fixed_parts: list[dict], groups: list[list],
                        hi: dict[int, int],
@@ -921,12 +930,15 @@ def _direction(group: list[tuple]) -> tuple[tuple[int, ...], int]:
     return scale_exps(mono, -1), -sum(e for _, _, e in group)
 
 
-def _run_part(group: list[tuple], cap: int) -> dict:
-    """One part of the windowed product: the product of the members
-    (s, M, e) of group, the factors (1 - q^s M)^e of the runs that share
-    one monomial M and one sign of e, as {x-exponents: {q-exponent: int}},
-    kept to the terms Y^t with t <= cap (Y and the first index T0 from
-    `_direction`).
+def _measure_run(group: list[tuple], cap: int) -> tuple:
+    """The measure step of one part of the windowed product: the product of
+    the members (s, M, e) of group, the factors (1 - q^s M)^e of the runs
+    that share one monomial M and one sign of e, kept to the terms Y^t with
+    t <= cap (Y and the first index T0 from `_direction`), measured without
+    being built.  Returns (keys, l1, span, pack): the x-keys of its terms in
+    index order, its exact l1 norm and q-exponent span, and pack(w), the
+    pack step (`_pack_run`), which gives each key's packed q-map at the slot
+    width w that `_multiply_within` sets from every part.
 
     Each member (1 - q^s M)^e is a series sum_u c_u q^(r (t0 + u))
     Y^(t0 + u) from its first index t0, with p = -e:
@@ -938,23 +950,29 @@ def _run_part(group: list[tuple], cap: int) -> dict:
     the last since 1/(1 - q^s M)^p = (-q^-s/M)^p / (1 - q^-s/M)^p.  All
     three follow c_(u+1) = c_u (u + p) / (u + 1).  The group is their
     product, one-dimensional in the index u of Y^(T0 + u), kept to u <=
-    cap - T0.  Each coefficient is held packed as in `_multiply_within`,
-    a pair (offset, value at q = 2^w): a member's term is one slot, so a
-    term product is one multiply and an offset add, and accumulating is
-    one add after a shift.  Evaluation at 2^w is a ring homomorphism, so
-    every value is exact; the final coefficients are coefficients of the
-    product of the members' truncated series, at most the product P of
-    their l1 norms, and w = `qfield._width`'s, P.bit_length() + 1, decodes
-    them.  A coefficient's q-exponents span at most S, the sum of the
-    members' spans |r| (number of terms - 1), the measure the width rule
-    holds to the packed budget, as it would hold the members as parts.
+    cap - T0 = L.
+
+    Why the measure is exact.  No coefficient of the group can cancel: at
+    index u every term of a numerator group has sign (-1)^u, and every
+    term of a denominator group the one sign of the product of its
+    members' c_0.  So every index up to L (up to the degree E of a
+    numerator group, if that is less) has a key, each product of member
+    terms with indices adding up to at most L survives as a q-power of
+    its index, and the l1 norm is the truncated product of the members'
+    absolute series at q = 1: with E the sum of the |e|, sum_(u <= L)
+    C(E, u) for a numerator group, (1 + x)^E at x = 1, and C(L + E, E) for
+    a denominator group, 1/(1 - x)^E summed to L.  A member's term j has
+    the one q-exponent r (t0 + j), so the lowest (highest) q-exponent of
+    the group takes the members of the most negative (positive) r first,
+    each to its last term, until the indices add up to L.
 
     Refusals, before any term is built: a numerator member's exponent is
-    held to _MAX_POWER, a denominator group to cap - T0 + 1 <=
-    _MAX_PRODUCT_KEYS terms, and the largest key is checked for
-    overflow, which bounds every key.  The group's own products of terms
-    count against _MAX_PRODUCT_PAIRS, member by member, so a group of
-    many long series is refused in bounded time.
+    held to _MAX_POWER, a denominator group to L + 1 <= _MAX_PRODUCT_KEYS
+    terms, and the largest key is checked for overflow, which bounds every
+    key.  The width `qfield._width` gives for the members' norms and spans
+    is checked, as it would be for the members as parts; the group's
+    products of terms count against _MAX_PRODUCT_PAIRS, member by member,
+    so a group of many long series is refused in bounded time.
     """
     y, start = _direction(group)
     last = cap - start
@@ -975,16 +993,52 @@ def _run_part(group: list[tuple], cap: int) -> dict:
             cs.append(cs[-1] * (u + p) // (u + 1))
         members.append((s, 0, cs) if small else (-s, p, cs))
 
-    w = _width(list(Counter(sum(map(abs, cs)) for _, _, cs in members).items()),
-               sum(abs(r) * (len(cs) - 1) for r, _, cs in members))
-    acc = [(0, 1)]                  # (offset, value) of each Y^(T0 + u)
-    pairs = _MAX_PRODUCT_PAIRS
-    for r, t0, cs in members:
-        pairs -= sum(min(len(cs), last + 1 - i) for i in range(len(acc)))
+    _width(list(Counter(sum(map(abs, cs)) for _, _, cs in members).items()),
+           sum(abs(r) * (len(cs) - 1) for r, _, cs in members))
+    n, pairs = 1, _MAX_PRODUCT_PAIRS
+    for _, _, cs in members:
+        # sum over i < n of min(len(cs), last + 1 - i): len(cs) for the
+        # first k rows, then one fewer per row
+        k = max(0, min(n, last + 2 - len(cs)))
+        pairs -= k * len(cs) + (n - k) * (2 * last + 3 - n - k) // 2
         if pairs < 0:
             raise DomainError(
                 f"expansion too large: more than {_MAX_PRODUCT_PAIRS} "
                 f"products of terms exceed the work budget")
+        n = min(n + len(cs) - 1, last + 1)
+
+    total = sum(abs(e) for _, _, e in group)
+    if group[0][2] < 0:
+        l1 = comb(last + total, total)
+    else:
+        l1 = 1 << total if last >= total else \
+            sum(comb(total, u) for u in range(last + 1))
+
+    def extent(sign):               # the most sign * q-exponent adds past T0
+        room, most = last, 0
+        for r, _, cs in sorted(members, key=lambda m: -sign * m[0]):
+            if sign * r <= 0 or not room:
+                break
+            take = min(len(cs) - 1, room)
+            most += sign * r * take
+            room -= take
+        return most
+
+    keys = [tuple([x * (start + u) for x in y]) for u in range(n)]
+    return (keys, l1, extent(1) + extent(-1),
+            lambda w: _pack_run(members, last, w))
+
+
+def _pack_run(members: list[tuple], last: int, w: int) -> list[tuple]:
+    """The pack step of a group measured by `_measure_run`: the packed
+    q-map (offset, value at q = 2^w) of each index u <= last, by the
+    one-dimensional product of the members (r, t0, [c_0, c_1, ...]).  A
+    member's term is one slot, so a term product is one multiply and an
+    offset add, and accumulating is one add after a shift.  Evaluation at
+    2^w is a ring homomorphism, so every value is exact at any w, and each
+    offset is its index's lowest q-exponent, as `qfield._pack` sets it."""
+    acc = [(0, 1)]                  # (offset, value) of each Y^(T0 + u)
+    for r, t0, cs in members:
         out: list = [None] * min(len(acc) + len(cs) - 1, last + 1)
         for i, (o1, v1) in enumerate(acc):
             for j, c in enumerate(cs[:last + 1 - i], i):
@@ -1002,15 +1056,27 @@ def _run_part(group: list[tuple], cap: int) -> dict:
                         v += pv << w * (po - o)
                 out[j] = (o, v)
         acc = out
-    return {tuple([x * (start + u) for x in y]): _unpack(o, v, w)
-            for u, (o, v) in enumerate(acc) if v}
+    return acc
+
+
+def _map_part(part: dict) -> tuple:
+    """(keys, l1, span, pack) of a part given as integer maps, as
+    `_measure_run` measures a group: pack(w) packs each map by
+    `qfield._pack`."""
+    qs = [e for m in part.values() for e in m]
+    return (list(part), sum(abs(c) for m in part.values() for c in m.values()),
+            max(qs) - min(qs), lambda w: [_pack(m, w) for m in part.values()])
 
 
 def _multiply_within(nvars: int, parts: list[dict],
-                     hi: dict[int, int],
-                     lo: dict[int, int] | None) -> dict:
-    """Multiply integer parts {x-exponents: {q-exponent: int}}, pruning
-    x-exponents that cannot re-enter the window (q is never pruned).
+                     hi: dict[int, int], lo: dict[int, int] | None,
+                     series: list | tuple = ()) -> dict:
+    """Multiply integer parts {x-exponents: {q-exponent: int}} and the
+    groups measured by `_measure_run` (series), which follow the parts,
+    pruning x-exponents that cannot re-enter the window (q is never
+    pruned).  This is the one place that sets the slot width and packs:
+    each part is measured as a group is (`_map_part`), and nothing reaches
+    the loop decoded.
 
     Part order.  parts[0] stays first; the others are sorted, stably, by
     the lowest and then the highest variable their keys touch, so every
@@ -1051,11 +1117,15 @@ def _multiply_within(nvars: int, parts: list[dict],
     (offset, value at q = 2^w), offset at or below the key's lowest
     q-exponent, so value = sum c_e 2^(w (e - offset)).  The slot width is
     set once per product by `qfield._width`: w = P.bit_length() + 1, P the
-    product over the parts of each part's l1 norm, equal norms raised as
-    one power.  A pair product is one integer multiply plus an offset add;
-    accumulating into a key is one add, after a shift of w times the
-    offset difference; a key whose value is 0 is dropped; the surviving
-    keys are decoded once, with balanced digits.
+    product over the parts and groups of each one's l1 norm, equal norms
+    raised as one power.  A group's norm and span are measured at q = 1,
+    exactly, since none of its coefficients cancels, so w is the width its
+    decoded maps would set; its pairs are then formed at w from its
+    members' terms (`_pack_run`), and a map is packed by `qfield._pack`.
+    A pair product is one integer multiply plus an offset add; accumulating
+    into a key is one add, after a shift of w times the offset difference;
+    a key whose value is 0 is dropped; the surviving keys are decoded
+    once, with balanced digits.
 
     Why this is exact.  Evaluation at 2^w is a ring homomorphism from
     Z[q] to Z, so each value is the evaluation of the map a product of
@@ -1083,8 +1153,9 @@ def _multiply_within(nvars: int, parts: list[dict],
     """
     if not all(parts):
         return {}
-    mins = [list(map(min, zip(*p))) for p in parts]
-    maxs = [list(map(max, zip(*p))) for p in parts]
+    parts = [*map(_map_part, parts), *series]
+    mins = [list(map(min, zip(*keys))) for keys, _, _, _ in parts]
+    maxs = [list(map(max, zip(*keys))) for keys, _, _, _ in parts]
 
     def reach(i):
         vs = [v for v in range(nvars) if mins[i][v] or maxs[i][v]]
@@ -1095,10 +1166,8 @@ def _multiply_within(nvars: int, parts: list[dict],
     mins = [mins[i] for i in order]
     maxs = [maxs[i] for i in order]
 
-    spans = [max(e for m in part.values() for e in m)
-             - min(e for m in part.values() for e in m) for part in parts]
-    w = _width(list(Counter(sum(abs(c) for m in p.values() for c in m.values())
-                            for p in parts).items()), sum(spans))
+    w = _width(list(Counter(l1 for _, l1, _, _ in parts).items()),
+               sum(span for _, _, span, _ in parts))
 
     # field v: shift sh[v], guard bit g[v], values 0..R[v]
     base = [sum(col) for col in zip(*mins)]
@@ -1122,7 +1191,7 @@ def _multiply_within(nvars: int, parts: list[dict],
     acc = {0: (0, 1)}
     span = 0
     pairs = _MAX_PRODUCT_PAIRS if not (hi or lo) else None
-    for part, pmin, pmax, pspan in zip(parts, mins, maxs, spans):
+    for (keys, _, pspan, pack), pmin, pmax in zip(parts, mins, maxs):
         span += pspan
         for v in range(nvars):
             pre[v] += pmin[v]
@@ -1131,8 +1200,8 @@ def _multiply_within(nvars: int, parts: list[dict],
                   for v, b in lo.items()}
         Z = (sum((g[v] - 1 + floors.get(v, 0)) << sh[v] for v in range(nvars))
              if any(floors.values()) else None)
-        items = [(sum((e - m) << s for e, m, s in zip(k, pmin, sh)),
-                  _pack(qm, w)) for k, qm in part.items()]
+        items = [(sum((e - m) << s for e, m, s in zip(k, pmin, sh)), ov)
+                 for k, ov in zip(keys, pack(w))]
         if pairs is not None:
             pairs -= len(acc) * len(items)
             if pairs < 0:

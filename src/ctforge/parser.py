@@ -20,14 +20,16 @@ whole input has parsed: every ParseError comes before any lowering work.
 powers and quotients of binomial factors, monomials and q-powers stay
 factored; sums collapse to Laurent polynomials (and are re-recognized as
 binomial factors when they happen to be one, so that "(1 - q^2*x0/x1)" can
-be inverted).  Dividing by anything else is a lowering error.
+be inverted).  Dividing by anything else is a lowering error; dividing by
+zero is a DomainError, as `0^0` and a zero Pochhammer factor are, and
+names its position.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import CTForgeError
+from .errors import CTForgeError, DomainError
 from .laurent import FactoredForm, LaurentPoly, qpoch_qrat, qpochhammer
 from .qfield import QRat
 
@@ -306,8 +308,7 @@ def _pow(ff: FactoredForm, e: int, span: tuple[int, int]) -> FactoredForm:
             f"at {span[0]}:{span[1]}: division by something that "
             "is not a product of binomial factors, monomials and scalars")
     if e < 0 and ff.scalar.is_zero():
-        raise LoweringError(
-            f"at {span[0]}:{span[1]}: division by zero")
+        raise DomainError(f"at {span[0]}:{span[1]}: division by zero")
     return ff ** e
 
 

@@ -177,7 +177,7 @@ class QPoly:
                 if s == 0:
                     del c[e]
                 else:
-                    c[e] = s
+                    c[e] = as_scalar(s)
         return QPoly._raw(c)
 
     def __neg__(self) -> "QPoly":

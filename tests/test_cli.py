@@ -384,6 +384,20 @@ class TestCtCommand:
             assert r.returncode == 2, expr[:20]
             assert "5000 digits" in r.stderr and "Traceback" not in r.stderr
 
+    def test_zero_division_exit_1(self):
+        # every zero division is a DomainError, whether lowering or the
+        # arithmetic finds it; the parser's keeps its position
+        for expr, msg in (("0^0", "0 to a nonpositive power"),
+                          ("qpoch(q,-1)", "negative Pochhammer hits a zero"),
+                          ("qpoch(q^2,-3)", "negative Pochhammer hits a zero"),
+                          ("0^-1", "at 1:1: division by zero"),
+                          ("1/0", "at 1:1: division by zero"),
+                          ("1/(1-q^0)", "at 1:1: division by zero")):
+            r = run_cli("ct", "--expr", expr, "--all-vars")
+            assert r.returncode == 1 and r.stdout == "", expr
+            assert r.stderr.startswith(f"error: {msg}"), expr
+            assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+
     def test_unprintable_value_exit_1(self):
         # 9^5000 has 4772 digits: str() refuses it
         r = run_cli("ct", "--expr", "9^5000", "--all-vars")

@@ -1,6 +1,7 @@
 """Laurent polynomials, factored forms, and the windowed expansion engine."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 import time
@@ -22,7 +23,7 @@ from ctforge.laurent import (_MAX_POWER, FactoredForm, LaurentPoly,
                              qbinomial, qfactorial, qpoch_qrat, qpoch_quotient,
                              qpochhammer)
 from ctforge.qfield import (_MAX_PACKED_BITS, QPoly, QRat, QRAT_ONE, QRAT_ZERO,
-                            _qprod, _width)
+                            _qprod, _unpack, _width)
 
 from binomials import binomial, run, triples
 
@@ -756,9 +757,110 @@ def _forms_with_runs(draw):
     return FactoredForm(nv, mono=mono, runs=runs), hi, lo
 
 
+@st.composite
+def _run_groups(draw):
+    """A group for `laurent._measure_run` and a cap: members (s, M, e) of one
+    monomial, small or large, and one sign of e, from one to three runs of
+    one to three factors with q-steps of either sign and |e| up to 3; the
+    cap lies past the group's start by at most its degree plus 2 for a
+    numerator group, which may truncate it, and by at most 8 for a
+    denominator group."""
+    mono = draw(st.sampled_from(((1, -1), (-1, 1), (2, -1), (1, 0), (0, -1))))
+    sign = draw(st.sampled_from((1, -1)))
+    group = []
+    for _ in range(draw(st.integers(1, 3))):
+        first, step = draw(st.integers(-4, 4)), draw(st.sampled_from((1, -1)))
+        e = sign * draw(st.integers(1, 3))
+        group += [(first + step * i, mono, e)
+                  for i in range(draw(st.integers(1, 3)))]
+    total = sum(abs(e) for _, _, e in group)
+    room = draw(st.integers(0, total + 2 if sign > 0 else 8))
+    return group, _direction(group)[1] + room
+
+
+def _reference_group(group, cap):
+    """The product of the factors (1 - q^s M)^e of group by plain
+    {q-exponent: int} arithmetic, each a series in Y (`_direction`) kept to
+    the index cap."""
+    y, _ = _direction(group)
+    acc = {0: {0: 1}}               # index of Y -> q-map
+    for s, mono, e in group:
+        if e > 0:
+            terms = {t: {s * t: (-1) ** t * comb(e, t)} for t in range(e + 1)}
+        elif mono == y:             # small: sum C(t + p - 1, p - 1) (q^s M)^t
+            terms = {t: {s * t: comb(t - e - 1, -e - 1)}
+                     for t in range(cap + 1)}
+        else:                       # large: (-1)^p C(t - 1, p - 1) (q^-s/M)^t
+            terms = {t: {-s * t: (-1) ** e * comb(t - 1, -e - 1)}
+                     for t in range(-e, cap + 1)}
+        out = {}
+        for t1, m1 in acc.items():
+            for t2, m2 in terms.items():
+                if t1 + t2 > cap:
+                    continue
+                o = out.setdefault(t1 + t2, {})
+                for e1, c1 in m1.items():
+                    for e2, c2 in m2.items():
+                        o[e1 + e2] = o.get(e1 + e2, 0) + c1 * c2
+        acc = {t: {e: c for e, c in m.items() if c} for t, m in out.items()}
+    return {tuple(x * t for x in y): m for t, m in acc.items() if m}
+
+
+def _decoded(keys, l1, pack):
+    """The maps of a measured group, packed at the least width that decodes
+    a coefficient of size up to l1."""
+    w = l1.bit_length() + 1
+    return {k: _unpack(o, v, w) for k, (o, v) in zip(keys, pack(w))}
+
+
 class TestRunParts:
     """The factors that share a monomial expand together, one part per
     numerator run and one per denominator run."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_run_groups())
+    def test_measure_matches_decoded_part(self, case):
+        # the l1 norm and q-span measured at q = 1 are those of the maps
+        # the pack step builds, and those maps are the group's product
+        group, cap = case
+        keys, l1, span, pack = laurent._measure_run(group, cap)
+        part = _decoded(keys, l1, pack)
+        assert part == _reference_group(group, cap)
+        assert len(part) == len(keys) and all(part.values())
+        qs = [e for m in part.values() for e in m]
+        assert l1 == sum(abs(c) for m in part.values() for c in m.values())
+        assert span == max(qs) - min(qs)
+
+    def test_width_matches_decoded_maps(self, monkeypatch, capsys):
+        # every product of brute (4; 4,4,4,4) and of ct K((3,3),7) --var x0
+        # --trunc 6 sets the slot width its groups' decoded maps would
+        # set, and gives the same maps
+        from ctforge.cli import main
+        from ctforge.qdyson import qdyson_lhs_product, qdyson_rhs
+        widths, seen = [], []
+        monkeypatch.setattr(laurent, "_width", lambda norms, span:
+                            widths.append(_width(norms, span)) or widths[-1])
+        real = laurent._multiply_within
+
+        def spy(nv, parts, hi, lo, series=()):
+            got = real(nv, parts, hi, lo, series)
+            w = widths[-1]
+            decoded = [_decoded(keys, l1, pack) for keys, l1, _, pack in series]
+            assert real(nv, parts + decoded, hi, lo) == got
+            seen.append(len(series))
+            assert widths[-1] == w
+            return got
+
+        monkeypatch.setattr(laurent, "_multiply_within", spy)
+        a = (4, 4, 4, 4)
+        assert ct_all_bruteforce(qdyson_lhs_product(4, a)) == qdyson_rhs(4, a)
+        assert len(seen) == 1
+        k33_7 = ("qpoch(q*x1/x0,3)*qpoch(q*x2/x0,3)*qpoch(x1/x2,3)*"
+                 "qpoch(q*x2/x1,3)*qpoch(x0/x1,-7)*qpoch(x0/x2,-7)")
+        assert main(["ct", "--expr", k33_7, "--var", "x0", "--method", "both",
+                     "--trunc", "6"]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(seen) > 1 and all(seen)
 
     @settings(max_examples=150, deadline=None)
     @given(_forms_with_runs())
@@ -782,9 +884,11 @@ class TestRunParts:
                                     qdyson_rhs, rhs_value_at)
         seen = []
         real = laurent._multiply_within
-        monkeypatch.setattr(laurent, "_multiply_within",
-                            lambda nv, parts, hi, lo: seen.append(len(parts))
-                            or real(nv, parts, hi, lo))
+        monkeypatch.setattr(
+            laurent, "_multiply_within",
+            lambda nv, parts, hi, lo, series=():
+            seen.append(len(parts) + len(series))
+            or real(nv, parts, hi, lo, series))
         a = (4, 4, 4, 4)
         assert ct_all_bruteforce(qdyson_lhs_product(4, a)) == qdyson_rhs(4, a)
         assert ct_all_series(qdyson_kernel(9, (2, 2, 2))) == \
@@ -814,9 +918,9 @@ class TestRunParts:
         from ctforge.parser import lower, parse
         from ctforge.qdyson import qdyson_lhs_product, qdyson_rhs
         caps = []
-        real = laurent._run_part
-        monkeypatch.setattr(laurent, "_run_part", lambda run, cap:
-                            caps.append((len(run), cap)) or real(run, cap))
+        real = laurent._measure_run
+        monkeypatch.setattr(laurent, "_measure_run", lambda group, cap:
+                            caps.append((len(group), cap)) or real(group, cap))
         assert ct_all_series(lower(parse("x0^-3000*qpoch(x0/x1,-3)"))) == \
             QRAT_ZERO
         assert caps == [(3, 0)]

@@ -25,6 +25,11 @@ class TestQPoly:
     def test_no_stored_zeros(self):
         assert qp({0: 0, 2: 5}).c == {2: 5}
 
+    def test_sum_normalizes_integral_fractions(self):
+        # 1/2 + 1/2 is held as the int 1, as every integral coefficient is
+        s = qp({0: Fraction(1, 2)}) + qp({0: Fraction(1, 2)})
+        assert s.c == {0: 1} and type(s.c[0]) is int
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(DomainError):
             qp({-1: 1})
