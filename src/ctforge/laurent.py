@@ -728,35 +728,33 @@ class FactoredForm:
         one more part, their product with the one key 0, built after the
         caps; they bound no variable.
 
-        Why one cap per group is exact.  A group is one series c_t Y^t,
-        t >= t0 the sum of its members' first indices, Y = M for a
-        numerator group; a denominator group's Y has zero exponents on all
-        variables below its control variable.  Fix a product term whose
-        final exponents lie in the window and process variables in
-        expansion order.  On variable v, negative contributions can come
-        only from the fixed parts (monomial, sums: finite, minima known
-        exactly), from numerator groups (finite, minima known) and from
-        denominator groups controlled by earlier variables, whose indices
-        are already capped, so their most-negative contribution to v is
-        known.  Everything else contributes >= its t = t0 minimum.  The
-        remaining headroom under hi[v] therefore bounds t for every group
-        controlled by v, and induction up the variable order bounds them
-        all.  Then every bound of the window on a variable of Y, given the
-        least or the most that everything else adds to it, bounds t again.
-        A term of a group at index t is a sum of its members' terms whose
-        indices add up to t, so the cap bounds each member too: none needs
-        a term past it.  In particular, for the negative-exponent q-Dyson
-        kernel the computed x0 cap is at most the parameter sum, the
-        classical bound.
+        Why one cap per group is exact.  A group is one series c_t Y^t, t >= t0
+        the sum of its members' first indices, Y = M for a numerator group; a
+        denominator group's Y has zero exponents on all variables below its
+        control variable and a positive one on it.  Fix a product term in the
+        window and take the variables in expansion order, as `_series_bounds`
+        does, with every cap found so far a bound on the term's index in its
+        group.  On x_v the fixed parts (monomial, sums) add at least their
+        minimum and at most their maximum; a group whose Y raises x_v adds at
+        least t0 times Y's exponent, and one whose Y lowers x_v at least its
+        cap times it, a cap already proven (a numerator group's degree, or one
+        found at an earlier variable, as Y's lowest variable has a positive
+        exponent).  So hi[v], less the least the rest adds, bounds the index of
+        every group whose Y raises x_v; with those proven, lo[v], less the most
+        the rest adds, bounds every group whose Y lowers x_v.  A new cap, and
+        its minimum with an older one, bounds the term: tightening with caps
+        already proven stays sound, and induction up the variable order proves
+        them all.  A denominator group gets its first cap at its control
+        variable, which therefore needs a hi bound.  A group's term at index t
+        is a sum of member terms whose indices add up to t, so the cap bounds
+        each member too.  For the negative-exponent q-Dyson kernel the x0 cap
+        is at most the parameter sum, the classical bound.
 
         Why the slot width stays valid.  `_multiply_within` sets one width
         from the l1 norms and q-spans of all parts, and a group reaches it
         measured, not built: no coefficient of a group can cancel (at each
         index its terms share one sign), so its norm and span at q = 1 are
-        those of its maps, and the width is the one its maps would set.  A
-        group's l1 norm is at most the product of its members' (the norm
-        is submultiplicative, and truncation only drops terms), so a group
-        needs no wider slots than its members did as parts of their own.
+        those of its maps, and the width is the one its maps would set.
         """
         nv = self.nvars
         if self.is_zero():
@@ -794,23 +792,21 @@ class FactoredForm:
         """Index cap per group, or None if the window admits no terms at all.
 
         Each group, its members (s, M, e) the factors (1 - q^s M)^e, counts
-        as one series over Y (`_direction`) that starts at the sum of its
-        members' first indices, so the induction of `expand_within` runs
-        over groups in place of factors; a numerator group is capped at
-        first by its degree.  A denominator group's cap leaves every member
-        the headroom the member alone would get: with members' first
-        indices s_i, the group's cap less its start is each member's own
-        cap less s_i.  Where Y's exponent in x_v is negative, the group's
-        index contributes at most cap times it, at least as much as its
-        members capped apart, so later caps are no larger.
+        as one series over Y (`_direction`) from t0, the sum of its members'
+        first indices; a numerator group starts capped by its degree, a
+        denominator group uncapped.  One pass over the variables in
+        expansion order caps the rest and tightens every cap.  At x_v:
 
-        A second pass tightens every cap by each bound of the window on a
-        variable of Y, hi where Y's exponent is positive and lo where it is
-        negative, given the least or the most that the fixed parts and the
-        other groups, at their first indices or caps, add to that variable.
-        A product term in the window meets every such bound, so the caps
-        stay exact, and a group is no longer than the window can use, as
-        `_multiply_within` would prune its members one by one.
+          1. a denominator group controlled by x_v needs hi[v], and
+             TruncationError is raised without;
+          2. hi[v] caps every group whose Y raises x_v, given the least the
+             fixed parts and the other groups add to x_v;
+          3. lo[v] caps every group whose Y lowers x_v, given the most they
+             add.
+
+        The least and the most take each other group at t0 or at its cap
+        so far, whichever is the extreme.  A cap below t0 means no term
+        reaches the window.  `expand_within` proves every cap a bound.
         """
         if not groups:
             return []
@@ -822,52 +818,34 @@ class FactoredForm:
                 fixed_max[v] += max(col)
 
         ymono, t0 = zip(*map(_direction, groups))
-        tmax = [sum(e for _, _, e in group) if group[0][2] > 0 else None
+        caps = [sum(e for _, _, e in group) if group[0][2] > 0 else None
                 for group in groups]
-
+        lo = lo or {}
         for v in range(nv):
-            owned = [i for i, group in enumerate(groups)
-                     if tmax[i] is None and _control_var(group[0][1]) == v]
-            if not owned:
-                continue
-            if v not in hi:
+            # an uncapped group whose Y raises x_v is controlled by x_v
+            if v not in hi and any(caps[i] is None
+                                   for i, y in enumerate(ymono) if y[v] > 0):
                 raise TruncationError(
                     f"denominator factor controlled by x{v} needs a bound on x{v}")
-            # minimal possible contribution of every group to x_v; where it
-            # is negative, the group is a numerator group or its control
-            # variable is below v, so its cap is known
-            mins = [(t0[i] if y[v] >= 0 else tmax[i]) * y[v]
-                    for i, y in enumerate(ymono)]
-            total_min = sum(mins)
-            for i in owned:
-                step = ymono[i][v]
-                room = hi[v] - fixed_min[v] - (total_min - mins[i])
-                cap = room // step
-                if cap < t0[i]:
-                    return None
-                tmax[i] = cap
-        # every denominator group has a variable, so its control variable
-        # owned a pass
-
-        def adds(j, v, most):       # the least or the most group j adds to x_v
-            return (tmax[j] if (ymono[j][v] > 0) == most else t0[j]) * ymono[j][v]
-
-        least = [fixed_min[v] + sum(adds(j, v, False) for j in range(len(groups)))
-                 for v in range(nv)]
-        most = [fixed_max[v] + sum(adds(j, v, True) for j in range(len(groups)))
-                for v in range(nv)]
-        lo = lo or {}
-        caps = []
-        for i, y in enumerate(ymono):
-            cap = tmax[i]
-            for v, ev in enumerate(y):
-                if ev > 0 and v in hi:
-                    cap = min(cap, (hi[v] - least[v] + adds(i, v, False)) // ev)
-                elif ev < 0 and v in lo:
-                    cap = min(cap, (most[v] - adds(i, v, True) - lo[v]) // -ev)
-            if cap < t0[i]:
-                return None
-            caps.append(cap)
+            # hi[v] bounds sign * x_v from above for sign 1, lo[v] for -1
+            for sign, bound, fixed in ((1, hi, fixed_min[v]),
+                                       (-1, lo, -fixed_max[v])):
+                if v not in bound:
+                    continue
+                z = [sign * y[v] for y in ymono]
+                # the least each group adds to sign * x_v; a cap is known
+                # wherever z < 0
+                least = [(t0[i] if zi >= 0 else caps[i]) * zi
+                         for i, zi in enumerate(z)]
+                room = sign * bound[v] - fixed - sum(least)
+                for i, zi in enumerate(z):
+                    if zi > 0:
+                        cap = (room + least[i]) // zi
+                        if caps[i] is not None:
+                            cap = min(cap, caps[i])
+                        if cap < t0[i]:
+                            return None
+                        caps[i] = cap
         return caps
 
     def __str__(self) -> str:
@@ -969,10 +947,12 @@ def _measure_run(group: list[tuple], cap: int) -> tuple:
     Refusals, before any term is built: a numerator member's exponent is
     held to _MAX_POWER, a denominator group to L + 1 <= _MAX_PRODUCT_KEYS
     terms, and the largest key is checked for overflow, which bounds every
-    key.  The width `qfield._width` gives for the members' norms and spans
-    is checked, as it would be for the members as parts; the group's
-    products of terms count against _MAX_PRODUCT_PAIRS, member by member,
-    so a group of many long series is refused in bounded time.
+    key.  The group's products of terms count against _MAX_PRODUCT_PAIRS,
+    member by member, so a group of many long series is refused in
+    bounded time.  A denominator member is packed by p passes over its n
+    indices instead (`_pack_run`) where those p n steps are fewer than half
+    its products of terms, a step weighed as two products; the budget
+    counts the products either way.
     """
     y, start = _direction(group)
     last = cap - start
@@ -985,27 +965,26 @@ def _measure_run(group: list[tuple], cap: int) -> tuple:
                           f"budget of {_MAX_PRODUCT_KEYS} terms")
     _check_exp(max(map(abs, y)) * cap)
     small = not start               # Y = M: a numerator or a small series
-    members = []                    # (r, t0, [c_0, c_1, ...])
+    members = []                    # (r, t0, [c_0, c_1, ...], steps)
+    n, pairs = 1, _MAX_PRODUCT_PAIRS
     for s, _, e in group:
         p = -e
         cs = [1 if small or p % 2 == 0 else -1]
         for u in range(min(-p, last) if p < 0 else last):
             cs.append(cs[-1] * (u + p) // (u + 1))
-        members.append((s, 0, cs) if small else (-s, p, cs))
-
-    _width(list(Counter(sum(map(abs, cs)) for _, _, cs in members).items()),
-           sum(abs(r) * (len(cs) - 1) for r, _, cs in members))
-    n, pairs = 1, _MAX_PRODUCT_PAIRS
-    for _, _, cs in members:
         # sum over i < n of min(len(cs), last + 1 - i): len(cs) for the
         # first k rows, then one fewer per row
         k = max(0, min(n, last + 2 - len(cs)))
-        pairs -= k * len(cs) + (n - k) * (2 * last + 3 - n - k) // 2
+        formed = k * len(cs) + (n - k) * (2 * last + 3 - n - k) // 2
+        pairs -= formed
         if pairs < 0:
             raise DomainError(
                 f"expansion too large: more than {_MAX_PRODUCT_PAIRS} "
                 f"products of terms exceed the work budget")
         n = min(n + len(cs) - 1, last + 1)
+        # p passes over n indices, where fewer than half the products
+        steps = p if 0 < 2 * p * n < formed else 0
+        members.append((s, 0, cs, steps) if small else (-s, p, cs, steps))
 
     total = sum(abs(e) for _, _, e in group)
     if group[0][2] < 0:
@@ -1016,7 +995,7 @@ def _measure_run(group: list[tuple], cap: int) -> tuple:
 
     def extent(sign):               # the most sign * q-exponent adds past T0
         room, most = last, 0
-        for r, _, cs in sorted(members, key=lambda m: -sign * m[0]):
+        for r, _, cs, _ in sorted(members, key=lambda m: -sign * m[0]):
             if sign * r <= 0 or not room:
                 break
             take = min(len(cs) - 1, room)
@@ -1032,30 +1011,50 @@ def _measure_run(group: list[tuple], cap: int) -> tuple:
 def _pack_run(members: list[tuple], last: int, w: int) -> list[tuple]:
     """The pack step of a group measured by `_measure_run`: the packed
     q-map (offset, value at q = 2^w) of each index u <= last, by the
-    one-dimensional product of the members (r, t0, [c_0, c_1, ...]).  A
-    member's term is one slot, so a term product is one multiply and an
-    offset add, and accumulating is one add after a shift.  Evaluation at
-    2^w is a ring homomorphism, so every value is exact at any w, and each
-    offset is its index's lowest q-exponent, as `qfield._pack` sets it."""
+    one-dimensional product of the members (r, t0, [c_0, c_1, ...], steps).
+    A member's term is one slot, so a term product is one multiply and an
+    offset add, and accumulating is one add after a shift; a member with
+    steps = p > 0 is instead p divisions by 1 - q^r Y, each one pass up the
+    indices, then times c_0 q^(r t0).  Evaluation at 2^w is a ring
+    homomorphism, so every value is exact at any w, and each offset is its
+    index's lowest q-exponent, as `qfield._pack` sets it: no partial
+    product cancels."""
+    def plus(prev, o, v):           # prev + v q^o, both packed at w
+        if prev is None:
+            return o, v
+        po, pv = prev
+        if po <= o:
+            return po, pv + (v << w * (o - po))
+        return o, v + (pv << w * (po - o))
+
     acc = [(0, 1)]                  # (offset, value) of each Y^(T0 + u)
-    for r, t0, cs in members:
-        out: list = [None] * min(len(acc) + len(cs) - 1, last + 1)
-        for i, (o1, v1) in enumerate(acc):
-            for j, c in enumerate(cs[:last + 1 - i], i):
-                o = o1 + r * (t0 + j - i)
-                v = v1 * c
-                prev = out[j]
-                if prev is not None:
-                    po, pv = prev
-                    if po == o:
-                        v += pv
-                    elif po < o:
-                        v = pv + (v << w * (o - po))
-                        o = po
-                    else:
-                        v += pv << w * (po - o)
-                out[j] = (o, v)
-        acc = out
+    for r, t0, cs, steps in members:
+        n = min(len(acc) + len(cs) - 1, last + 1)
+        if steps:
+            acc += [None] * (n - len(acc))
+            for _ in range(steps):
+                for u in range(1, n):
+                    o, v = acc[u - 1]
+                    acc[u] = plus(acc[u], o + r, v)
+            acc = [(o + r * t0, v * cs[0]) for o, v in acc]
+        else:
+            out: list = [None] * n
+            for i, (o1, v1) in enumerate(acc):
+                for j, c in enumerate(cs[:last + 1 - i], i):
+                    o = o1 + r * (t0 + j - i)
+                    v = v1 * c
+                    prev = out[j]
+                    if prev is not None:
+                        po, pv = prev
+                        if po == o:
+                            v += pv
+                        elif po < o:
+                            v = pv + (v << w * (o - po))
+                            o = po
+                        else:
+                            v += pv << w * (po - o)
+                    out[j] = (o, v)
+            acc = out
     return acc
 
 

@@ -1,7 +1,6 @@
 """End-to-end command-line checks: exit codes and emitted artifacts."""
 
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -15,8 +14,9 @@ from ctforge import cli, qdyson
 from ctforge.cli import main
 from ctforge.ctengine import ct_factored_pfrac_labeled
 from ctforge.errors import size_str
+from ctforge.laurent import qbinomial
 from ctforge.parser import lower, parse
-from ctforge.qfield import QPoly
+from ctforge.qfield import QPoly, QRat
 from ctforge.qdyson import certificate_from_dict, validate_certificate
 from ctforge.tournament import Witness
 
@@ -176,13 +176,9 @@ class TestCtCommand:
                     "--var", "x0", "--method", "pfrac")
         assert r.returncode == 0 and r.stdout == "1\n"
 
-    def test_benchmark_kernel_summands_pinned(self, capsys):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_cases", ROOT / "perfbench" / "cases.py")
-        cases = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(cases)
-        assert main(["ct", "--expr", cases.kernel_expr((2, 1, 1), 4), "--var",
-                     "x0", "--method", "both", "--trunc", "1"]) == 0
+    def test_benchmark_kernel_summands_pinned(self, capsys, bench_cases):
+        assert main(["ct", "--expr", bench_cases.kernel_expr((2, 1, 1), 4),
+                     "--var", "x0", "--method", "both", "--trunc", "1"]) == 0
         out = capsys.readouterr().out
         assert "0" not in out.rstrip("\n").split("  +  ")
         assert hashlib.sha256(out.encode()).hexdigest() == \
@@ -352,6 +348,44 @@ class TestCtCommand:
         self._refused("qpoch(x0/x1,40)*qpoch(x1/x0,40)*qpoch(x0/x2,40)*"
                       "qpoch(x2/x0,40)*qpoch(x0/x3,40)*qpoch(x3/x0,40)*"
                       "qpoch(x1/x2,40)*qpoch(x2/x1,40)")
+
+    def test_group_width_is_the_product_width(self, capsys):
+        # x0^-100 / (x0; q^-1)_40: the constant term is h_100(1, q^-1, ...,
+        # q^-39) = q^-3900 [139, 39]_q.  The group measures 118 bits over
+        # 4,001 powers of q, within the packed budget, though its members'
+        # norms and spans would claim at least 242 bits over 78,001
+        assert main(["ct", "--expr", "x0^-100*qpoch(q*x0,-40)",
+                     "--all-vars"]) == 0
+        assert capsys.readouterr().out == \
+            f"{qbinomial(139, 39) * QRat.qpow(-3900)}\n"
+
+    @pytest.mark.parametrize("expr, value", [
+        # h_300(1, q^-1, ..., q^-39) = q^-11700 [339, 39]_q
+        ("x0^-300*qpoch(q*x0,-40)",
+         lambda: qbinomial(339, 39) * QRat.qpow(-11700)),
+        # [x0^1000] 1/((1 - x0)(1 - q^60 x0)) = 1 + q^60 + ... + q^60000
+        ("x0^-1000/((1-x0)*(1-q^60*x0))",
+         lambda: " + ".join(["1"] + [f"q^{60 * k}" for k in range(1, 1001)])),
+    ])
+    def test_long_groups_pack_in_passes(self, expr, value):
+        # each member after the first is one pass over the indices; formed
+        # by products of terms, the two took about 48 s and 12 s
+        r = run_bounded_cli("ct", "--expr", expr, "--all-vars", timeout=10)
+        assert r.returncode == 0 and r.stdout == f"{value()}\n"
+
+    @pytest.mark.parametrize("expr, refusal", [
+        # past the packed budget by the group's own measured width
+        ("x0^-1000/((1-x0)*(1-q^5000*x0))",
+         "at least 20-bit coefficients over 5000001 powers of q exceed the "
+         "4194304-bit work budget"),
+        # past the budget of products of terms before any width is set
+        ("x0^-3000*qpoch(q*x0,-40)",
+         "more than 4194304 products of terms exceed the work budget"),
+    ])
+    def test_group_refusals(self, expr, refusal):
+        r = run_bounded_cli("ct", "--expr", expr, "--all-vars")
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == f"error: expansion too large: {refusal}\n"
 
     def test_series_length_budget_exit_1(self):
         # the series in x1/x2 would have trunc + 1 terms; it is refused

@@ -1,14 +1,17 @@
 """Source hygiene a linter would check: no module of the package imports a
-name it never uses, and every private name the package defines is used in
-it.  `__init__.py` is left out of the import check, as its imports are the
+name it never uses, every private name the package defines is used in it,
+and every private name the docs put in backticks is one it defines.
+`__init__.py` is left out of the import check, as its imports are the
 package's exports."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ctforge"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ctforge"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -86,3 +89,46 @@ def test_the_check_sees_an_uncalled_private_name():
                                                    "m.py: _power"]
     assert _uncalled_private({"m.py": source, "n.py": "_power(Q)\n"}) \
         == ["m.py: _power"]
+
+
+def _stale_private_names(texts: dict[str, str],
+                         sources: dict[str, str]) -> list[str]:
+    """The backticked private names (`_name` or `mod._name`, not a dunder)
+    of texts {label: text} that sources {file name: text} do not define as
+    a function, class or assigned name.  `mod._name` must be defined in
+    mod.py when that is one of sources, and anywhere in them otherwise."""
+    defined = {}
+    for fname, text in sources.items():
+        names = defined[fname] = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+    anywhere = set().union(*defined.values())
+    stale = []
+    for label, text in texts.items():
+        for m in re.finditer(r"`(?:(\w+)\.)?(_\w+)`", text):
+            mod, name = m.groups()
+            if name[:2] == name[-2:] == "__":
+                continue
+            names = defined.get(f"{mod}.py", anywhere)
+            if name not in names:
+                stale.append(f"{label}: {m.group()}")
+    return stale
+
+
+def test_backticked_private_names_are_defined():
+    # ROADMAP.md and CHANGES.md are history, and may name what is gone
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    texts = {"README.md": (ROOT / "README.md").read_text(), **sources}
+    assert _stale_private_names(texts, sources) == []
+
+
+def test_the_check_sees_a_stale_private_name():
+    sources = {"m.py": "_LIMIT = 1\n\ndef _live():\n    return _LIMIT\n",
+               "n.py": "class Q:\n    def _other(self):\n        pass\n"}
+    text = ("`_live`, `m._live`, `_LIMIT`, `Q._other`, `__init__`, "
+            "`_gone`, `m._gone`, `m._other`")
+    assert _stale_private_names({"doc": text}, sources) == [
+        "doc: `_gone`", "doc: `m._gone`", "doc: `m._other`"]

@@ -5,9 +5,10 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 import time
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctforge import laurent, qfield
 from ctforge.ctengine import (ct_all_bruteforce, ct_all_series,
@@ -19,8 +20,9 @@ from ctforge.identities import (finite_qbinomial_check,
                                 product_identity_check,
                                 qbinomial_theorem_check)
 from ctforge.laurent import (_MAX_POWER, FactoredForm, LaurentPoly,
-                             _direction, _move, _multiply_within, _pair_vars,
-                             qbinomial, qfactorial, qpoch_qrat, qpoch_quotient,
+                             _control_var, _direction, _move,
+                             _multiply_within, _pair_vars, qbinomial,
+                             qfactorial, qpoch_qrat, qpoch_quotient,
                              qpochhammer)
 from ctforge.qfield import (_MAX_PACKED_BITS, QPoly, QRat, QRAT_ONE, QRAT_ZERO,
                             _qprod, _unpack, _width)
@@ -928,6 +930,172 @@ class TestRunParts:
         assert ct_all_bruteforce(qdyson_lhs_product(5, (100,))) == \
             qdyson_rhs(5, (100,))
         assert caps == [(5, 5), (100, 5)]
+
+
+def _two_pass_bounds(nv, fixed_parts, groups, hi, lo):
+    """The group caps as two passes found them: an induction over the
+    variables that caps each denominator group at its control variable,
+    then a pass over the groups that tightens every cap by the window's
+    bounds on its variables, given the first pass's caps.  The reference
+    that the one-pass `FactoredForm._series_bounds` may only undercut."""
+    if not groups:
+        return []
+    fixed_min, fixed_max = [0] * nv, [0] * nv
+    for p in fixed_parts:
+        for v, col in enumerate(zip(*p)):
+            fixed_min[v] += min(col)
+            fixed_max[v] += max(col)
+    ymono, t0 = zip(*map(_direction, groups))
+    tmax = [sum(e for _, _, e in group) if group[0][2] > 0 else None
+            for group in groups]
+    for v in range(nv):
+        owned = [i for i, group in enumerate(groups)
+                 if tmax[i] is None and _control_var(group[0][1]) == v]
+        if not owned:
+            continue
+        if v not in hi:
+            raise TruncationError(f"x{v} has no bound")
+        mins = [(t0[i] if y[v] >= 0 else tmax[i]) * y[v]
+                for i, y in enumerate(ymono)]
+        for i in owned:
+            cap = (hi[v] - fixed_min[v] - sum(mins) + mins[i]) // ymono[i][v]
+            if cap < t0[i]:
+                return None
+            tmax[i] = cap
+
+    def adds(j, v, most):           # the least or the most group j adds to x_v
+        return (tmax[j] if (ymono[j][v] > 0) == most else t0[j]) * ymono[j][v]
+
+    least = [fixed_min[v] + sum(adds(j, v, False) for j in range(len(groups)))
+             for v in range(nv)]
+    most = [fixed_max[v] + sum(adds(j, v, True) for j in range(len(groups)))
+            for v in range(nv)]
+    lo = lo or {}
+    caps = []
+    for i, y in enumerate(ymono):
+        cap = tmax[i]
+        for v, ev in enumerate(y):
+            if ev > 0 and v in hi:
+                cap = min(cap, (hi[v] - least[v] + adds(i, v, False)) // ev)
+            elif ev < 0 and v in lo:
+                cap = min(cap, (most[v] - adds(i, v, True) - lo[v]) // -ev)
+        if cap < t0[i]:
+            return None
+        caps.append(cap)
+    return caps
+
+
+def _with_two_pass_bounds():
+    return patch.object(FactoredForm, "_series_bounds",
+                        lambda ff, parts, groups, hi, lo: _two_pass_bounds(
+                            ff.nvars, parts, groups, hi, lo))
+
+
+def _bounds_seen(call):
+    """call() with both cap rules spying on every `_series_bounds`: the
+    result and the (one-pass, two-pass) caps of each product."""
+    seen = []
+    real = FactoredForm._series_bounds
+
+    def spy(ff, parts, groups, hi, lo):
+        old = _two_pass_bounds(ff.nvars, parts, groups, hi, lo)
+        seen.append((real(ff, parts, groups, hi, lo), old))
+        return seen[-1][0]
+
+    with patch.object(FactoredForm, "_series_bounds", spy):
+        return call(), seen
+
+
+@st.composite
+def _forms_for_caps(draw):
+    """A form of 2 to 4 variables: numerator and denominator runs of x_i^d /
+    x_j^d, small three times as often as large, a monomial offset and
+    perhaps a sum of two terms; and a window with hi on every variable and
+    lo on some, or on none."""
+    nv = draw(st.integers(2, 4))
+
+    @st.composite
+    def monomial(draw):
+        i, j = sorted(draw(st.lists(st.integers(0, nv - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        if draw(st.integers(0, 3)) == 0:
+            i, j = j, i
+        d = draw(st.sampled_from((1, 1, 2)))
+        m = [0] * nv
+        m[i], m[j] = d, -d
+        return tuple(m)
+
+    @st.composite
+    def a_run(draw):
+        first, n = draw(st.integers(-3, 3)), draw(st.integers(0, 3))
+        last = first + draw(st.sampled_from((n, -n)))
+        return (draw(monomial()), first, last,
+                draw(st.sampled_from((1, 2, -1, -1, -2))))
+
+    runs = draw(st.lists(a_run(), min_size=1, max_size=6))
+    mono = draw(st.tuples(*[st.integers(-1, 1)] * nv))
+    polys = ()
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * nv),
+                             min_size=2, max_size=2, unique=True))
+        polys = (lp_mono(nv, keys[0]) + lp_mono(nv, keys[1]),)
+    hi = {v: draw(st.integers(0, 4)) for v in range(nv)}
+    lo = draw(st.none() | st.dictionaries(st.integers(0, nv - 1),
+                                          st.integers(-4, 0)))
+    return FactoredForm(nv, mono=mono, runs=runs, polys=polys), hi, lo
+
+
+class TestSeriesBounds:
+    """One pass over the variables caps every group, feeding each cap it
+    finds into the next: no cap is above the two-pass rule's, and no
+    expansion changes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_forms_for_caps())
+    @example((FactoredForm(3, runs=[((-1, 1, 0), 0, 0, 1)] * 4
+                           + [((1, 0, -1), 0, 0, 1)],
+                           polys=(lp_mono(3, (0, 0, -1)) + LaurentPoly.one(3),)),
+              {0: 0, 1: 0, 2: 0}, {2: 0}))   # lo meets a sum's largest key
+    def test_caps_never_rise(self, case):
+        ff, hi, lo = case
+        got, seen = _bounds_seen(lambda: ff.expand_within(hi, lo))
+        for new, old in seen:
+            if new is not None:         # only the one pass finds more empty
+                assert old is not None
+                assert all(n <= o for n, o in zip(new, old))
+        with _with_two_pass_bounds():
+            assert ff.expand_within(hi, lo).maps == got.maps
+
+    @pytest.mark.parametrize("a, new, old", [
+        ((1, 2, 1), [0, 2, 2, 0, 1, 2, 4, 7], [0, 2, 2, 0, 1, 2, 4, 9]),
+        ((1, 1, 2), None, [0, 0, 0, 0, 2, 2, 4, 4]),
+    ])
+    def test_ct_products_are_tightened(self, bench_cases, a, new, old):
+        # among the partial-fraction summands of the benchmark's ct
+        # K(a,4) --var x0 --trunc 1, over the window {0: 0, 1: 1, 2: 1,
+        # 3: 1}, one group's cap falls from 9 to 7, or a window is found
+        # empty before any group is built
+        from ctforge.cli import main
+        argv = ["ct", "--expr", bench_cases.kernel_expr(a, 4), "--var", "x0",
+                "--method", "both", "--trunc", "1"]
+        rc, seen = _bounds_seen(lambda: main(argv))
+        assert rc == 0
+        assert (new, old) in seen
+        for n, o in seen:
+            assert n is None or all(map(int.__le__, n, o))
+
+    def test_empty_before_the_unbounded_variable(self):
+        # x0^5 (1 - x0/x1) / (1 - x1/x2) with hi on x0 alone: the
+        # numerator group already leaves x0 above 0, so the one pass finds
+        # the window empty at x0, before x1's missing bound; the two
+        # passes raised at x1
+        ff = FactoredForm(3, mono=(5, 0, 0),
+                          runs=(run(0, (1, -1, 0)), run(0, (0, 1, -1), -1)))
+        assert ff.expand_within({0: 0}).is_zero()
+        with _with_two_pass_bounds(), pytest.raises(TruncationError):
+            ff.expand_within({0: 0})
+        with pytest.raises(TruncationError):
+            ff.expand_within({0: 5})
 
 
 class TestPackedPowers:

@@ -1,10 +1,8 @@
 """Expression grammar: parsing, grouping, lowering."""
 
-import importlib.util
 import re
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +16,6 @@ from ctforge.qdyson import qdyson_kernel
 from ctforge.qfield import QPoly, QRat
 
 from binomials import triples
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestParsing:
@@ -93,13 +89,9 @@ class TestNestingLimit:
             with pytest.raises(ParseError, match="nests deeper"):
                 parse(src)
 
-    def test_benchmark_kernel_parses(self):
+    def test_benchmark_kernel_parses(self, bench_cases):
         # the largest expression the benchmark's ct workload feeds the parser
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_cases", ROOT / "perfbench" / "cases.py")
-        cases = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(cases)
-        ff = lower(parse(cases.kernel_expr((2, 2, 2), 9)))
+        ff = lower(parse(bench_cases.kernel_expr((2, 2, 2), 9)))
         kernel = qdyson_kernel(9, (2, 2, 2))
         # the same factors, in the order the expression lists them
         assert (ff.nvars, ff.scalar, ff.mono, ff.polys) == \
