@@ -211,7 +211,7 @@ def run_ct(ap: argparse.ArgumentParser, args) -> int:
     method = args.method or "both"
     series_lp = pfrac_parts = None
     if method in ("series", "both"):
-        series_lp = ff.expand_within(window).free_of(var)
+        series_lp = ff.expand_within(window, {var: 0})
     if method in ("pfrac", "both"):
         try:
             pfrac_parts = [s for _, s in ct_factored_pfrac_labeled(ff, var)]

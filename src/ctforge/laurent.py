@@ -52,14 +52,17 @@ each sum is a part with its own keys; the scalar's denominator, the
 collapsed denominator factors and the sums' denominators become the
 result's denominator as they are, with no gcd.
 Q(q) enters only where a coefficient is read or printed:
-`QRat.from_laurent` reduces it then, once, and the canonical form is
-unique, so the bytes printed are those of term-by-term Q(q) arithmetic.
+`QRat.from_factors` reduces it then, once, from its map and the factored
+denominator as they are, by cyclotomic cancellation where the factors
+are binomials.  The canonical form is unique, so the bytes printed are
+those of term-by-term Q(q) arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
+from functools import lru_cache
 from math import comb, lcm
 
 from .errors import (DomainError, NotPolynomialError, ProofInvariantError,
@@ -171,8 +174,10 @@ def _mono_str(mono: tuple[int, ...]) -> str:
                     for i, e in enumerate(mono) if e)
 
 
+@lru_cache(maxsize=4096)
 def _factor_str(s: int, mono: tuple[int, ...], exp: int) -> str:
-    """(1 - q^s*X^mono)^exp as printed; ^1 is left out."""
+    """(1 - q^s*X^mono)^exp as printed; ^1 is left out.  Kept for reuse:
+    the summands of one partial-fraction run repeat most of their factors."""
     q = {0: "", 1: "q"}.get(s, f"q^{s}")
     base = f"(1 - {'*'.join(filter(None, (q, _mono_str(mono))))})"
     return base if exp == 1 else f"{base}^{exp}"
@@ -205,9 +210,9 @@ def _integer_pair(c: QRat) -> tuple[dict, dict]:
     return num, {e: int(v * scale) for e, v in c.den.c.items()}
 
 
-def _den_map(den: Counter) -> dict:
-    """The product of a factored denominator, as one integer map."""
-    return _qprod([(dict(f), k) for f, k in den.items()])
+def _den_pairs(den: Counter) -> list[tuple[dict, int]]:
+    """The factored denominator den as `_qprod` pairs (map, multiplicity)."""
+    return [(dict(f), k) for f, k in den.items()]
 
 
 def _den_times(den: Counter, m: dict, k: int = 1) -> Counter:
@@ -229,7 +234,8 @@ class _Terms(Mapping):
         self._p = p
 
     def __getitem__(self, k) -> QRat:
-        return QRat.from_laurent(self._p.maps[k], _den_map(self._p.den))
+        return QRat.from_factors([(self._p.maps[k], 1)],
+                                 _den_pairs(self._p.den))
 
     def __iter__(self):
         return iter(self._p.maps)
@@ -256,7 +262,7 @@ class LaurentPoly:
     shared factors (the partial-fraction summands of one kernel) keep a
     small denominator.  A coefficient becomes a canonical
     QRat only where it is read (`terms`, `coeff_of`, `constant_coeff`,
-    `str`), by `QRat.from_laurent` over the product of the factors.
+    `str`), by `QRat.from_factors` over the factors as they are.
     """
 
     __slots__ = ("nvars", "maps", "den")
@@ -303,7 +309,7 @@ class LaurentPoly:
     def _over(self, den: Counter) -> dict:
         """The maps over den, a multiple of self.den: each times the
         factors den has beyond self.den, each to its multiplicity."""
-        extra = [(dict(f), k) for f, k in (den - self.den).items()]
+        extra = _den_pairs(den - self.den)
         if not extra:
             return self.maps
         return {k: _qprod([(m, 1), *extra]) for k, m in self.maps.items()}
@@ -339,7 +345,9 @@ class LaurentPoly:
 
     def coeff_of(self, exps: tuple[int, ...]) -> QRat:
         m = self.maps.get(exps)
-        return QRAT_ZERO if m is None else QRat.from_laurent(m, _den_map(self.den))
+        if m is None:
+            return QRAT_ZERO
+        return QRat.from_factors([(m, 1)], _den_pairs(self.den))
 
     def constant_coeff(self) -> QRat:
         return self.coeff_of((0,) * self.nvars)
@@ -374,11 +382,11 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self.maps:
             return "0"
-        den = _den_map(self.den)
+        den = _den_pairs(self.den)
         bits = []
         for k in sorted(self.maps):
             mono = _mono_str(k)
-            vs = str(QRat.from_laurent(self.maps[k], den))
+            vs = str(QRat.from_factors([(self.maps[k], 1)], den))
             if mono and (" " in vs or "/" in vs):
                 vs = f"({vs})"
             bits.append(f"{vs}*{mono}" if mono else vs)
@@ -853,8 +861,7 @@ class FactoredForm:
             return "0"
         bits = self._bits()
         num, collapsed, den = _scalar_parts(self)
-        scalar = QRat.from_laurent(_qprod([(num, 1), *collapsed]),
-                                   _den_map(den))
+        scalar = QRat.from_factors([(num, 1), *collapsed], _den_pairs(den))
         if not scalar.is_one() or not bits:
             s = str(scalar)
             if bits and scalar.den.is_one() and len(scalar.num.c) > 1:

@@ -12,10 +12,18 @@ Conventions:
   * QPoly exponents are nonnegative.  Negative powers of q (which do occur,
     e.g. q^{-k} prefactors) live in QRat as a denominator q^k;
   * QRat is always canonical: num/den coprime, den monic.  Equality of
-    canonical representations is equality in the field.  `_canonicalize`
-    (through `QRat.__init__`) is the only place a quotient is reduced:
+    canonical representations is equality in the field.  Arithmetic
+    reduces in one place, `_canonicalize` (through `QRat.__init__`):
     products multiply numerators and denominators and reduce once there.
     A power is never reduced: raised, a canonical pair stays canonical.
+  * a coefficient held factored, as products of integer maps, is read by
+    one entry point, `QRat.from_factors`.  Every denominator the engine
+    builds is a product of monomials and binomials c (q^a - q^b), and
+    q^e - 1 is the product of the cyclotomic polynomials Phi_d over
+    d | e, so such a quotient is reduced by cancelling Phi_d counts and
+    dividing by what is left, exactly, with no gcd; any other denominator
+    is multiplied out and goes to `_canonicalize`, whose gcd is a
+    primitive pseudo-remainder sequence.
 
 The one product over Z[q], `_qprod`, packs each integer map {q-exponent:
 int} into its value at q = 2^w (Kronecker substitution; Harvey, J.
@@ -28,6 +36,7 @@ refuses a product past the budget before forming it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd, lcm, prod
 
 from .errors import DomainError, PoleError, size_str
@@ -374,30 +383,93 @@ class QRat:
         return cls._raw(_QP_ONE, QPoly.qpow(-e))
 
     @classmethod
-    def from_laurent(cls, terms: dict[int, int],
-                     den: dict[int, int] | None = None) -> "QRat":
-        """sum c q^e for {e: c} with nonzero int c and any integer e,
-        divided by the same kind of map den when one is given.
+    def from_laurent(cls, terms: dict[int, int]) -> "QRat":
+        """sum c q^e for {e: c} with nonzero int c and any integer e.
 
-        Canonical with no gcd when den is absent or {0: 1}: after shifting
-        by the lowest exponent m the numerator has a nonzero constant term,
-        so it is coprime to q^-m.  Any other den is reduced by
-        `_canonicalize`, with no gcd when it is a monomial.
+        Canonical with no gcd: after shifting by the lowest exponent m the
+        numerator has a nonzero constant term, so it is coprime to q^-m.
         """
         m = min(terms)
-        if den is None or den == {0: 1}:
-            if m >= 0:
-                return cls._raw(QPoly._raw(dict(terms)), _QP_ONE)
-            return cls._raw(QPoly._raw({e - m: c for e, c in terms.items()}),
-                            QPoly.qpow(-m))
-        d = min(den)
-        num = QPoly._raw({e - m: c for e, c in terms.items()})
-        dpoly = QPoly._raw({e - d: c for e, c in den.items()})
-        if m > d:
-            num = num.shifted(m - d)
-        else:
-            dpoly = dpoly.shifted(d - m)
-        return cls(num, dpoly)
+        if m >= 0:
+            return cls._raw(QPoly._raw(dict(terms)), _QP_ONE)
+        return cls._raw(QPoly._raw({e - m: c for e, c in terms.items()}),
+                        QPoly.qpow(-m))
+
+    @classmethod
+    def from_factors(cls, num: list[tuple[dict[int, int], int]],
+                     den: list[tuple[dict[int, int], int]]) -> "QRat":
+        """The quotient of two products of integer maps, each side a list
+        of `_qprod` pairs (m, k): m a nonzero map {q-exponent: int}, k >= 1.
+        The one readout of a factored coefficient.
+
+        Reduced by cyclotomic cancellation.  A binomial c (q^a - q^b),
+        a < b, is -c q^a (q^e - 1) for e = b - a, and q^e - 1 is the
+        product of the cyclotomic polynomials Phi_d over d | e, each monic
+        and irreducible over Q (Lang, Algebra, ch. VI).  So a monomial or a
+        binomial factor adds its constant and its q-power to a scalar, and
+        a binomial its Phi_d multiplicities, with the sign of its side, to
+        one count.  The other numerator maps multiply into one map N, which
+        is divided by each Phi_d left in the denominator for as long as the
+        division is exact.  What is left is multiplied out (`_regroup`):
+        each remaining Phi_d is irreducible and does not divide the
+        numerator, and q divides at most one side, so the quotient is
+        coprime, and its denominator, a product of Phi_d and q, is monic.
+        That is the canonical form, found with no gcd.
+
+        A denominator map of any other shape, or a remainder too long to
+        multiply out as cyclotomic factors, takes the general route: both
+        sides multiplied out and reduced by `_canonicalize` (`_quotient`).
+        """
+        if not den and len(num) == 1 and num[0][1] == 1:
+            return cls.from_laurent(num[0][0])     # nothing to cancel
+        cn = cd = 1
+        shift = 0
+        general = []                # numerator maps of no binomial shape
+        binoms = ([], [])           # (e, k) of each side's binomials
+        phi: dict[int, int] = {}    # d: Phi_d's multiplicity, + upstairs
+        for side, pairs in enumerate((num, den)):
+            sign = 1 - 2 * side
+            for m, k in pairs:
+                if len(m) == 1:
+                    (a, c), = m.items()
+                elif len(m) == 2 and sum(m.values()) == 0:
+                    a, b = sorted(m)
+                    c = -m[a]
+                    binoms[side].append((b - a, k))
+                    for d in _divisors(b - a):
+                        phi[d] = phi.get(d, 0) + sign * k
+                elif not side:
+                    general.append((m, k))
+                    continue
+                else:
+                    return _quotient(_qprod(num), _qprod(den))
+                if side:
+                    cd *= c ** k
+                else:
+                    cn *= c ** k
+                shift += sign * a * k
+
+        nmap = _qprod(general) if general else None
+        if nmap and any(m < 0 for m in phi.values()):
+            nmap = _divide_out(nmap, phi, {e for e, _ in binoms[1]})
+        upper = _regroup(binoms[0], {d: m for d, m in phi.items() if m > 0})
+        lower = _regroup(binoms[1], {d: -m for d, m in phi.items() if m < 0})
+        if upper is None or lower is None:
+            return _quotient(_qprod(num), _qprod(den) if den else {0: 1})
+        if nmap is not None:
+            upper.append((nmap, 1))
+        n = _qprod(upper) if upper else {0: 1}
+        d = _qprod(lower) if lower else {0: 1}
+        # each Phi_d has a nonzero constant term: the power of q is the
+        # scalars' times N's lowest, on one side
+        low = min(n)
+        shift += low
+        if shift < 0:
+            d = {e - shift: c for e, c in d.items()}
+        scale = as_scalar(Fraction(cn, cd))
+        top = max(shift, 0) - low
+        return cls._raw(QPoly._raw({e + top: as_scalar(c * scale)
+                                    for e, c in n.items()}), QPoly._raw(d))
 
     # -- predicates -----------------------------------------------------------
 
@@ -601,6 +673,157 @@ def _poly_product(pairs: list[tuple[QPoly, int]]) -> QPoly:
     scale = _qprod(scales)[0] if scales else 1
     return QPoly._raw({e: as_scalar(Fraction(c, scale)) for e, c in m.items()}
                       if scale > 1 else m)
+
+
+@lru_cache(maxsize=1024)
+def _primes(n: int) -> tuple[int, ...]:
+    """The distinct primes of n >= 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return (*out, n) if n > 1 else tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _divisors(e: int) -> tuple[int, ...]:
+    """The divisors of e >= 1."""
+    out, n = [1], e
+    for p in _primes(e):
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        out = [x * p ** i for x in out for i in range(k + 1)]
+    return tuple(out)
+
+
+def _totient(d: int) -> int:
+    """Euler's phi(d), the degree of Phi_d."""
+    ps = _primes(d)
+    return d // prod(ps) * prod(p - 1 for p in ps)
+
+
+@lru_cache(maxsize=1024)
+def _moebius(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(plus, minus): d/s over the squarefree s | d with mu(s) = 1 and with
+    mu(s) = -1, so that Phi_d is the product of q^e - 1 over plus divided
+    by that over minus."""
+    ps = _primes(d)
+    plus, minus = [], []
+    for mask in range(1 << len(ps)):
+        s = prod(p for i, p in enumerate(ps) if mask >> i & 1)
+        (minus if mask.bit_count() % 2 else plus).append(d // s)
+    return tuple(plus), tuple(minus)
+
+
+def _binomial_ratio(n: list[int], times: tuple[int, ...],
+                    over: tuple[int, ...]) -> list[int] | None:
+    """n times the product of q^e - 1 over times, divided by that over
+    over, for a dense list n, the lowest coefficient first; None unless
+    the division is exact.  Each binomial is one pass: times q^e - 1
+    subtracts the list from itself shifted up by e; over q^e - 1 sums it
+    along each residue class mod e from the top, which leaves the
+    quotient above the lowest e places and, just when it is exact, zeros
+    in them."""
+    c = n + [0] * sum(times)
+    for e in times:
+        for i in range(len(c) - 1, -1, -1):
+            c[i] = (c[i - e] if i >= e else 0) - c[i]
+    for e in over:
+        for i in range(len(c) - 1 - e, -1, -1):
+            c[i] += c[i + e]
+        if any(c[:e]):
+            return None
+        c = c[e:]
+    return c
+
+
+@lru_cache(maxsize=256)
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Phi_d's coefficients, the lowest first."""
+    return tuple(_binomial_ratio([1], *_moebius(d)))
+
+
+def _divide_out(nmap: dict[int, int], phi: dict[int, int],
+                exps: set[int]) -> dict[int, int]:
+    """nmap divided by each Phi_d that phi counts downstairs (phi[d] < 0)
+    for as long as the division is exact, each division counted back into
+    phi.  A whole q^e - 1, e in exps, goes first, in one pass, where every
+    Phi_d of it is still downstairs."""
+    low = min(nmap)
+    dense = [0] * (max(nmap) - low + 1)
+    for e, c in nmap.items():
+        dense[e - low] = c
+    for e in sorted(exps, reverse=True):
+        ds = _divisors(e)
+        while all(phi[d] < 0 for d in ds):
+            quo = _binomial_ratio(dense, (), (e,))
+            if quo is None:
+                break
+            dense = quo
+            for d in ds:
+                phi[d] += 1
+    for d in sorted(d for d, m in phi.items() if m < 0):
+        # deg Phi_d > deg N, surely when d > 2 deg(N)^2: no quotient
+        if d > 2 * len(dense) ** 2 or _totient(d) >= len(dense):
+            continue
+        plus, minus = _moebius(d)
+        while phi[d] < 0:
+            quo = _binomial_ratio(dense, minus, plus)
+            if quo is None:
+                break
+            dense = quo
+            phi[d] += 1
+    return {e + low: c for e, c in enumerate(dense) if c}
+
+
+# The most degree `_regroup` gives Phi_d factors of its own, beyond the
+# binomials it rebuilds whole; past it a readout takes the general route.
+_MAX_CYCLOTOMIC_DEGREE = 256
+
+
+def _regroup(binoms: list[tuple[int, int]],
+             counts: dict[int, int]) -> list[tuple[dict, int]] | None:
+    """`_qprod` pairs of the product of Phi_d^counts[d]: first each
+    binomial q^e - 1 of binoms, pairs (e, k), as many times (up to k) as
+    every Phi_d, d | e, is still counted, so nothing cancelled rebuilds
+    the binomials as they came; then each Phi_d left.  None when those
+    left exceed _MAX_CYCLOTOMIC_DEGREE."""
+    pairs = []
+    for e, k in sorted(binoms, reverse=True):
+        t = min(k, *(counts.get(d, 0) for d in _divisors(e)))
+        if t:
+            pairs.append(({0: -1, e: 1}, t))
+            for d in _divisors(e):
+                counts[d] -= t
+    degree = 0
+    for d, m in counts.items():
+        if m:
+            # phi(d) >= sqrt(d / 2): past this d, too long before phi
+            if d > 2 * _MAX_CYCLOTOMIC_DEGREE ** 2:
+                return None
+            degree += m * _totient(d)
+            if degree > _MAX_CYCLOTOMIC_DEGREE:
+                return None
+            pairs.append(({i: c for i, c in enumerate(_cyclotomic(d)) if c},
+                          m))
+    return pairs
+
+
+def _quotient(num: dict[int, int], den: dict[int, int]) -> QRat:
+    """num / den for nonzero integer maps, reduced by `_canonicalize`."""
+    m, d = min(num), min(den)
+    n = QPoly._raw({e - m: c for e, c in num.items()})
+    dpoly = QPoly._raw({e - d: c for e, c in den.items()})
+    if m > d:
+        n = n.shifted(m - d)
+    else:
+        dpoly = dpoly.shifted(d - m)
+    return QRat(n, dpoly)
 
 
 def _canonicalize(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:

@@ -285,7 +285,9 @@ class TestCtCommand:
         assert r.returncode == 0 and r.stdout == "0\n"
 
     def test_all_scalar_summands_reduce_once(self, monkeypatch, capsys):
-        # the summands are added as integer maps and reduced once, to print
+        # the summands are added as integer maps and reduced once, to
+        # print, by cyclotomic cancellation: the denominators are
+        # binomials, so no gcd is made
         calls = []
         gcd = QPoly.gcd
         monkeypatch.setattr(QPoly, "gcd", staticmethod(
@@ -298,7 +300,20 @@ class TestCtCommand:
             calls.clear()
             assert main(["ct", "--expr", expr, "--var", "x0"]) == 0
             assert capsys.readouterr().out == out + "\n"
-            assert len(calls) <= 1
+            assert calls == []
+
+    def test_general_scalar_denominator_reaches_the_gcd(self, monkeypatch,
+                                                       capsys):
+        # qpoch(q,2) is one multiplied-out scalar, (1-q)(1-q^2) = 1 - q -
+        # q^2 + q^3, not a binomial: the readout takes the gcd route
+        calls = []
+        gcd = QPoly.gcd
+        monkeypatch.setattr(QPoly, "gcd", staticmethod(
+            lambda a, b: calls.append(1) or gcd(a, b)))
+        assert main(["ct", "--expr", "1/((1-x0/x1)*qpoch(q,2))",
+                     "--var", "x0"]) == 0
+        assert capsys.readouterr().out == "1/(1 - q - q^2 + q^3)\n"
+        assert calls
 
     def test_zero_sum_makes_the_form_zero(self, capsys):
         # x0 - x0 is the zero sum, so the form is zero, not of degree 0
@@ -674,7 +689,7 @@ class TestHugeSizes:
     @pytest.mark.parametrize("args", [
         ("ct", "--expr", f"qpoch(q,{N})", "--all-vars"),
         ("ct", "--expr", f"(x0^999999999)^{N}", "--all-vars"),
-        ("ct", "--expr", "1/(1-x0/x1)", "--var", "x1", "--trunc", N),
+        ("ct", "--expr", "1/(1-x1/x2)", "--var", "x0", "--trunc", N),
         ("identities", "--trunc", N),
         ("verify", "--a0", N, "--a", "1"),
         ("verify", "--a0", "1", "--a", N),
@@ -684,6 +699,14 @@ class TestHugeSizes:
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
         assert len(r.stderr) < 200
+
+    def test_point_window_caps_the_extraction_variable(self):
+        # the series side is expanded with lo = 0 on x1 as well as hi = 0,
+        # so x1's lo caps the group of 1/(1 - x0/x1) at index 0, whatever
+        # --trunc bounds x0 by
+        r = run_bounded_cli("ct", "--expr", "1/(1-x0/x1)", "--var", "x1",
+                            "--trunc", self.N, timeout=10)
+        assert (r.returncode, r.stdout, r.stderr) == (0, "1\n", "")
 
     def test_size_str(self):
         # exact up to 20 digits, then three digits, truncated, and the power

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 import time
 from unittest.mock import patch
@@ -1096,6 +1097,35 @@ class TestSeriesBounds:
             ff.expand_within({0: 0})
         with pytest.raises(TruncationError):
             ff.expand_within({0: 5})
+
+
+class TestPointWindow:
+    """`ct --var` expands its series side with lo = 0 on the extraction
+    variable as well as hi = 0: the same maps, and the same str, as the
+    window with hi alone, its terms then kept where x_var is 0."""
+
+    @staticmethod
+    def _check(ff, hi, var):
+        got = ff.expand_within(hi, {var: 0})
+        want = ff.expand_within(hi).free_of(var)
+        assert got.maps == want.maps
+        assert str(got) == str(want)
+
+    def test_ct_kernels(self, bench_cases):
+        from ctforge.parser import lower, parse
+        for a, b, trunc in (((3, 3), 7, 6), ((2, 1, 1), 4, 1)):
+            for order in sorted(set(permutations(a))):
+                ff = lower(parse(bench_cases.kernel_expr(order, b)), 1)
+                hi = {v: trunc for v in range(ff.nvars)}
+                hi[0] = 0
+                self._check(ff, hi, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_forms_for_caps(), st.data())
+    def test_random_forms(self, case, data):
+        ff, hi, _ = case
+        var = data.draw(st.integers(0, ff.nvars - 1))
+        self._check(ff, {**hi, var: 0}, var)
 
 
 class TestPackedPowers:

@@ -7,12 +7,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from ctforge import qdyson
+from ctforge import qdyson, qfield
 from ctforge.ctengine import ct_all_series, ct_factored_pfrac_labeled
 from ctforge.errors import (CertificationError, DomainError,
                             ProofInvariantError)
@@ -961,6 +962,45 @@ class TestInterpolation:
         got = interpolate_eval(points, QRat.qpow(2))
         assert got == QRat(QPoly({0: 1, 1: 1, 2: 1}))
         assert got == lhs_value_at((1,), 2)
+
+    def test_one_reduction_per_point(self, monkeypatch):
+        # each point's term is multiplied as integer maps and reduced once;
+        # the value is that of the Lagrange form in QRat arithmetic, at
+        # abscissae and ordinates with q-power denominators and fractions,
+        # and at a point that is an abscissa
+        rng = random.Random(28)
+        for n in range(1, 6):
+            ts = rng.sample(range(-4, 6), n)
+            points = [(QRat.qpow(t), QRat(QPoly({rng.randrange(4): c}),
+                                          QPoly({rng.randrange(3): 1}))
+                       if (c := rng.choice((0, 1, -2, Fraction(1, 3))))
+                       else QRAT_ZERO) for t in ts]
+            for at in (QRat.qpow(6), QRat.qpow(-5), QRat.qpow(ts[0]),
+                       QRat(QPoly({0: 1, 1: 1}))):
+                want = QRAT_ZERO
+                for i, (ti, yi) in enumerate(points):
+                    term = yi
+                    for j, (tj, _) in enumerate(points):
+                        if j != i:
+                            term = term * (at - tj) / (ti - tj)
+                    want = want + term
+                calls = []
+                reduce = qfield._canonicalize
+                monkeypatch.setattr(qfield, "_canonicalize", lambda a, b:
+                                    calls.append(1) or reduce(a, b))
+                nonzero = [ti for ti, yi in points if not yi.is_zero()]
+                for tj, _ in points:        # the differences it takes
+                    at - tj
+                    for ti in nonzero:
+                        if ti != tj:
+                            ti - tj
+                differences = len(calls)
+                calls.clear()
+                got = interpolate_eval(points, at)
+                monkeypatch.undo()
+                assert got == want
+                # past the differences, one per term and one per sum
+                assert len(calls) <= differences + 2 * len(nonzero)
 
     def test_degenerate_rank0(self):
         rep = degree_bound_check(())

@@ -4,10 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctforge.errors import DomainError, PoleError
-from ctforge.qfield import QPoly, QRat, QRAT_ONE, QRAT_ZERO
+from ctforge.qfield import QPoly, QRat, QRAT_ONE, QRAT_ZERO, _cyclotomic
 
 
 def qp(coeffs):
@@ -252,3 +252,109 @@ def test_canonical_invariants(num, den, y):
     for x in results:
         assert x.den.leading_coeff == 1
         assert QPoly.gcd(x.num, x.den).is_one() or x.num.is_zero()
+
+
+# -- the readout: factor lists reduced by cyclotomic cancellation -----------
+
+def _multiplied(pairs):
+    """The product of the (map, k) pairs, term by term."""
+    out = {0: 1}
+    for m, k in pairs:
+        for _ in range(k):
+            acc = {}
+            for e1, c1 in out.items():
+                for e2, c2 in m.items():
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+            out = {e: c for e, c in acc.items() if c}
+    return out
+
+
+def _reference(num, den):
+    """num / den multiplied out and reduced by the gcd route."""
+    n, d = _multiplied(num), _multiplied(den)
+    low = min(min(n), min(d))
+    return QRat(QPoly({e - low: c for e, c in n.items()}),
+                QPoly({e - low: c for e, c in d.items()}))
+
+
+def _cyclotomic_map(d):
+    return {i: c for i, c in enumerate(_cyclotomic(d)) if c}
+
+
+@st.composite
+def _binomials(draw):
+    """(c (q^a - q^b), k): either order of a and b, c = +-1 or +-2, k up
+    to 3."""
+    a = draw(st.integers(-3, 3))
+    b = a + draw(st.sampled_from((1, -1))) * draw(st.integers(1, 12))
+    c = draw(st.sampled_from((1, -1, 2, -2)))
+    return {a: c, b: -c}, draw(st.integers(1, 3))
+
+
+@st.composite
+def _factor_lists(draw):
+    """(num, den): a random map times random Phi_d, a few binomials and
+    perhaps a monomial upstairs; binomials, perhaps a monomial and now and
+    then a factor of no binomial shape downstairs."""
+    general = draw(st.dictionaries(st.integers(-4, 6), coeffs.filter(bool),
+                                   min_size=1, max_size=4))
+    phis = [(_cyclotomic_map(d), 1)
+            for d in draw(st.lists(st.integers(1, 12), max_size=4))]
+    num = [(_multiplied([(general, 1), *phis]), 1)]
+    num += draw(st.lists(_binomials(), max_size=2))
+    den = draw(st.lists(_binomials(), min_size=1, max_size=4))
+    monomial = st.builds(lambda e, c, k: ({e: c}, k), st.integers(-3, 3),
+                         st.sampled_from((1, -1, 2, 3)), st.integers(1, 2))
+    if draw(st.booleans()):
+        num.append(draw(monomial))
+    if draw(st.booleans()):
+        den.append(draw(monomial))
+    if draw(st.integers(0, 4)) == 0:
+        den.append((draw(st.sampled_from(({0: 1, 1: 1, 3: 1}, {0: 2, 1: 1},
+                                           {1: 1, 2: 3}))), 1))
+    return draw(st.permutations(num)), draw(st.permutations(den))
+
+
+class TestFromFactors:
+    @settings(max_examples=300, deadline=None)
+    @given(_factor_lists())
+    @example(([({0: 1, 1: -1}, 1)], [({0: 1, 1000: -1}, 1)]))  # too long
+    @example(([({0: 1, 2: -1, 3: 1}, 1)], [({0: 1, 1: -1}, 2)]))
+    @example(([({0: 1, 1: 2, 4: -1, 5: -2}, 1)], [({1: 1, 5: -1}, 2)]))
+    def test_matches_the_gcd_route(self, case):
+        num, den = case
+        got, want = QRat.from_factors(num, den), _reference(num, den)
+        assert (got.num.c, got.den.c) == (want.num.c, want.den.c)
+        assert str(got) == str(want)
+
+    def test_binomial_denominators_make_no_gcd(self, monkeypatch):
+        calls = []
+        gcd = QPoly.gcd
+        monkeypatch.setattr(QPoly, "gcd", staticmethod(
+            lambda a, b: calls.append(1) or gcd(a, b)))
+        # (1 - q^6)(1 + q) / ((1 - q^2)(1 - q^3)^2): the binomials' Phi_1,
+        # Phi_2 and Phi_3 cancel by count, 1 + q = Phi_2 stays upstairs
+        # (no Phi_d left downstairs divides it), and Phi_1 Phi_3 Phi_1 is
+        # rebuilt as (q^3 - 1)(q - 1)
+        num = [({0: 1, 6: -1}, 1), ({0: 1, 1: 1}, 1)]
+        den = [({0: 1, 2: -1}, 1), ({0: 1, 3: -1}, 2)]
+        r = QRat.from_factors(num, den)
+        assert calls == []
+        assert str(r) == "(1 + q^3)/(1 - q - q^3 + q^4)"
+        assert r == _reference(num, den)
+
+    def test_a_general_denominator_reaches_the_gcd(self, monkeypatch):
+        calls = []
+        gcd = QPoly.gcd
+        monkeypatch.setattr(QPoly, "gcd", staticmethod(
+            lambda a, b: calls.append(1) or gcd(a, b)))
+        r = QRat.from_factors([({0: 1, 2: -1}, 1)], [({0: 1, 1: 1, 2: 1}, 1)])
+        assert calls == [1]
+        assert r == _reference([({0: 1, 2: -1}, 1)], [({0: 1, 1: 1, 2: 1}, 1)])
+
+    def test_cyclotomic_products(self):
+        # q^n - 1 is the product of Phi_d over d | n
+        for n in range(1, 121):
+            ds = [d for d in range(1, n + 1) if n % d == 0]
+            assert _multiplied([(_cyclotomic_map(d), 1) for d in ds]) == \
+                {0: -1, n: 1}
