@@ -63,13 +63,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from .errors import (DomainError, NotPolynomialError, ProofInvariantError,
                      ShapeError, TruncationError, UncancelledPoleError,
                      size_str)
-from .qfield import (QRAT_ONE, QRAT_ZERO, QRat, _check_packed, _pack,
-                     _qprod, _unpack, _width)
+from .qfield import (QRAT_ONE, QRAT_ZERO, QRat, _check_packed, _integer_pair,
+                     _pack, _qprod, _unpack, _width)
 
 # Exponents are plain machine ints; anything this big is a bug upstream.
 _EXP_LIMIT = 10**9
@@ -195,19 +195,6 @@ def _exp_tuple(nvars: int, exps: dict[int, int] | tuple) -> tuple[int, ...]:
 
 _ONE = {0: 1}
 _NO_DEN: Counter = Counter()    # never mutated: + and | make new Counters
-
-
-def _integer_pair(c: QRat) -> tuple[dict, dict]:
-    """(N, D), integer maps {q-exponent: int} with N / D = c: both sides of
-    c times the lcm of their coefficients' denominators.  A monomial
-    denominator q^m is moved into N, so D is then a positive integer."""
-    scale = lcm(*(v.denominator for p in (c.num, c.den) for v in p.c.values()
-                  if not isinstance(v, int)))
-    num = {e: int(v * scale) for e, v in c.num.c.items()}
-    if len(c.den.c) == 1:           # monic: q^m
-        (m, _), = c.den.c.items()
-        return {e - m: v for e, v in num.items()}, {0: scale}
-    return num, {e: int(v * scale) for e, v in c.den.c.items()}
 
 
 def _den_pairs(den: Counter) -> list[tuple[dict, int]]:

@@ -37,9 +37,8 @@ from .ctengine import (ct_all_bruteforce, ct_all_series,
                        ct_factored_pfrac_labeled)
 from .errors import (CertificationError, DomainError, ProofInvariantError,
                      size_str)
-from .laurent import (FactoredForm, _integer_pair, qpoch_qrat, qpoch_quotient,
-                      qpochhammer)
-from .qfield import QRAT_ONE, QRAT_ZERO, QRat, _qprod, _quotient
+from .laurent import FactoredForm, qpoch_qrat, qpoch_quotient, qpochhammer
+from .qfield import QRAT_ONE, QRAT_ZERO, QRat
 from .tournament import Record, Witness, scan_witness
 
 
@@ -523,24 +522,16 @@ def interpolate_eval(points: list[tuple[QRat, QRat]], at: QRat) -> QRat:
     """Value at `at` of the unique degree < len(points) polynomial through
     the points, in Lagrange form; points with a zero ordinate add nothing.
     The abscissae must be distinct.  Each point's term yi prod (at - tj) /
-    prod (ti - tj) is multiplied as integer maps (`_integer_pair`,
-    `_qprod`) and reduced once, by `_canonicalize` (`qfield._quotient`)."""
+    prod (ti - tj) is reduced once (`QRat.ratio_of_products`)."""
     ats = [at - tj for tj, _ in points]
     acc = QRAT_ZERO
     for i, (ti, yi) in enumerate(points):
-        if yi.is_zero() or any(x.is_zero() for j, x in enumerate(ats) if j != i):
+        others = [j for j in range(len(points)) if j != i]
+        if yi.is_zero() or any(ats[j].is_zero() for j in others):
             continue
-        n, d = _integer_pair(yi)
-        num, den = [(n, 1)], [(d, 1)]
-        for j, (tj, _) in enumerate(points):
-            if j != i:
-                n, d = _integer_pair(ats[j])
-                num.append((n, 1))
-                den.append((d, 1))
-                n, d = _integer_pair(ti - tj)
-                num.append((d, 1))
-                den.append((n, 1))
-        acc = acc + _quotient(_qprod(num), _qprod(den))
+        acc = acc + QRat.ratio_of_products(
+            [yi, *(ats[j] for j in others)],
+            [ti - points[j][0] for j in others])
     return acc
 
 

@@ -35,6 +35,7 @@ refuses a product past the budget before forming it.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd, lcm, prod
@@ -396,6 +397,20 @@ class QRat:
                         QPoly.qpow(-m))
 
     @classmethod
+    def ratio_of_products(cls, nums: list["QRat"],
+                          dens: list["QRat"]) -> "QRat":
+        """prod(nums) / prod(dens), each factor nonzero: both sides
+        multiplied as integer maps (`_integer_pair`, `_qprod`) and reduced
+        once, by `_canonicalize` (`_quotient`)."""
+        top, bottom = [], []
+        for xs, up, down in ((nums, top, bottom), (dens, bottom, top)):
+            for x in xs:
+                n, d = _integer_pair(x)
+                up.append((n, 1))
+                down.append((d, 1))
+        return _quotient(_qprod(top), _qprod(bottom))
+
+    @classmethod
     def from_factors(cls, num: list[tuple[dict[int, int], int]],
                      den: list[tuple[dict[int, int], int]]) -> "QRat":
         """The quotient of two products of integer maps, each side a list
@@ -407,37 +422,43 @@ class QRat:
         product of the cyclotomic polynomials Phi_d over d | e, each monic
         and irreducible over Q (Lang, Algebra, ch. VI).  So a monomial or a
         binomial factor adds its constant and its q-power to a scalar, and
-        a binomial its Phi_d multiplicities, with the sign of its side, to
-        one count.  The other numerator maps multiply into one map N, which
-        is divided by each Phi_d left in the denominator for as long as the
-        division is exact.  What is left is multiplied out (`_regroup`):
-        each remaining Phi_d is irreducible and does not divide the
-        numerator, and q divides at most one side, so the quotient is
-        coprime, and its denominator, a product of Phi_d and q, is monic.
-        That is the canonical form, found with no gcd.
+        each side keeps its binomials as counts of q^e - 1.  The
+        denominator's binomials give the Phi_d it holds; those that divide
+        a numerator binomial's e cancel by count.  The other numerator maps
+        multiply into one map N, which is divided by each Phi_d still left
+        downstairs for as long as the division is exact (`_divide_out`).
+        Each side is then its binomials over the Phi_d it lost
+        (`_binomials_over`).  Each Phi_d left downstairs is irreducible and
+        divides nothing left upstairs, and q divides at most one side, so
+        the quotient is coprime, and its denominator, a product of Phi_d,
+        is monic: the canonical form, found with no gcd.
 
-        A denominator map of any other shape, or a remainder too long to
-        multiply out as cyclotomic factors, takes the general route: both
+        Each side is first held to the work budget of multiplying it out
+        by `_qprod`, so a readout refuses what the product of its factors
+        would.  A denominator map of any other shape, or a binomial wider
+        than the budget (a lone factor, which no product bounds, and whose
+        divisors would cost sqrt(e) steps), takes the general route: both
         sides multiplied out and reduced by `_canonicalize` (`_quotient`).
         """
         if not den and len(num) == 1 and num[0][1] == 1:
             return cls.from_laurent(num[0][0])     # nothing to cancel
+        for pairs in (num, den):
+            if sum(k for _, k in pairs) > 1:
+                _product_width(pairs)
         cn = cd = 1
         shift = 0
         general = []                # numerator maps of no binomial shape
-        binoms = ([], [])           # (e, k) of each side's binomials
-        phi: dict[int, int] = {}    # d: Phi_d's multiplicity, + upstairs
+        binoms = (Counter(), Counter())     # e: multiplicity of q^e - 1
         for side, pairs in enumerate((num, den)):
             sign = 1 - 2 * side
             for m, k in pairs:
                 if len(m) == 1:
                     (a, c), = m.items()
-                elif len(m) == 2 and sum(m.values()) == 0:
+                elif (len(m) == 2 and sum(m.values()) == 0
+                      and (not side or max(m) - min(m) <= _MAX_PACKED_BITS)):
                     a, b = sorted(m)
                     c = -m[a]
-                    binoms[side].append((b - a, k))
-                    for d in _divisors(b - a):
-                        phi[d] = phi.get(d, 0) + sign * k
+                    binoms[side][b - a] += k
                 elif not side:
                     general.append((m, k))
                     continue
@@ -449,25 +470,28 @@ class QRat:
                     cn *= c ** k
                 shift += sign * a * k
 
-        nmap = _qprod(general) if general else None
-        if nmap and any(m < 0 for m in phi.values()):
-            nmap = _divide_out(nmap, phi, {e for e, _ in binoms[1]})
-        upper = _regroup(binoms[0], {d: m for d, m in phi.items() if m > 0})
-        lower = _regroup(binoms[1], {d: -m for d, m in phi.items() if m < 0})
-        if upper is None or lower is None:
-            return _quotient(_qprod(num), _qprod(den) if den else {0: 1})
-        if nmap is not None:
-            upper.append((nmap, 1))
-        n = _qprod(upper) if upper else {0: 1}
-        d = _qprod(lower) if lower else {0: 1}
-        # each Phi_d has a nonzero constant term: the power of q is the
-        # scalars' times N's lowest, on one side
-        low = min(n)
-        shift += low
+        down = Counter()            # d: Phi_d's multiplicity downstairs
+        for e, k in binoms[1].items():
+            for d in _divisors(e):
+                down[d] += k
+        lost = Counter({d: min(n, sum(k for e, k in binoms[0].items()
+                                      if e % d == 0))
+                        for d, n in down.items()})
+        nmap, divided = None, Counter()
+        if general:
+            nmap = _qprod(general)
+            low = min(nmap)
+            shift += low
+            nmap = {e - low: c for e, c in nmap.items()}
+            if down - lost:
+                nmap, divided = _divide_out(nmap, down - lost)
+        n = _binomials_over(binoms[0], lost, nmap)
+        d = _binomials_over(binoms[1], lost + divided)
+        # both have a nonzero constant term: q^shift goes on one side
         if shift < 0:
             d = {e - shift: c for e, c in d.items()}
         scale = as_scalar(Fraction(cn, cd))
-        top = max(shift, 0) - low
+        top = max(shift, 0)
         return cls._raw(QPoly._raw({e + top: as_scalar(c * scale)
                                     for e, c in n.items()}), QPoly._raw(d))
 
@@ -648,14 +672,19 @@ def _unpack(offset: int, value: int, w: int) -> dict[int, int]:
     return out
 
 
+def _product_width(pairs: list[tuple[dict[int, int], int]]) -> int:
+    """`_width` of the product of m^k over the pairs (m, k)."""
+    return _width([(sum(map(abs, m.values())), k) for m, k in pairs],
+                  sum(k * (max(m) - min(m)) for m, k in pairs))
+
+
 def _qprod(pairs: list[tuple[dict[int, int], int]]) -> dict[int, int]:
     """The product of m^k over the pairs (m, k), m a nonzero integer map
     {q-exponent: int} and k >= 1: each map is packed once, at the width of
     `_width`, and raised to k as one integer power."""
     if len(pairs) == 1 and pairs[0][1] == 1:
         return pairs[0][0]
-    w = _width([(sum(map(abs, m.values())), k) for m, k in pairs],
-               sum(k * (max(m) - min(m)) for m, k in pairs))
+    w = _product_width(pairs)
     offset, value = 0, 1
     for m, k in pairs:
         o, v = _pack(m, w)
@@ -742,76 +771,66 @@ def _binomial_ratio(n: list[int], times: tuple[int, ...],
     return c
 
 
-@lru_cache(maxsize=256)
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """Phi_d's coefficients, the lowest first."""
-    return tuple(_binomial_ratio([1], *_moebius(d)))
-
-
-def _divide_out(nmap: dict[int, int], phi: dict[int, int],
-                exps: set[int]) -> dict[int, int]:
-    """nmap divided by each Phi_d that phi counts downstairs (phi[d] < 0)
-    for as long as the division is exact, each division counted back into
-    phi.  A whole q^e - 1, e in exps, goes first, in one pass, where every
-    Phi_d of it is still downstairs."""
-    low = min(nmap)
-    dense = [0] * (max(nmap) - low + 1)
-    for e, c in nmap.items():
-        dense[e - low] = c
-    for e in sorted(exps, reverse=True):
-        ds = _divisors(e)
-        while all(phi[d] < 0 for d in ds):
-            quo = _binomial_ratio(dense, (), (e,))
-            if quo is None:
-                break
-            dense = quo
-            for d in ds:
-                phi[d] += 1
-    for d in sorted(d for d, m in phi.items() if m < 0):
-        # deg Phi_d > deg N, surely when d > 2 deg(N)^2: no quotient
-        if d > 2 * len(dense) ** 2 or _totient(d) >= len(dense):
+def _divide_out(m: dict[int, int],
+                phis: Counter) -> tuple[dict[int, int], Counter]:
+    """(m / P, P's Phi_d counts): m, a map whose lowest exponent is 0,
+    divided by each Phi_d up to phis[d] times, for as long as the division
+    is exact.  Phi_d is the product of q^e - 1 over its Moebius plus
+    exponents divided by that over its minus exponents (`_moebius`), so
+    one division is one `_binomial_ratio`."""
+    dense = [m.get(i, 0) for i in range(max(m) + 1)]
+    out = Counter()
+    for d, k in sorted(phis.items()):
+        if _totient(d) >= len(dense):       # deg Phi_d > deg m
             continue
         plus, minus = _moebius(d)
-        while phi[d] < 0:
+        while out[d] < k:
             quo = _binomial_ratio(dense, minus, plus)
             if quo is None:
                 break
             dense = quo
-            phi[d] += 1
-    return {e + low: c for e, c in enumerate(dense) if c}
+            out[d] += 1
+    return {i: c for i, c in enumerate(dense) if c}, out
 
 
-# The most degree `_regroup` gives Phi_d factors of its own, beyond the
-# binomials it rebuilds whole; past it a readout takes the general route.
-_MAX_CYCLOTOMIC_DEGREE = 256
+def _binomials_over(binoms: Counter, phis: Counter,
+                    m: dict[int, int] | None = None) -> dict[int, int]:
+    """m (1 when None) times the product of (q^e - 1)^k over binoms {e: k},
+    divided by the product of Phi_d^k over phis {d: k}, which divides it.
+    By `_moebius` each Phi_d is a quotient of binomials, so this is a
+    product of binomials to net powers: those above 0 multiply with m in
+    one `_qprod`, those below divide it exactly, one pass each
+    (`_binomial_ratio`)."""
+    net = Counter(binoms)
+    for d, k in phis.items():
+        plus, minus = _moebius(d)
+        for e in plus:
+            net[e] -= k
+        for e in minus:
+            net[e] += k
+    pairs = [({0: -1, e: 1}, k) for e, k in net.items() if k > 0]
+    if m is not None:
+        pairs.append((m, 1))
+    out = _qprod(pairs) if pairs else {0: 1}
+    over = tuple(e for e, k in net.items() for _ in range(-k))
+    if not over:
+        return out
+    dense = _binomial_ratio([out.get(i, 0) for i in range(max(out) + 1)],
+                            (), over)
+    return {i: c for i, c in enumerate(dense) if c}
 
 
-def _regroup(binoms: list[tuple[int, int]],
-             counts: dict[int, int]) -> list[tuple[dict, int]] | None:
-    """`_qprod` pairs of the product of Phi_d^counts[d]: first each
-    binomial q^e - 1 of binoms, pairs (e, k), as many times (up to k) as
-    every Phi_d, d | e, is still counted, so nothing cancelled rebuilds
-    the binomials as they came; then each Phi_d left.  None when those
-    left exceed _MAX_CYCLOTOMIC_DEGREE."""
-    pairs = []
-    for e, k in sorted(binoms, reverse=True):
-        t = min(k, *(counts.get(d, 0) for d in _divisors(e)))
-        if t:
-            pairs.append(({0: -1, e: 1}, t))
-            for d in _divisors(e):
-                counts[d] -= t
-    degree = 0
-    for d, m in counts.items():
-        if m:
-            # phi(d) >= sqrt(d / 2): past this d, too long before phi
-            if d > 2 * _MAX_CYCLOTOMIC_DEGREE ** 2:
-                return None
-            degree += m * _totient(d)
-            if degree > _MAX_CYCLOTOMIC_DEGREE:
-                return None
-            pairs.append(({i: c for i, c in enumerate(_cyclotomic(d)) if c},
-                          m))
-    return pairs
+def _integer_pair(c: QRat) -> tuple[dict, dict]:
+    """(N, D), integer maps {q-exponent: int} with N / D = c: both sides of
+    c times the lcm of their coefficients' denominators.  A monomial
+    denominator q^m is moved into N, so D is then a positive integer."""
+    scale = lcm(*(v.denominator for p in (c.num, c.den) for v in p.c.values()
+                  if not isinstance(v, int)))
+    num = {e: int(v * scale) for e, v in c.num.c.items()}
+    if len(c.den.c) == 1:           # monic: q^m
+        (m, _), = c.den.c.items()
+        return {e - m: v for e, v in num.items()}, {0: scale}
+    return num, {e: int(v * scale) for e, v in c.den.c.items()}
 
 
 def _quotient(num: dict[int, int], den: dict[int, int]) -> QRat:

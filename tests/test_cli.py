@@ -708,6 +708,18 @@ class TestHugeSizes:
                             "--trunc", self.N, timeout=10)
         assert (r.returncode, r.stdout, r.stderr) == (0, "1\n", "")
 
+    @pytest.mark.parametrize("e", ["100000000000000000039", N])
+    def test_a_huge_scalar_binomial_is_refused_unfactored(self, e):
+        # the printed summand's scalar holds 1 - q^e: its readout refuses
+        # the numerator's product before it could factor e
+        r = run_bounded_cli("ct", "--expr", f"(1-q^{e})/((1-x0/x1)*(1-x0/x2))",
+                            "--var", "x0", "--method", "pfrac", timeout=10)
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.startswith("error: expansion too large: at least "
+                                   "3-bit coefficients over 1.00e")
+        assert r.stderr.endswith("powers of q exceed the 4194304-bit work "
+                                 "budget\n")
+
     def test_size_str(self):
         # exact up to 20 digits, then three digits, truncated, and the power
         assert size_str(10**20 - 1) == "99999999999999999999"

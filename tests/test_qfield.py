@@ -1,13 +1,15 @@
 """Exact rational-function field: examples and algebraic properties."""
 
 import random
+from functools import lru_cache
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ctforge.errors import DomainError, PoleError
-from ctforge.qfield import QPoly, QRat, QRAT_ONE, QRAT_ZERO, _cyclotomic
+from ctforge.qfield import (QPoly, QRat, QRAT_ONE, QRAT_ZERO, _binomial_ratio,
+                            _divisors, _moebius, _qprod, _totient)
 
 
 def qp(coeffs):
@@ -277,6 +279,24 @@ def _reference(num, den):
                 QPoly({e - low: c for e, c in d.items()}))
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic(d):
+    """Phi_d's coefficients, the lowest first: q^d - 1 divided by Phi_k
+    for each k < d that divides d, by long division (each Phi_k monic)."""
+    c = [-1] + [0] * (d - 1) + [1]
+    for k in range(1, d):
+        if d % k == 0:
+            p = _cyclotomic(k)
+            quo = [0] * (len(c) - len(p) + 1)
+            for i in range(len(quo) - 1, -1, -1):
+                quo[i] = c[i + len(p) - 1]
+                for j, v in enumerate(p):
+                    c[i + j] -= quo[i] * v
+            assert not any(c)
+            c = quo
+    return tuple(c)
+
+
 def _cyclotomic_map(d):
     return {i: c for i, c in enumerate(_cyclotomic(d)) if c}
 
@@ -318,7 +338,7 @@ def _factor_lists(draw):
 class TestFromFactors:
     @settings(max_examples=300, deadline=None)
     @given(_factor_lists())
-    @example(([({0: 1, 1: -1}, 1)], [({0: 1, 1000: -1}, 1)]))  # too long
+    @example(([({0: 1, 1: -1}, 1)], [({0: 1, 1000: -1}, 1)]))  # in part
     @example(([({0: 1, 2: -1, 3: 1}, 1)], [({0: 1, 1: -1}, 2)]))
     @example(([({0: 1, 1: 2, 4: -1, 5: -2}, 1)], [({1: 1, 5: -1}, 2)]))
     def test_matches_the_gcd_route(self, case):
@@ -352,9 +372,52 @@ class TestFromFactors:
         assert calls == [1]
         assert r == _reference([({0: 1, 2: -1}, 1)], [({0: 1, 1: 1, 2: 1}, 1)])
 
-    def test_cyclotomic_products(self):
-        # q^n - 1 is the product of Phi_d over d | n
-        for n in range(1, 121):
-            ds = [d for d in range(1, n + 1) if n % d == 0]
-            assert _multiplied([(_cyclotomic_map(d), 1) for d in ds]) == \
-                {0: -1, n: 1}
+    def test_long_binomials_cancel_in_part(self, monkeypatch):
+        # (1 - q^7) / (1 - q^2000) and (1 - q) / (1 - q^5040): only Phi_1
+        # is shared, so each side is its binomial over q - 1, whatever its
+        # length, and no gcd is made
+        calls = []
+        gcd = QPoly.gcd
+        monkeypatch.setattr(QPoly, "gcd", staticmethod(
+            lambda a, b: calls.append(1) or gcd(a, b)))
+        for a, b in ((7, 2000), (1, 5040)):
+            r = QRat.from_factors([({0: 1, a: -1}, 1)], [({0: 1, b: -1}, 1)])
+            assert r.num == QPoly({e: 1 for e in range(a)})
+            assert r.den == QPoly({e: 1 for e in range(b)})
+        assert calls == []
+
+    def test_refuses_what_the_product_would(self):
+        # a numerator binomial past the work budget is refused, before any
+        # factoring, with the message of multiplying the numerator out
+        big = 10**20 + 39
+        num = [({0: 2, 1: 1}, 1), ({0: 2, big: -2}, 1)]
+        with pytest.raises(DomainError, match="work budget") as want:
+            _qprod(num)
+        for den in ([], [({0: 1, 1: -1}, 1)], [({0: 1, 6: -1}, 2)]):
+            with pytest.raises(DomainError) as got:
+                QRat.from_factors(num, den)
+            assert str(got.value) == str(want.value)
+
+    def test_moebius_quotients_are_cyclotomic(self):
+        # Phi_d is the product of q^e - 1 over _moebius(d)'s plus
+        # exponents over that over its minus exponents, of degree phi(d)
+        for d in range(1, 121):
+            phi = _binomial_ratio([1], *_moebius(d))
+            assert tuple(phi) == _cyclotomic(d)
+            assert _totient(d) == len(phi) - 1
+            assert sorted(_divisors(d)) == [k for k in range(1, d + 1)
+                                            if d % k == 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rationals(nonzero_polys), min_size=1, max_size=4),
+       st.lists(rationals(nonzero_polys), max_size=4))
+def test_ratio_of_products(nums, dens):
+    # reduced once, the quotient equals the one of QRat arithmetic
+    want = QRAT_ONE
+    for x in nums:
+        want = want * x
+    for x in dens:
+        want = want / x
+    got = QRat.ratio_of_products(nums, dens)
+    assert (got.num.c, got.den.c) == (want.num.c, want.den.c)
