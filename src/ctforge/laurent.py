@@ -56,6 +56,11 @@ Q(q) enters only where a coefficient is read or printed:
 denominator as they are, by cyclotomic cancellation where the factors
 are binomials.  The canonical form is unique, so the bytes printed are
 those of term-by-term Q(q) arithmetic.
+
+Every q-Pochhammer symbol is built by `qpochhammer`, as one run (for a
+pure q-power base, collapsed), and every q-Pochhammer value is read by
+`QRat.from_factors`: `qpoch_qrat` and `qpoch_quotient` hand it their
+factors 1 - q^e.
 """
 
 from __future__ import annotations
@@ -65,9 +70,8 @@ from collections.abc import Mapping
 from functools import lru_cache
 from math import comb
 
-from .errors import (DomainError, NotPolynomialError, ProofInvariantError,
-                     ShapeError, TruncationError, UncancelledPoleError,
-                     size_str)
+from .errors import (DomainError, NotPolynomialError, ShapeError,
+                     TruncationError, UncancelledPoleError, size_str)
 from .qfield import (QRAT_ONE, QRAT_ZERO, QRat, _check_packed, _integer_pair,
                      _pack, _qprod, _unpack, _width)
 
@@ -474,7 +478,9 @@ class FactoredForm:
     factor sequence: equal run tuples mean equal factor sequences, and `==`
     compares runs in order as it would compare factors.  A run's monomial
     may be all zero only when its range leaves out 0: it is then the
-    collapsed scalars (1 - q^s)^e.
+    collapsed scalars (1 - q^s)^e, which a substitution, a parsed 1 - q^s
+    or a pure-q qpoch makes.  So the scalar of a parsed form is a
+    rational times a power of q, and `*` makes no gcd for it.
     """
 
     __slots__ = ("nvars", "scalar", "mono", "runs", "polys")
@@ -1246,105 +1252,64 @@ def qpochhammer(nvars: int, mono: dict[int, int] | tuple[int, ...],
       count = p >= 0:  (1 - z)(1 - zq) ... (1 - z q^{p-1})
       count = -p < 0:  1 / ((1 - z q^{-1})(1 - z q^{-2}) ... (1 - z q^{-p}))
       count = 0:       the empty product, 1.
+
+    For the all-zero monomial the run is the collapsed factors 1 - q^e, as
+    the parsed binomials lower to.  A range that holds 1 - q^0 makes the
+    zero form, or a DomainError when count < 0, before the count is
+    budgeted.
     """
     mono = _exp_tuple(nvars, mono)
-    if not any(mono):
-        raise ShapeError("use qpoch_qrat for a pure q-power base")
+    lo, hi = ((qshift, qshift + count - 1) if count >= 0
+              else (qshift + count, qshift - 1))
+    if not any(mono) and lo <= 0 <= hi:
+        if count < 0:
+            raise DomainError("negative Pochhammer hits a zero factor")
+        return FactoredForm.zero(nvars)
     _check_power(abs(count))
-    if count > 0:
-        runs = ((mono, qshift, qshift + count - 1, 1),)
-    else:
-        runs = ((mono, qshift - 1, qshift + count, -1),) if count else ()
+    runs = (((mono, lo, hi, 1),) if count > 0
+            else ((mono, hi, lo, -1),) if count else ())
     return FactoredForm._of(nvars, QRAT_ONE, None, runs)
 
 
-def _pack_qpoch(lo: int, hi: int, w: int) -> tuple[int, int]:
-    """(offset, value at q = 2^w) of the product of 1 - q^e for e from lo
-    to hi, none of them 0: each factor is one shift and one subtraction.
-    The value is exact whatever w; it decodes when w covers the product's
-    coefficients."""
-    offset, value = 0, 1
-    for e in range(lo, hi + 1):
-        if e > 0:
-            value -= value << w * e
-        else:                       # 1 - q^e = q^e (q^-e - 1)
-            offset += e
-            value = (value << w * -e) - value
-    return offset, value
+def _binomials(lo: int, hi: int) -> list[tuple[dict[int, int], int]]:
+    """The `_qprod` pairs (1 - q^e, 1) for e from lo to hi."""
+    return [({0: 1, e: -1}, 1) for e in range(lo, hi + 1)]
 
 
 def qpoch_qrat(qexp: int, count: int) -> QRat:
-    """(z)_count for the scalar base z = q^qexp, as an exact QRat.
-
-    Its factors are 1 - q^e for e from lo to hi, inverted when count < 0.
-    They multiply as one packed integer, the product's value at q = 2^w
-    (as in `_multiply_within`).  A partial product's coefficients are at
-    most its l1 norm, 2^|count| < 2^(w-1) for w = |count| + 2, so the
-    product decodes exactly; it is built as one QRat and inverted once.
-    w is `qfield._width`'s for |count| maps of l1 norm 2 over the q-degree
-    the sum of |e|, so it is held to the budget of any packed product.
-    """
-    lo, hi = (qexp, qexp + count - 1) if count >= 0 else (qexp + count, qexp - 1)
+    """(z)_count for the scalar base z = q^qexp, as an exact QRat: its
+    factors 1 - q^e read by `QRat.from_factors`, on the denominator side
+    when count < 0.  The width of their product is held to the packed
+    budget before the list is built."""
+    lo, hi = ((qexp, qexp + count - 1) if count >= 0
+              else (qexp + count, qexp - 1))
     if lo <= 0 <= hi:
-        if count >= 0:
-            return QRAT_ZERO        # the factor 1 - q^0
-        raise DomainError("negative Pochhammer hits a zero factor")
-    w = _width([(2, abs(count))], abs(lo + hi) * abs(count) // 2)
-    out = QRat.from_laurent(_unpack(*_pack_qpoch(lo, hi, w), w))
-    return out if count >= 0 else out.inverse()
+        if count < 0:
+            raise DomainError("negative Pochhammer hits a zero factor")
+        return QRAT_ZERO            # the factor 1 - q^0
+    _width([(2, abs(count))], abs(lo + hi) * abs(count) // 2)
+    pairs = _binomials(lo, hi)
+    if count < 0:
+        return QRat.from_factors([], pairs)
+    return QRat.from_factors(pairs, [])
 
 
 def qpoch_quotient(qexp: int, parts: tuple[int, ...]) -> QRat:
     """(q^qexp)_A / ((q)_{p_1} ... (q)_{p_k}), A = p_1 + ... + p_k, for
-    counts p_i >= 0, as an exact QRat computed with no gcd.
-
-    The numerator N has the factors 1 - q^e for e from qexp to
-    qexp + A - 1.  When they include e = 0 the value is 0.  When they are
-    all positive the quotient is the q-multinomial [c + A; c, p_1, ...,
-    p_k] for c = qexp - 1; when they are all negative each 1 - q^e is
-    -q^e (1 - q^-e), and the quotient is +-q^E times that multinomial for
-    c = -qexp - A.  Either way it is a Laurent polynomial whose
-    coefficients share one sign, so none exceeds its value at q = 1 in
-    absolute value: M = (c + A)! / (c! p_1! ... p_k!).
-
-    The quotient is one exact division of packed values, N(2^w) // D(2^w)
-    for w = M.bit_length() + 1, decoded with balanced digits.  It is then
-    checked: D Q = N, both sides packed at a width that covers both (N's
-    coefficients are at most 2^A, D Q's at most 2^A times Q's largest); a
-    mismatch raises ProofInvariantError.  Both widths are held to the
-    packed budget over N's q-degree.
-    """
+    counts p_i >= 0, as an exact QRat: a Laurent polynomial (a
+    q-multinomial times +-q^E) when the numerator's factors leave out
+    1 - q^0, read with no gcd by `QRat.from_factors`.  The numerator's
+    product width, A + 2 bits over its q-degree, is held to the packed
+    budget before the lists are built."""
     if any(p < 0 for p in parts):
         raise DomainError("Pochhammer counts must be nonnegative")
     count = sum(parts)
     lo, hi = qexp, qexp + count - 1
     if lo <= 0 <= hi:
         return QRAT_ZERO            # the factor 1 - q^0
-    c = qexp - 1 if lo > 0 else -qexp - count
-    bound, rest = comb(c + count, count), count
-    for p in parts:
-        bound *= comb(rest, p)
-        rest -= p
-    degree = abs(lo + hi) * count // 2
-
-    def packed(w):
-        _check_packed(w, degree)
-        offset, num = _pack_qpoch(lo, hi, w)
-        den = 1
-        for p in parts:
-            den *= _pack_qpoch(1, p, w)[1]
-        return offset, num, den
-
-    w = bound.bit_length() + 1
-    offset, num, den = packed(w)
-    quotient = _unpack(offset, num // den, w)
-    w = count + max(map(abs, quotient.values())).bit_length() + 1
-    offset, num, den = packed(w)
-    low, value = _pack(quotient, w)
-    if low != offset or den * value != num:
-        raise ProofInvariantError(
-            f"(q^{qexp})_{count} / (q)_{parts} is not a Laurent polynomial")
-    return QRat.from_laurent(quotient)
+    _check_packed(count + 2, abs(lo + hi) * count // 2)
+    return QRat.from_factors(_binomials(lo, hi),
+                             [f for p in parts for f in _binomials(1, p)])
 
 
 def qfactorial(m: int) -> QRat:

@@ -20,9 +20,12 @@ whole input has parsed: every ParseError comes before any lowering work.
 powers and quotients of binomial factors, monomials and q-powers stay
 factored; sums collapse to Laurent polynomials (and are re-recognized as
 binomial factors when they happen to be one, so that "(1 - q^2*x0/x1)" can
-be inverted).  Dividing by anything else is a lowering error; dividing by
-zero is a DomainError, as `0^0` and a zero Pochhammer factor are, and
-names its position.
+be inverted).  Every qpoch is one run from `qpochhammer`; with a pure
+q-power base it is the collapsed factors 1 - q^e that its binomials,
+written out, lower to, so a form's scalar is a rational times a power of
+q.  Dividing by anything else is a lowering error; dividing by zero is a
+DomainError, as `0^0` and a zero Pochhammer factor are, and names its
+position.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import re
 
 from .errors import CTForgeError, DomainError
-from .laurent import FactoredForm, LaurentPoly, qpoch_qrat, qpochhammer
+from .laurent import FactoredForm, LaurentPoly, qpochhammer
 from .qfield import QRat
 
 
@@ -313,18 +316,18 @@ def _pow(ff: FactoredForm, e: int, span: tuple[int, int]) -> FactoredForm:
 
 
 def _qpoch(base, count: int, span: tuple[int, int]):
+    """A base whose runs are all collapsed, such as qpoch(q,2), is a
+    scalar times a monomial, refused unless that scalar is a power of q."""
     def build(nvars: int) -> FactoredForm:
         ff = base(nvars)
-        if ff.polys or ff.runs:
+        if ff.polys or any(any(run[0]) for run in ff.runs):
             raise LoweringError(
                 f"at {span[0]}:{span[1]}: qpoch base must be a "
                 "monomial times a power of q")
-        qshift = _qpower_exponent(ff.scalar)
+        qshift = None if ff.runs else _qpower_exponent(ff.scalar)
         if qshift is None:
             raise LoweringError(
                 f"at {span[0]}:{span[1]}: qpoch base scalar must be "
                 "a power of q")
-        if any(ff.mono):
-            return qpochhammer(nvars, ff.mono, count, qshift=qshift)
-        return FactoredForm(nvars, qpoch_qrat(qshift, count))
+        return qpochhammer(nvars, ff.mono, count, qshift=qshift)
     return build

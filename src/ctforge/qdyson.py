@@ -123,8 +123,8 @@ def qdyson_rhs(a0: int, a: tuple[int, ...]) -> QRat:
 def rhs_value_at(a: tuple[int, ...], b: int) -> QRat:
     """The closed-form side as a function of b:
     (1-q^{b+a})(1-q^{b+a-1})...(1-q^{b+1}) / ((q)_{a_1} ... (q)_{a_n}),
-    a Laurent polynomial for every integer b, by one packed exact
-    quotient."""
+    a Laurent polynomial for every integer b, its factors read by
+    `QRat.from_factors` (`qpoch_quotient`)."""
     return qpoch_quotient(b + 1, tuple(a))
 
 

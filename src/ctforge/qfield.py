@@ -28,7 +28,9 @@ Conventions:
 The one product over Z[q], `_qprod`, packs each integer map {q-exponent:
 int} into its value at q = 2^w (Kronecker substitution; Harvey, J.
 Symbolic Comput. 44, 2009) and raises a map of multiplicity k as one
-integer power; QPoly products and powers go through it, all but a shift.
+integer power; a two-term map of multiplicity 1, such as a binomial
+1 - q^e, is one shift and one add.  QPoly products and powers go through
+it, all but a shift.
 `_width`, the one width rule, sets w for it and for `laurent`, and
 refuses a product past the budget before forming it.
 """
@@ -681,12 +683,19 @@ def _product_width(pairs: list[tuple[dict[int, int], int]]) -> int:
 def _qprod(pairs: list[tuple[dict[int, int], int]]) -> dict[int, int]:
     """The product of m^k over the pairs (m, k), m a nonzero integer map
     {q-exponent: int} and k >= 1: each map is packed once, at the width of
-    `_width`, and raised to k as one integer power."""
+    `_width`, and raised to k as one integer power.  A two-term map of
+    multiplicity 1, such as a binomial 1 - q^e, is applied to the product
+    by one shift and one add in place of a packed multiply."""
     if len(pairs) == 1 and pairs[0][1] == 1:
         return pairs[0][0]
     w = _product_width(pairs)
     offset, value = 0, 1
     for m, k in pairs:
+        if k == 1 and len(m) == 2:
+            (a, ca), (b, cb) = sorted(m.items())
+            offset += a
+            value = ca * value + (cb * value << w * (b - a))
+            continue
         o, v = _pack(m, w)
         offset += k * o
         value *= v ** k

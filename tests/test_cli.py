@@ -251,6 +251,21 @@ class TestCtCommand:
             assert r.returncode == 0, expr
             assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
+    def test_a_qpoch_quotient_reads_as_binomials(self):
+        # both qpochs lower to binomial runs, so the quotient stays
+        # factored and its readout cancels them with no gcd
+        r = run_bounded_cli("ct", "--expr", "qpoch(q^7,3)^90/qpoch(q^2,3)^90",
+                            "--all-vars", timeout=10)
+        assert r.returncode == 0 and r.stderr == ""
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+            "0e160e4be354c06cd3302d638976f716545722fdf44d1e2937ec2fd180e944e8")
+
+    def test_a_zero_pochhammer_factor_comes_before_the_budget(self):
+        # qpoch(1, N) holds 1 - q^0: it is 0 whatever the count
+        r = run_bounded_cli("ct", "--expr", "qpoch(1,10000000000000000)",
+                            "--all-vars", timeout=10)
+        assert (r.returncode, r.stdout, r.stderr) == (0, "0\n", "")
+
     def test_dense_x_power_budget_exit_1(self):
         # a sum inside a sum is multiplied out with no window: the 4000
         # copies of (1+x0) would form 16M products of terms; it stops at
@@ -302,10 +317,9 @@ class TestCtCommand:
             assert capsys.readouterr().out == out + "\n"
             assert calls == []
 
-    def test_general_scalar_denominator_reaches_the_gcd(self, monkeypatch,
-                                                       capsys):
-        # qpoch(q,2) is one multiplied-out scalar, (1-q)(1-q^2) = 1 - q -
-        # q^2 + q^3, not a binomial: the readout takes the gcd route
+    def test_a_qpoch_denominator_makes_no_gcd(self, monkeypatch, capsys):
+        # qpoch(q,2) lowers to the binomials (1-q)(1-q^2), so the readout
+        # cancels them with no gcd and prints them multiplied out
         calls = []
         gcd = QPoly.gcd
         monkeypatch.setattr(QPoly, "gcd", staticmethod(
@@ -313,7 +327,7 @@ class TestCtCommand:
         assert main(["ct", "--expr", "1/((1-x0/x1)*qpoch(q,2))",
                      "--var", "x0"]) == 0
         assert capsys.readouterr().out == "1/(1 - q - q^2 + q^3)\n"
-        assert calls
+        assert calls == []
 
     def test_zero_sum_makes_the_form_zero(self, capsys):
         # x0 - x0 is the zero sum, so the form is zero, not of degree 0

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctforge.cli import main
 from ctforge.ctengine import ct_all_bruteforce
 from ctforge.errors import DomainError
 from ctforge.laurent import FactoredForm, LaurentPoly, qpochhammer
@@ -256,9 +257,35 @@ class TestLowering:
 
     def test_qpoch_scalar_base(self):
         ff = lower(parse("qpoch(q, 2)"))
-        assert ff.runs == () and ff.polys == ()
-        assert ff.scalar == (QRat.from_laurent({0: 1, 1: -1})
-                             * QRat.from_laurent({0: 1, 2: -1}))
+        assert ff.polys == ()
+        assert str(ff) == str(QRat.from_laurent({0: 1, 1: -1})
+                              * QRat.from_laurent({0: 1, 2: -1}))
+
+    def test_pure_q_qpoch_is_its_binomials(self):
+        # a pure-q qpoch lowers to the collapsed runs its factors 1 - q^e,
+        # written out in its order, lower to: the forms compare equal
+        for qexp in range(-4, 5):
+            for count in range(-4, 5):
+                if count >= 0:
+                    exps = range(qexp, qexp + count)
+                else:
+                    exps = range(qexp - 1, qexp + count - 1, -1)
+                if 0 in exps:
+                    continue
+                factors = "*".join(f"(1 - q^{e})" for e in exps) or "1"
+                src = factors if count >= 0 else f"1/({factors})"
+                assert lower(parse(f"qpoch(q^{qexp}, {count})")) == \
+                    lower(parse(src)), (qexp, count)
+
+    def test_pure_q_qpoch_with_a_zero_factor(self):
+        # 1 - q^0 in the range: zero, whatever the count, or a zero
+        # division when the count inverts it
+        assert lower(parse("qpoch(1, 3)")).is_zero()
+        assert lower(parse("qpoch(q^-2, 5)")).is_zero()
+        for src in ("qpoch(q^2, -3)", "qpoch(q, -1)"):
+            with pytest.raises(DomainError,
+                               match="^negative Pochhammer hits a zero factor$"):
+                lower(parse(src))
 
     def test_one_minus_q_power_is_a_collapsed_factor(self):
         # 1 - q^s, s != 0, is the factor substitute makes when a binomial
@@ -280,6 +307,15 @@ class TestLowering:
     def test_qpoch_bad_base(self):
         with pytest.raises(LoweringError):
             lower(parse("qpoch(1 + x0, 2)"))
+
+    @pytest.mark.parametrize("src, line", [
+        # a base that holds only collapsed runs is a scalar base
+        ("qpoch(qpoch(q,2),3)", "qpoch base scalar must be a power of q"),
+        ("qpoch(1+x0,2)", "qpoch base must be a monomial times a power of q"),
+    ])
+    def test_qpoch_base_refusal_lines(self, capsys, src, line):
+        assert main(["ct", "--expr", src, "--all-vars"]) == 2
+        assert capsys.readouterr().err == f"error: at 1:1: {line}\n"
 
     def test_ct_through_the_surface(self):
         ff = lower(parse("(1 - x0/x1)*(1 - q*x1/x0)"))

@@ -335,6 +335,28 @@ def _factor_lists(draw):
     return draw(st.permutations(num)), draw(st.permutations(den))
 
 
+@st.composite
+def _qprod_pairs(draw):
+    """(map, k) pairs: two-term maps of any nonzero coefficients and
+    exponents (the binomial step's input at k = 1), at multiplicity 1 and
+    2 or 3, among dense maps."""
+    nonzero = coeffs.filter(bool)
+    two = st.builds(lambda a, gap, ca, cb: {a: ca, a + gap: cb},
+                    st.integers(-6, 6), st.integers(1, 9), nonzero, nonzero)
+    dense = st.dictionaries(st.integers(-4, 6), nonzero,
+                            min_size=1, max_size=6)
+    pair = st.tuples(st.one_of(two, dense), st.sampled_from((1, 1, 2, 3)))
+    return draw(st.lists(pair, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_qprod_pairs())
+def test_qprod_matches_the_plain_product(pairs):
+    # a two-term map of multiplicity 1 is a shift and an add, every other
+    # pair a packed power; both against the dict product, term by term
+    assert _qprod(pairs) == _multiplied(pairs)
+
+
 class TestFromFactors:
     @settings(max_examples=300, deadline=None)
     @given(_factor_lists())
