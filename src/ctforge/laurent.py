@@ -1255,61 +1255,66 @@ def qpochhammer(nvars: int, mono: dict[int, int] | tuple[int, ...],
 
     For the all-zero monomial the run is the collapsed factors 1 - q^e, as
     the parsed binomials lower to.  A range that holds 1 - q^0 makes the
-    zero form, or a DomainError when count < 0, before the count is
-    budgeted.
+    zero form, or a DomainError when count < 0; any other range is held
+    to the packed width of its product before the count is budgeted.
     """
     mono = _exp_tuple(nvars, mono)
     lo, hi = ((qshift, qshift + count - 1) if count >= 0
               else (qshift + count, qshift - 1))
-    if not any(mono) and lo <= 0 <= hi:
-        if count < 0:
-            raise DomainError("negative Pochhammer hits a zero factor")
-        return FactoredForm.zero(nvars)
+    if not any(mono):
+        if lo <= 0 <= hi:
+            if count < 0:
+                raise DomainError("negative Pochhammer hits a zero factor")
+            return FactoredForm.zero(nvars)
+        _width([(2, abs(count))], abs(lo + hi) * abs(count) // 2)
     _check_power(abs(count))
     runs = (((mono, lo, hi, 1),) if count > 0
             else ((mono, hi, lo, -1),) if count else ())
     return FactoredForm._of(nvars, QRAT_ONE, None, runs)
 
 
-def _binomials(lo: int, hi: int) -> list[tuple[dict[int, int], int]]:
-    """The `_qprod` pairs (1 - q^e, 1) for e from lo to hi."""
-    return [({0: 1, e: -1}, 1) for e in range(lo, hi + 1)]
-
-
 def qpoch_qrat(qexp: int, count: int) -> QRat:
-    """(z)_count for the scalar base z = q^qexp, as an exact QRat: its
-    factors 1 - q^e read by `QRat.from_factors`, on the denominator side
-    when count < 0.  The width of their product is held to the packed
-    budget before the list is built."""
-    lo, hi = ((qexp, qexp + count - 1) if count >= 0
-              else (qexp + count, qexp - 1))
-    if lo <= 0 <= hi:
-        if count < 0:
-            raise DomainError("negative Pochhammer hits a zero factor")
-        return QRAT_ZERO            # the factor 1 - q^0
-    _width([(2, abs(count))], abs(lo + hi) * abs(count) // 2)
-    pairs = _binomials(lo, hi)
-    if count < 0:
-        return QRat.from_factors([], pairs)
-    return QRat.from_factors(pairs, [])
+    """(z)_count for the scalar base z = q^qexp, as an exact QRat: the
+    collapsed run of `qpochhammer`, read by `QRat.from_factors`."""
+    ff = qpochhammer(0, (), count, qshift=qexp)
+    if ff.is_zero():
+        return QRAT_ZERO
+    num, pairs, den = _scalar_parts(ff)
+    return QRat.from_factors([(num, 1), *pairs], _den_pairs(den))
 
 
 def qpoch_quotient(qexp: int, parts: tuple[int, ...]) -> QRat:
     """(q^qexp)_A / ((q)_{p_1} ... (q)_{p_k}), A = p_1 + ... + p_k, for
-    counts p_i >= 0, as an exact QRat: a Laurent polynomial (a
-    q-multinomial times +-q^E) when the numerator's factors leave out
-    1 - q^0, read with no gcd by `QRat.from_factors`.  The numerator's
-    product width, A + 2 bits over its q-degree, is held to the packed
-    budget before the lists are built."""
+    counts p_i >= 0, as an exact QRat read by `QRat.from_factors`.
+
+    Unless its numerator holds 1 - q^0 this is +-q^E times the
+    q-multinomial [c + A; c, p_1, ..., p_k], c = qexp - 1 or -qexp - A,
+    whose coefficients share one sign, so none exceeds its value M at
+    q = 1.  Over the numerator's q-degree, the widths M.bit_length() + 1
+    and A + 2 (the numerator's product) are held to the packed budget
+    before the lists are built, and A + 1 + the bits of the largest
+    coefficient (its product by the denominator) after.
+    """
     if any(p < 0 for p in parts):
         raise DomainError("Pochhammer counts must be nonnegative")
     count = sum(parts)
     lo, hi = qexp, qexp + count - 1
     if lo <= 0 <= hi:
         return QRAT_ZERO            # the factor 1 - q^0
-    _check_packed(count + 2, abs(lo + hi) * count // 2)
-    return QRat.from_factors(_binomials(lo, hi),
-                             [f for p in parts for f in _binomials(1, p)])
+    c = qexp - 1 if lo > 0 else -qexp - count
+    bound, rest = comb(c + count, count), count
+    for p in parts:
+        bound *= comb(rest, p)
+        rest -= p
+    degree = abs(lo + hi) * count // 2
+    _check_packed(bound.bit_length() + 1, degree)
+    _check_packed(count + 2, degree)
+    out = QRat.from_factors(
+        [({0: 1, e: -1}, 1) for e in range(lo, hi + 1)],
+        [({0: 1, e: -1}, 1) for p in parts for e in range(1, p + 1)])
+    top = max(map(abs, out.num.c.values()))
+    _check_packed(count + top.bit_length() + 1, degree)
+    return out
 
 
 def qfactorial(m: int) -> QRat:

@@ -27,12 +27,12 @@ Conventions:
 
 The one product over Z[q], `_qprod`, packs each integer map {q-exponent:
 int} into its value at q = 2^w (Kronecker substitution; Harvey, J.
-Symbolic Comput. 44, 2009) and raises a map of multiplicity k as one
-integer power; a two-term map of multiplicity 1, such as a binomial
-1 - q^e, is one shift and one add.  QPoly products and powers go through
-it, all but a shift.
-`_width`, the one width rule, sets w for it and for `laurent`, and
-refuses a product past the budget before forming it.
+Symbolic Comput. 44, 2009) and raises the maps of one multiplicity k as
+one integer power of their product; a two-term map of multiplicity 1,
+such as a binomial 1 - q^e, is one shift and one add.  QPoly products
+and powers go through it, all but a shift.  `_width`, the one width
+rule, sets w for it and for `laurent`, and refuses a product past the
+budget before forming it.
 """
 
 from __future__ import annotations
@@ -674,18 +674,34 @@ def _unpack(offset: int, value: int, w: int) -> dict[int, int]:
     return out
 
 
+def _grouped(pairs: list[tuple[dict[int, int], int]]) -> list[tuple]:
+    """The pairs with the maps of each multiplicity k > 1 multiplied into
+    one: the same product, which their l1 norms bound more tightly, as
+    l1(m m') <= l1(m) l1(m')."""
+    by_k: dict[int, list] = {}
+    for m, k in pairs:
+        by_k.setdefault(k, []).append(m)
+    ones = [(m, 1) for m in by_k.pop(1, [])]
+    return ones + [(_qprod([(m, 1) for m in ms]), k)
+                   for k, ms in by_k.items()]
+
+
 def _product_width(pairs: list[tuple[dict[int, int], int]]) -> int:
-    """`_width` of the product of m^k over the pairs (m, k)."""
+    """`_width` of the product of m^k over the pairs (m, k), as `_qprod`
+    packs it: over the `_grouped` pairs."""
+    pairs = _grouped(pairs)
     return _width([(sum(map(abs, m.values())), k) for m, k in pairs],
                   sum(k * (max(m) - min(m)) for m, k in pairs))
 
 
 def _qprod(pairs: list[tuple[dict[int, int], int]]) -> dict[int, int]:
     """The product of m^k over the pairs (m, k), m a nonzero integer map
-    {q-exponent: int} and k >= 1: each map is packed once, at the width of
-    `_width`, and raised to k as one integer power.  A two-term map of
-    multiplicity 1, such as a binomial 1 - q^e, is applied to the product
-    by one shift and one add in place of a packed multiply."""
+    {q-exponent: int} and k >= 1: the maps of one multiplicity k > 1 are
+    multiplied first (`_grouped`), then each map is packed once, at the
+    width of `_width`, and raised to k as one integer power.  A two-term
+    map of multiplicity 1, such as a binomial 1 - q^e, is applied to the
+    product by one shift and one add in place of a packed multiply."""
+    pairs = _grouped(pairs)
     if len(pairs) == 1 and pairs[0][1] == 1:
         return pairs[0][0]
     w = _product_width(pairs)

@@ -230,6 +230,9 @@ class TestCtCommand:
     def test_scalar_power_and_qpoch_budget_exit_1(self):
         self._refused("(1+q)^100000")
         self._refused("qpoch(q,100000)")
+        # qpoch(q^P,-1) is the one binomial 1/(1 - q^(P-1)): its width is
+        # held to the budget when lowered, before it can reach a readout
+        self._refused("qpoch(q^999999938,-1)", timeout=10)
 
     def test_dense_power_budget_exit_1(self):
         # a power is measured as the packed product of its copies and

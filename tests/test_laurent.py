@@ -323,6 +323,20 @@ class TestPochhammerQuotient:
         with pytest.raises(DomainError):
             qpoch_quotient(1, (2, -1))
 
+    @pytest.mark.parametrize("qexp, parts, line", [
+        # [32002; 3] is at most C(32002, 3) < 2^43 at q = 1, before any
+        # list; its largest coefficient would fit
+        (32000, (3,), "44-bit coefficients over 96004 powers"),
+        # the numerator's product, 2^203 in l1 norm, before any list
+        (1, (203,), "205-bit coefficients over 20707 powers"),
+        # the quotient times the denominator: 180 + 98 + 1 bits
+        (1, (60, 60, 60), "279-bit coefficients over 16291 powers"),
+        (1, (100, 100), "387-bit coefficients over 20101 powers"),
+    ])
+    def test_refused_at_the_width_of_its_products(self, qexp, parts, line):
+        with pytest.raises(DomainError, match=f"^expansion too large: {line}"):
+            qpoch_quotient(qexp, parts)
+
 
 class TestMonomialClass:
     # a small monomial's series runs in it from index 0, a large one's in

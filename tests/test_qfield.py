@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctforge.errors import DomainError, PoleError
 from ctforge.qfield import (QPoly, QRat, QRAT_ONE, QRAT_ZERO, _binomial_ratio,
-                            _divisors, _moebius, _qprod, _totient)
+                            _divisors, _moebius, _product_width, _qprod,
+                            _totient)
 
 
 def qp(coeffs):
@@ -355,6 +356,19 @@ def test_qprod_matches_the_plain_product(pairs):
     # a two-term map of multiplicity 1 is a shift and an add, every other
     # pair a packed power; both against the dict product, term by term
     assert _qprod(pairs) == _multiplied(pairs)
+
+
+def test_equal_multiplicities_are_measured_as_one_product():
+    # (1-q)(1-q^2)(1-q^3) has l1 norm 6 < 2^3, so its N-th power packs at
+    # the width of 6^N, as the written-out product would
+    binomials = [{0: 1, e: -1} for e in (1, 2, 3)]
+    product = _multiplied([(m, 1) for m in binomials])
+    assert sum(map(abs, product.values())) == 6
+    for n in (2, 519):
+        assert _product_width([(m, n) for m in binomials]) == \
+            _product_width([(product, n)]) == (6 ** n).bit_length() + 1
+    with pytest.raises(DomainError, match="^expansion too large: 1346-bit"):
+        _product_width([(m, 520) for m in binomials])
 
 
 class TestFromFactors:
